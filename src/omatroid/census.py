@@ -3,13 +3,17 @@
 Three kinds of work live here:
 
 * exhaustive enumeration of labeled orthogonal matroids on small ground
-  sets, by filtering every nonempty family of same-parity subsets through
-  the symmetric exchange checker;
+  sets. A candidate family is a bitmap over the subsets of one parity
+  (families mixing parities never pass), and one bitset sweep decides
+  symmetric exchange for every bitmap of a parity class at once;
+  ``enumerate_orthogonal`` and the census both read it, and the brute-force
+  ``matroid.is_orthogonal`` is the oracle the tests hold it to;
 * representability censuses over GF(2), GF(3), and the regular partial
   field, by enumerating every skew matrix over the field, collecting the
-  achievable Pfaffian supports, and matching families against them through
-  all member twists (a representation's support always contains the empty
-  set, so only member twists can work);
+  achievable Pfaffian supports S, and matching families against every twist
+  S Δ t (a support always contains the empty set, so t is then a member of
+  the family). Census records are JSON lines assembled from text
+  fragments, and a resumed file is checked against them line by line;
 * an exact verification of the counting-bound chain that caps the number
   of realizable zero patterns of the principal-Pfaffian polynomial family,
   using big integers and certified rational over-approximations only. The
@@ -24,13 +28,15 @@ scale, and reports say so explicitly instead of pretending otherwise.
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 import time
+from collections import Counter
+from contextlib import ExitStack
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import comb
 
 from .errors import CapabilityError, InputError
@@ -67,7 +73,12 @@ LABELED_COUNT_NOTE = (
 
 
 # ---------------------------------------------------------------------------
-# candidate family enumeration
+# candidate families
+#
+# A candidate of parity p is a bitmap over _parity_subsets(n, p): bit i set
+# means the i-th subset of that parity, in colex order, is a member.
+# Candidate number ``index`` is bitmap index + 1 of the even class, and past
+# the even block, bitmap index - even_total + 1 of the odd class.
 
 
 @lru_cache(maxsize=None)
@@ -75,82 +86,129 @@ def _parity_subsets(n: int, parity: int) -> tuple[int, ...]:
     return tuple(m for m in range(1 << n) if m.bit_count() & 1 == parity)
 
 
+def _class_total(n: int, parity: int) -> int:
+    return (1 << len(_parity_subsets(n, parity))) - 1
+
+
 def _candidate_total(n: int) -> int:
-    total = 0
-    for parity in (0, 1):
-        k = len(_parity_subsets(n, parity))
-        if k:
-            total += (1 << k) - 1
-    return total
+    return _class_total(n, 0) + _class_total(n, 1)
+
+
+def _members(n: int, parity: int, bits: int) -> tuple[int, ...]:
+    return tuple(s for i, s in enumerate(_parity_subsets(n, parity)) if bits >> i & 1)
 
 
 def _candidate_members(n: int, index: int) -> tuple[int, ...]:
     """Members of candidate family number ``index`` (even block first)."""
-    even = _parity_subsets(n, 0)
-    even_total = (1 << len(even)) - 1
+    even_total = _class_total(n, 0)
     if index < even_total:
-        bits = index + 1
-        subsets = even
-    else:
-        subsets = _parity_subsets(n, 1)
-        bits = index - even_total + 1
-        if not subsets or bits >= (1 << len(subsets)):
-            raise InputError(f"candidate index {index} out of range")
-    return tuple(subsets[i] for i in range(len(subsets)) if bits >> i & 1)
+        return _members(n, 0, index + 1)
+    bits = index - even_total + 1
+    if bits > _class_total(n, 1):
+        raise InputError(f"candidate index {index} out of range")
+    return _members(n, 1, bits)
 
 
+@lru_cache(maxsize=None)
+def _orthogonal_bitmaps(n: int, parity: int) -> frozenset[int]:
+    """The candidate bitmaps of one parity class that pass symmetric exchange.
+
+    For B1, B2 in F and x1 in B1 Δ B2 the axiom wants an x2 in B1 Δ B2 - x1
+    with B1 Δ {x1, x2} in F. Write T = B1 Δ {x1}, a set of the other parity:
+    then B1 Δ {x1, x2} = T Δ {x2} and B1 Δ B2 - x1 = T Δ B2. For x1 outside
+    B1 Δ B2, x1 itself lies in T Δ B2 and T Δ {x1} = B1 is in F. So F passes
+    exactly when, for every T with some T Δ {x} in F and every B in F, some
+    x in T Δ B has T Δ {x} in F. That is decided for all 2**k bitmaps at
+    once, one operation on 2**k-bit integers per (T, B, x).
+    ``matroid.is_orthogonal`` is the oracle the tests hold it to.
+    """
+    subsets = _parity_subsets(n, parity)
+    size = 1 << len(subsets)
+    everything = (1 << size) - 1
+    has = []  # has[i]: the bitmaps holding subset i, runs of 2**i ones every 2**(i+1) places
+    for i in range(len(subsets)):
+        run = 1 << i
+        bitset, width = ((1 << run) - 1) << run, 2 * run
+        while width < size:
+            bitset |= bitset << width
+            width *= 2
+        has.append(bitset)
+    index = {s: i for i, s in enumerate(subsets)}
+    bad = 0
+    for t in _parity_subsets(n, 1 - parity):
+        near = [has[index[t ^ (1 << x)]] for x in range(n)]  # bitmaps holding T Δ {x}
+        miss = [everything ^ b for b in near]
+        touched = 0
+        for b in near:
+            touched |= b
+        for i, b in enumerate(subsets):
+            stuck = has[i] & touched
+            for x in range(n):
+                if (t ^ b) >> x & 1:
+                    stuck &= miss[x]
+            bad |= stuck
+    good = everything & ~bad & ~1  # bitmap 0 is the empty family, never a candidate
+    return frozenset(f for f, bit in enumerate(bin(good)[:1:-1]) if bit == "1")
+
+
+@lru_cache(maxsize=None)
 def enumerate_orthogonal(n: int, parity: str = "both") -> tuple[BasisFamily, ...]:
     """Every labeled orthogonal matroid on {1..n}, even families first.
 
-    Iterates all nonempty families of same-parity subsets (families mixing
-    parities can never pass symmetric exchange) and keeps the ones the
-    checker accepts, in deterministic order.
+    Families mixing parities never pass symmetric exchange, so each parity
+    class is swept on its own, and the families come out in candidate order.
     """
     if parity not in ("even", "odd", "both"):
         raise InputError(f"parity must be 'even', 'odd', or 'both', got {parity!r}")
     if n > ENUM_MAX_N:
         raise CapabilityError(f"orthogonal enumeration is capped at n = {ENUM_MAX_N}")
-    return _enumerate_orthogonal_cached(n, parity)
-
-
-@lru_cache(maxsize=None)
-def _enumerate_orthogonal_cached(n: int, parity: str) -> tuple[BasisFamily, ...]:
     ground = GroundSet(n)
-    out = []
     classes = {"even": (0,), "odd": (1,), "both": (0, 1)}[parity]
-    for par in classes:
-        subsets = _parity_subsets(n, par)
-        if not subsets:
-            continue
-        for bits in range(1, 1 << len(subsets)):
-            members = frozenset(subsets[i] for i in range(len(subsets)) if bits >> i & 1)
-            fam = BasisFamily(ground, members)
-            if is_orthogonal(fam).ok:
-                out.append(fam)
-    return tuple(out)
+    return tuple(
+        BasisFamily(ground, frozenset(_members(n, par, bits)))
+        for par in classes
+        for bits in sorted(_orthogonal_bitmaps(n, par))
+    )
 
 
 # ---------------------------------------------------------------------------
 # achievable Pfaffian supports
 
 
+def _skew_matrices(ring, n: int, values):
+    """Every n x n skew matrix over ``ring`` with upper-triangle entries from ``values``.
+
+    The first upper entry varies fastest, as in a base-len(values) counter.
+    """
+    for entries in product(values, repeat=n * (n - 1) // 2):
+        yield SkewMatrix.from_upper(ring, n, entries[::-1])
+
+
+def _support(table) -> frozenset[int]:
+    return frozenset(mask for mask, v in enumerate(table) if v != 0)
+
+
 @lru_cache(maxsize=None)
 def _achievable_supports(n: int, field: str) -> frozenset[frozenset[int]]:
     """Supports {J : Pf(A_J) != 0} over all skew A with entries in the field."""
     ring = GF(2) if field == "gf2" else GF(3)
-    q = ring.p
-    m = n * (n - 1) // 2
-    out = set()
-    for code in range(q**m):
-        upper = []
-        rem = code
-        for _ in range(m):
-            upper.append(rem % q)
-            rem //= q
-        a = SkewMatrix.from_upper(ring, n, upper)
-        table = all_principal_pfaffians(a)
-        out.add(frozenset(mask for mask, v in enumerate(table) if v != 0))
-    return frozenset(out)
+    return frozenset(
+        _support(all_principal_pfaffians(a)) for a in _skew_matrices(ring, n, range(ring.p))
+    )
+
+
+@lru_cache(maxsize=None)
+def _representable_families(n: int, field: str) -> frozenset[int]:
+    """Every S Δ t, S an achievable support and t ⊆ [n], as a bitmap over all 2**n subsets.
+
+    Every Pfaffian support holds the empty set, so t lies in S Δ t: a family
+    F is here exactly when F Δ t is achievable for some member t of F.
+    """
+    return frozenset(
+        sum(1 << (s ^ t) for s in support)
+        for support in _achievable_supports(n, field)
+        for t in range(1 << n)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -161,22 +219,11 @@ def _regular_normal_reps(n: int) -> dict[frozenset[int], SkewMatrix]:
     {0, +1, -1} count: those are the valid regular-partial-field vectors,
     and exactly the ones whose support survives every residue map.
     """
-    m = n * (n - 1) // 2
-    values = (0, 1, -1)
     found: dict[frozenset[int], SkewMatrix] = {}
-    for code in range(3**m):
-        upper = []
-        rem = code
-        for _ in range(m):
-            upper.append(values[rem % 3])
-            rem //= 3
-        a = SkewMatrix.from_upper(ZZ, n, upper)
+    for a in _skew_matrices(ZZ, n, (0, 1, -1)):
         table = all_principal_pfaffians(a)
-        if any(v not in (0, 1, -1) for v in table):
-            continue
-        support = frozenset(mask for mask, v in enumerate(table) if v != 0)
-        if support not in found:
-            found[support] = a
+        if all(v in (0, 1, -1) for v in table):
+            found.setdefault(_support(table), a)
     return found
 
 
@@ -230,27 +277,107 @@ class CensusReport:
         }
 
 
-def _census_records(n: int, field: str, supports, start: int, stop: int) -> list[dict]:
+# A census record is one JSON line with sorted keys and no spaces:
+#   {"bases":[[],[1,2]],"orthogonal":false}
+#   {"bases":[[],[1,2]],"matroid":true,"orthogonal":true,"representable":{"gf2":true}}
+# It is assembled from text fragments: the member list, then one of five
+# endings, keyed here by the record's (orthogonal, matroid, representable).
+
+
+def _record_endings(field: str) -> dict[tuple[bool, bool, bool], str]:
+    word = ("false", "true")
+    out = {(False, False, False): '],"orthogonal":false}\n'}
+    for m in (False, True):
+        for r in (False, True):
+            out[True, m, r] = (
+                f'],"matroid":{word[m]},"orthogonal":true,"representable":{{"{field}":{word[r]}}}}}\n'
+            )
+    return out
+
+
+@lru_cache(maxsize=None)
+def _bases_halves(n: int, parity: int) -> tuple[int, tuple[str, ...], tuple[str, ...]]:
+    """The JSON member lists of every bitmap of a parity class, split at position h.
+
+    The members of bitmap F below class position h read low[F & (2**h - 1)],
+    the rest high[F >> h], so two tables of at most 2**ceil(k/2) strings
+    cover all 2**k bitmaps.
+    """
+    frags = ["[" + ",".join(map(str, mask_elements(s))) + "]" for s in _parity_subsets(n, parity)]
+    h = len(frags) // 2
+
+    def table(part: list[str]) -> tuple[str, ...]:
+        return tuple(
+            ",".join(f for i, f in enumerate(part) if bits >> i & 1) for bits in range(1 << len(part))
+        )
+
+    return h, table(frags[:h]), table(frags[h:])
+
+
+def _candidates(n: int, start: int, stop: int):
+    """(parity, bitmap, JSON member list) of candidates number start .. stop - 1."""
+    offset = 0
+    for parity in (0, 1):
+        count = _class_total(n, parity)
+        h, low, high = _bases_halves(n, parity)
+        low_mask = (1 << h) - 1
+        for bits in range(max(start - offset, 0) + 1, min(stop - offset, count) + 1):
+            lo, hi = low[bits & low_mask], high[bits >> h]
+            yield parity, bits, f"{lo},{hi}" if lo and hi else lo or hi
+        offset += count
+
+
+def _census_chunk(args) -> tuple[str, Counter]:
+    """Record lines of candidates start .. stop - 1, and a tally of their flags."""
+    n, field, start, stop = args
     ground = GroundSet(n)
-    recs = []
-    for index in range(start, stop):
-        members = _candidate_members(n, index)
-        fam = BasisFamily(ground, frozenset(members))
-        verdict = is_orthogonal(fam)
-        rec = {"bases": [list(mask_elements(m)) for m in members], "orthogonal": verdict.ok}
-        if verdict.ok:
-            rec["matroid"] = is_matroid(fam).ok
-            rec["representable"] = {
-                field: any(
-                    frozenset(b ^ t for b in fam.masks) in supports for t in fam.masks
-                )
-            }
-        recs.append(rec)
-    return recs
+    orthogonal = (_orthogonal_bitmaps(n, 0), _orthogonal_bitmaps(n, 1))
+    representable = _representable_families(n, field)
+    endings = _record_endings(field)
+    lines = []
+    tally: Counter = Counter()
+    for parity, bits, bases in _candidates(n, start, stop):
+        flags = (False, False, False)
+        if bits in orthogonal[parity]:
+            members = _members(n, parity, bits)
+            flags = (
+                True,
+                is_matroid(BasisFamily(ground, frozenset(members))).ok,
+                sum(1 << s for s in members) in representable,
+            )
+        tally[flags] += 1
+        lines.append('{"bases":[' + bases + endings[flags])
+    return "".join(lines), tally
 
 
-def _census_chunk(args) -> list[dict]:
-    return _census_records(*args)
+def _resume(path: str, n: int, field: str, total: int) -> tuple[int, Counter]:
+    """Check the records already in ``path`` and tally their flags.
+
+    Line i must be the record of candidate i with one of the five endings of
+    this field, so a file from another n or another field is refused with
+    InputError. A last line without its newline is cut off the file, to be
+    computed again. Returns the number of records kept.
+    """
+    flags_of = {text.encode(): flags for flags, text in _record_endings(field).items()}
+    expected = _candidates(n, 0, total)
+    tally: Counter = Counter()
+    done = size = 0
+    with open(path, "rb") as fh:
+        for line in fh:
+            if not line.endswith(b"\n"):
+                break
+            if done == total:
+                raise InputError(f"{path} holds more than the {total} records of the n = {n} census")
+            head = b'{"bases":[' + next(expected)[2].encode()
+            flags = flags_of.get(line[len(head):]) if line.startswith(head) else None
+            if flags is None:
+                raise InputError(f"{path} line {done + 1} is not record {done} of the n = {n} {field} census")
+            tally[flags] += 1
+            done += 1
+            size += len(line)
+    if size < os.path.getsize(path):
+        os.truncate(path, size)
+    return done, tally
 
 
 def representability_census(
@@ -263,11 +390,12 @@ def representability_census(
 ) -> CensusReport:
     """Sweep every candidate family on {1..n} and mark the representable ones.
 
-    Writes one JSON line per candidate family to ``out_path`` when given;
-    an existing file resumes the sweep after its last complete record, so
-    long runs survive interruption. Worker processes split the index range
-    into fixed chunks merged in order, making output independent of the
-    worker count.
+    Writes one JSON line per candidate family to ``out_path`` when given.
+    An existing file resumes the sweep after its last complete record: every
+    record in it must be the one this census would write there, up to its
+    verdicts, or InputError is raised, and a torn last line is cut off and
+    computed again. Worker processes split the index range into fixed
+    chunks merged in order, making output independent of the worker count.
     """
     if field not in CENSUS_CAPS:
         raise InputError(f"field must be one of {sorted(CENSUS_CAPS)}, got {field!r}")
@@ -276,63 +404,32 @@ def representability_census(
     if not isinstance(workers, int) or workers < 1:
         raise InputError(f"workers must be a positive integer, got {workers!r}")
     t0 = time.perf_counter()
-    supports = _achievable_supports(n, field)
     total = _candidate_total(n)
-    orthogonal = matroids = representable = 0
-    start_index = 0
+    reused, tally = 0, Counter()
     if out_path and os.path.exists(out_path):
-        with open(out_path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                start_index += 1
-                if rec.get("orthogonal"):
-                    orthogonal += 1
-                    if rec.get("matroid"):
-                        matroids += 1
-                    if rec.get("representable", {}).get(field):
-                        representable += 1
-        if start_index > total:
-            raise InputError(
-                f"{out_path} holds {start_index} records but only {total} candidates exist"
-            )
-
-    def consume(recs: list[dict], sink) -> None:
-        nonlocal orthogonal, matroids, representable
-        for rec in recs:
-            if rec["orthogonal"]:
-                orthogonal += 1
-                if rec["matroid"]:
-                    matroids += 1
-                if rec["representable"][field]:
-                    representable += 1
-            if sink is not None:
-                sink.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
-
-    ranges = [(s, min(s + chunk_size, total)) for s in range(start_index, total, chunk_size)]
-    sink = open(out_path, "a", encoding="utf-8") if out_path else None
-    done = start_index
-    try:
+        reused, tally = _resume(out_path, n, field, total)
+    jobs = [(n, field, s, min(s + chunk_size, total)) for s in range(reused, total, chunk_size)]
+    sweep_start = time.perf_counter()
+    with ExitStack() as stack:
+        sink = stack.enter_context(open(out_path, "a", encoding="utf-8")) if out_path else None
         if workers == 1:
-            for s, e in ranges:
-                consume(_census_records(n, field, supports, s, e), sink)
-                done = e
-                if progress:
-                    progress(f"census n={n} {field}: {done}/{total} families")
+            chunks = map(_census_chunk, jobs)
         else:
-            jobs = [(n, field, supports, s, e) for s, e in ranges]
-            with multiprocessing.Pool(workers) as pool:
-                for recs in pool.imap(_census_chunk, jobs):
-                    consume(recs, sink)
-                    done += len(recs)
-                    if progress:
-                        progress(f"census n={n} {field}: {done}/{total} families")
-    finally:
-        if sink is not None:
-            sink.close()
+            chunks = stack.enter_context(multiprocessing.Pool(workers)).imap(_census_chunk, jobs)
+        for (_, _, _, done), (text, part) in zip(jobs, chunks):
+            if sink is not None:
+                sink.write(text)
+            tally.update(part)
+            if progress:
+                rate = (done - reused) / max(time.perf_counter() - sweep_start, 1e-9)
+                progress(
+                    f"census n={n} {field}: {done}/{total} families, {reused} reused, "
+                    f"{rate:.0f} families/s, ETA {(total - done) / rate:.1f}s"
+                )
     runtime = time.perf_counter() - t0
+    orthogonal, matroids, representable = (
+        sum(c for flags, c in tally.items() if flags[k]) for k in range(3)
+    )
     return CensusReport(
         n=n,
         field=field,

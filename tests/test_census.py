@@ -1,4 +1,6 @@
+import hashlib
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,11 @@ from omatroid.census import (
     _achievable_supports,
     _candidate_members,
     _candidate_total,
+    _members,
+    _orthogonal_bitmaps,
+    _parity_subsets,
+    _representable_families,
+    _skew_matrices,
     enumerate_orthogonal,
     find_regular_representation,
     realizable_sets_demo,
@@ -16,7 +23,7 @@ from omatroid.census import (
     verify_nelson_chain,
 )
 from omatroid.errors import CapabilityError, InputError
-from omatroid.exactalg import PartialField, REGULAR, ZZ
+from omatroid.exactalg import GF, PartialField, REGULAR, ZZ
 from omatroid.groundset import GroundSet
 from omatroid.matroid import BasisFamily, is_matroid, is_orthogonal
 from omatroid.wick import wick_from_representation
@@ -62,6 +69,33 @@ def test_enumerate_results_verify():
     evens = {f.masks for f in enumerate_orthogonal(4, "even")}
     odds = {frozenset(m ^ 1 for m in ms) for ms in evens}
     assert odds == {f.masks for f in enumerate_orthogonal(4, "odd")}
+
+
+def _kernel_agrees(n, parity, bits):
+    fam_ = BasisFamily(GroundSet(n), frozenset(_members(n, parity, bits)))
+    return (bits in _orthogonal_bitmaps(n, parity)) == is_orthogonal(fam_).ok
+
+
+def test_orthogonal_kernel_matches_oracle_exhaustively():
+    for n in range(5):
+        for parity in (0, 1):
+            k = len(_parity_subsets(n, parity))
+            assert all(_kernel_agrees(n, parity, bits) for bits in range(1, 1 << k))
+
+
+def test_orthogonal_kernel_matches_oracle_on_n5_sample():
+    rng = random.Random(2208)
+    for parity in (0, 1):
+        sample = rng.sample(range(1, 1 << 16), 3000)
+        assert all(_kernel_agrees(5, parity, bits) for bits in sample)
+
+
+def test_skew_matrices_count_in_code_order():
+    mats = list(_skew_matrices(GF(3), 3, range(3)))
+    assert len(mats) == 27 == len({m.entries for m in mats})
+    # the first upper entry varies fastest
+    assert [m.entries[1] for m in mats[:4]] == [0, 1, 2, 0]
+    assert [m.entries[2] for m in mats[:4]] == [0, 0, 0, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -150,6 +184,74 @@ def test_census_workers_match_serial(tmp_path):
     assert a.orthogonal_count == b.orthogonal_count
     assert a.representable_counts == b.representable_counts
     assert b.workers == 2
+
+
+def test_supports_hold_the_empty_set():
+    # the twist set behind the census is sound only because Pf of the empty matrix is 1
+    for field, top in (("gf2", 5), ("gf3", 4)):
+        for n in range(top + 1):
+            assert all(0 in s for s in _achievable_supports(n, field))
+            rep = _representable_families(n, field)
+            assert all(sum(1 << m for m in s) in rep for s in _achievable_supports(n, field))
+
+
+# sha256 of the census files as the per-candidate exchange checker wrote them
+CENSUS_DIGESTS = {
+    (5, "gf2"): "971abcec189b1bbd11877d65ad8bcaa1a3ec92d38a287db4ec12c2deaa0a58c2",
+    (4, "gf2"): "e2507a4232fefd3577501284001abb9e88c5c3861b4cc89fef8b740d9c5d9d63",
+    (4, "gf3"): "d0b448a16aa05ee4ca85c0336c3685b91ef67d4b7714dde5b31f75bb7ff9541c",
+}
+
+
+@pytest.mark.parametrize("n,field", sorted(CENSUS_DIGESTS))
+def test_census_file_digests(tmp_path, n, field):
+    out = tmp_path / "census.jsonl"
+    r = representability_census(n, field, out_path=str(out))
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CENSUS_DIGESTS[n, field]
+    if n == 5:
+        assert r.total_families_checked == 131070
+        assert r.orthogonal_count == 7966
+        assert r.matroid_count == 406
+        assert r.representable_counts == {"gf2": 4590}
+
+
+def test_census_resume_torn_tail(tmp_path):
+    out = tmp_path / "census.jsonl"
+    full = representability_census(4, "gf2", out_path=str(out))
+    data = out.read_bytes()
+    cut = data.index(b"\n", len(data) // 2) + 1
+    torn = tmp_path / "torn.jsonl"
+    torn.write_bytes(data[: cut + 20])  # 20 bytes into the next record
+    messages = []
+    resumed = representability_census(4, "gf2", out_path=str(torn), progress=messages.append)
+    assert torn.read_bytes() == data
+    assert (resumed.orthogonal_count, resumed.matroid_count) == (full.orthogonal_count, full.matroid_count)
+    assert resumed.representable_counts == full.representable_counts
+    reused = data[:cut].count(b"\n")
+    assert messages and all(f"{reused} reused" in m and "families/s" in m and "ETA" in m for m in messages)
+
+
+def test_census_resume_refuses_other_field(tmp_path):
+    out = tmp_path / "census.jsonl"
+    representability_census(4, "gf2", out_path=str(out))
+    before = out.read_bytes()
+    out.write_bytes(b"".join(before.splitlines(keepends=True)[:100]))
+    with pytest.raises(InputError):
+        representability_census(4, "gf3", out_path=str(out))
+    # a record with a wrong verdict word is refused too
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(before.replace(b'"gf2":true', b'"gf2":maybe', 1))
+    with pytest.raises(InputError):
+        representability_census(4, "gf2", out_path=str(bad))
+
+
+def test_census_resume_refuses_other_n(tmp_path):
+    out = tmp_path / "census.jsonl"
+    representability_census(2, "gf2", out_path=str(out))
+    before = out.read_bytes()
+    with pytest.raises(InputError):
+        representability_census(3, "gf2", out_path=str(out))
+    assert out.read_bytes() == before
 
 
 def test_find_regular_representation_roundtrip():

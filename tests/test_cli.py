@@ -300,6 +300,14 @@ def test_census_verb(tmp_path, capsys):
     assert report_of(out)["error"]["type"] == "CapabilityError"
 
 
+def test_census_verb_refuses_foreign_file(tmp_path, capsys):
+    out_path = tmp_path / "c.jsonl"
+    run(capsys, "census", "--n", "2", "--out", str(out_path))
+    code, out, _ = run(capsys, "census", "--n", "2", "--field", "gf3", "--out", str(out_path))
+    assert code == 2
+    assert report_of(out)["error"]["type"] == "InputError"
+
+
 def test_verify_bounds_verb(capsys):
     code, out, _ = run(capsys, "verify-bounds", "--n", "12")
     assert code == 0
