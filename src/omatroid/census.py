@@ -28,11 +28,10 @@ scale, and reports say so explicitly instead of pretending otherwise.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 from collections import Counter
-from contextlib import ExitStack
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -47,6 +46,9 @@ from .wick import WickRepresentation
 
 #: Enumeration cap: 2**16 families per parity class at n = 5 is the desk limit.
 ENUM_MAX_N = 5
+
+#: Candidates per census chunk: one progress line and one file write each.
+CENSUS_CHUNK = 4096
 
 #: Representability caps per field (matrix count is q**(n(n-1)/2)).
 CENSUS_CAPS = {"gf2": 5, "gf3": 4}
@@ -258,8 +260,6 @@ class CensusReport:
     matroid_count: int
     representable_counts: dict
     runtime_seconds: float
-    workers: int
-    chunk_size: int
     notes: tuple[str, ...]
 
     def to_json(self) -> dict:
@@ -271,8 +271,6 @@ class CensusReport:
             "matroid_count": self.matroid_count,
             "representable_counts": dict(self.representable_counts),
             "runtime_seconds": self.runtime_seconds,
-            "workers": self.workers,
-            "chunk_size": self.chunk_size,
             "notes": list(self.notes),
         }
 
@@ -327,9 +325,8 @@ def _candidates(n: int, start: int, stop: int):
         offset += count
 
 
-def _census_chunk(args) -> tuple[str, Counter]:
+def _census_chunk(n: int, field: str, start: int, stop: int) -> tuple[str, Counter]:
     """Record lines of candidates start .. stop - 1, and a tally of their flags."""
-    n, field, start, stop = args
     ground = GroundSet(n)
     orthogonal = (_orthogonal_bitmaps(n, 0), _orthogonal_bitmaps(n, 1))
     representable = _representable_families(n, field)
@@ -384,9 +381,7 @@ def representability_census(
     n: int,
     field: str = "gf2",
     out_path: str | None = None,
-    workers: int = 1,
     progress=None,
-    chunk_size: int = 4096,
 ) -> CensusReport:
     """Sweep every candidate family on {1..n} and mark the representable ones.
 
@@ -394,29 +389,23 @@ def representability_census(
     An existing file resumes the sweep after its last complete record: every
     record in it must be the one this census would write there, up to its
     verdicts, or InputError is raised, and a torn last line is cut off and
-    computed again. Worker processes split the index range into fixed
-    chunks merged in order, making output independent of the worker count.
+    computed again. The sweep runs in chunks of CENSUS_CHUNK candidates,
+    with one progress line after each.
     """
     if field not in CENSUS_CAPS:
         raise InputError(f"field must be one of {sorted(CENSUS_CAPS)}, got {field!r}")
     if n > CENSUS_CAPS[field]:
         raise CapabilityError(f"census over {field} is capped at n = {CENSUS_CAPS[field]}")
-    if not isinstance(workers, int) or workers < 1:
-        raise InputError(f"workers must be a positive integer, got {workers!r}")
     t0 = time.perf_counter()
     total = _candidate_total(n)
     reused, tally = 0, Counter()
     if out_path and os.path.exists(out_path):
         reused, tally = _resume(out_path, n, field, total)
-    jobs = [(n, field, s, min(s + chunk_size, total)) for s in range(reused, total, chunk_size)]
     sweep_start = time.perf_counter()
-    with ExitStack() as stack:
-        sink = stack.enter_context(open(out_path, "a", encoding="utf-8")) if out_path else None
-        if workers == 1:
-            chunks = map(_census_chunk, jobs)
-        else:
-            chunks = stack.enter_context(multiprocessing.Pool(workers)).imap(_census_chunk, jobs)
-        for (_, _, _, done), (text, part) in zip(jobs, chunks):
+    with open(out_path, "a", encoding="utf-8") if out_path else nullcontext() as sink:
+        for start in range(reused, total, CENSUS_CHUNK):
+            done = min(start + CENSUS_CHUNK, total)
+            text, part = _census_chunk(n, field, start, done)
             if sink is not None:
                 sink.write(text)
             tally.update(part)
@@ -438,8 +427,6 @@ def representability_census(
         matroid_count=matroids,
         representable_counts={field: representable},
         runtime_seconds=round(runtime, 3),
-        workers=workers,
-        chunk_size=chunk_size,
         notes=(ASYMPTOTIC_GAP_NOTE, LABELED_COUNT_NOTE),
     )
 

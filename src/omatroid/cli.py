@@ -92,16 +92,13 @@ def _axiom_witness(v, xkey: str):
     return w
 
 
-def _gp_witness(v, ring):
+def _pair_witness(v, ring, pair: tuple[str, str]):
+    """The failing relation pair, keyed by the verdict's field names in capitals."""
     if v.ok:
         return None
-    return {"S": v.s.to_json(), "T": v.t.to_json(), "value": ring.fmt(v.value)}
-
-
-def _wick_witness(v, ring):
-    if v.ok:
-        return None
-    return {"J1": v.j1.to_json(), "J2": v.j2.to_json(), "value": ring.fmt(v.value)}
+    w = {name.upper(): getattr(v, name).to_json() for name in pair}
+    w["value"] = ring.fmt(v.value)
+    return w
 
 
 def _verdict_exit(ok: bool) -> int:
@@ -128,48 +125,42 @@ def _cmd_check_orthogonal(args):
 
 def _cmd_check_plucker(args):
     p = parse_plucker_vector(load_json(args.input))
-    ring = p.pf.ring
-    data = {"n": p.ground.n, "r": p.r}
-    if args.mode == "full":
-        v = check_gp_full(p)
-        data["mode"] = "full"
-        witness = _gp_witness(v, ring)
-        ok = v.ok
-    else:
-        short = check_gp_3term(p)
-        support = is_matroid(plucker_support(p))
-        ok = short.ok and support.ok
-        data.update({"mode": "short", "equations_ok": short.ok, "support_ok": support.ok})
-        if not short.ok:
-            witness = _gp_witness(short, ring)
-        elif not support.ok:
-            witness = _axiom_witness(support, "x")
-        else:
-            witness = None
-    return _report("check-plucker", ok, witness, data), _verdict_exit(ok)
+    sweeps = (check_gp_full, check_gp_3term, lambda q: is_matroid(plucker_support(q)))
+    return _check_vector(args, p, {"n": p.ground.n, "r": p.r}, sweeps, ("s", "t"), "x")
 
 
 def _cmd_check_wick(args):
     p = parse_wick_vector(load_json(args.input))
+    sweeps = (check_wick_full, check_wick_4term, lambda q: is_orthogonal(wick_support(q)))
+    return _check_vector(args, p, {"n": p.ground.n}, sweeps, ("j1", "j2"), "x1")
+
+
+def _check_vector(args, p, data, sweeps, pair, xkey):
+    """Run the full route, or the short route plus the support axiom, on either vector kind.
+
+    ``sweeps`` holds the full sweep, the short sweep and the support check;
+    ``pair`` names the verdict fields of a failing relation pair and ``xkey``
+    the witness key of the exchange element.
+    """
+    full_sweep, short_sweep, support_check = sweeps
     ring = p.pf.ring
-    data = {"n": p.ground.n}
     if args.mode == "full":
-        v = check_wick_full(p)
+        v = full_sweep(p)
         data["mode"] = "full"
-        witness = _wick_witness(v, ring)
+        witness = _pair_witness(v, ring, pair)
         ok = v.ok
     else:
-        short = check_wick_4term(p)
-        support = is_orthogonal(wick_support(p))
+        short = short_sweep(p)
+        support = support_check(p)
         ok = short.ok and support.ok
         data.update({"mode": "short", "equations_ok": short.ok, "support_ok": support.ok})
         if not short.ok:
-            witness = _wick_witness(short, ring)
+            witness = _pair_witness(short, ring, pair)
         elif not support.ok:
-            witness = _axiom_witness(support, "x1")
+            witness = _axiom_witness(support, xkey)
         else:
             witness = None
-    return _report("check-wick", ok, witness, data), _verdict_exit(ok)
+    return _report(args.command, ok, witness, data), _verdict_exit(ok)
 
 
 def _cmd_reconstruct_plucker(args):
@@ -255,7 +246,6 @@ def _cmd_census(args):
         args.n,
         field=args.field,
         out_path=args.out,
-        workers=args.workers,
         progress=progress,
     )
     return _report("census", True, None, report.to_json()), EXIT_TRUE
@@ -359,7 +349,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True, help="ground set size")
     sp.add_argument("--field", choices=sorted(["gf2", "gf3"]), default="gf2")
     sp.add_argument("--out", default=None, help="JSONL output path (appends; resumes)")
-    sp.add_argument("--workers", type=int, default=1, help="worker processes")
 
     sp = add(
         "verify-bounds",

@@ -31,9 +31,5 @@ class RankError(InputError):
     """A matrix does not have the rank the operation requires."""
 
 
-class ScalingError(InputError):
-    """Normalization needs a division the ring cannot perform."""
-
-
 class ClassificationError(InputError):
     """A vector fails the classification a reconstruction requires."""

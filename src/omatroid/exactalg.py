@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import InputError, MapUndefinedError, MembershipError
+from .errors import InputError, MapUndefinedError
 from .groundset import SubsetMask, mask_elements
 
 
@@ -316,10 +316,6 @@ class PartialField:
 REGULAR = PartialField(ZZ, UNITS_PM_ONE)
 
 
-def is_element(pf: PartialField, v) -> bool:
-    return pf.is_element(v)
-
-
 # ---------------------------------------------------------------------------
 # matrices
 
@@ -434,10 +430,6 @@ class SkewMatrix(Matrix):
         idx = [e - 1 for e in mask_elements(bits)]
         ents = tuple(self.entry(a, b) for a in idx for b in idx)
         return SkewMatrix(self.ring, len(idx), len(idx), ents)
-
-
-def principal_submatrix(m: SkewMatrix, j) -> SkewMatrix:
-    return m.principal(j)
 
 
 # ---------------------------------------------------------------------------
@@ -655,12 +647,13 @@ def rational_residue_hom(p: int) -> Homomorphism:
 
 
 def apply_hom(h: Homomorphism, m: Matrix) -> Matrix:
-    """Apply a homomorphism entrywise; skew matrices stay skew."""
+    """Apply a homomorphism entrywise; skew matrices stay skew.
+
+    The matrix must be over the homomorphism's source ring.
+    """
+    if m.ring != h.source.ring:
+        raise InputError(f"matrix ring {m.ring!r} is not the source ring {h.source.ring!r}")
     target = h.target.ring
     ents = tuple(h.apply(v) for v in m.entries)
     cls = SkewMatrix if isinstance(m, SkewMatrix) else Matrix
     return cls(target, m.rows, m.cols, ents)
-
-
-def apply_hom_value(h: Homomorphism, v):
-    return h.apply(v)

@@ -49,10 +49,6 @@ class GroundSet:
     def subset_from_mask(self, bits: int) -> SubsetMask:
         return SubsetMask(self, bits)
 
-    def all_masks(self) -> range:
-        """All subset masks in colex (= numeric) order."""
-        return range(1 << self.n)
-
 
 @dataclass(frozen=True, slots=True)
 class SubsetMask:

@@ -21,10 +21,9 @@ from .exactalg import (
     QQ,
     REGULAR,
     Ring,
-    SkewMatrix,
     ZZ,
 )
-from .groundset import GroundSet, SubsetMask, format_subset_key, parse_subset_key
+from .groundset import GroundSet, format_subset_key, parse_subset_key
 from .matroid import BasisFamily
 from .plucker import PluckerVector
 from .wick import WickRepresentation, WickVector
@@ -139,10 +138,15 @@ def parse_basis_family(obj: Any) -> BasisFamily:
 # coordinate vectors
 
 
-def parse_plucker_vector(obj: Any) -> PluckerVector:
+def _parse_coords(obj: Any, ranked: bool):
+    """(ground, r, partial field, {mask: value}) of either vector schema.
+
+    A ranked vector reads 'r' and keys every coordinate by an r-subset;
+    otherwise r is None and any subset may be a key.
+    """
     obj = _expect_dict(obj, "coordinate vector")
     n = _expect_int(obj.get("n"), "'n'")
-    r = _expect_int(obj.get("r"), "'r'")
+    r = _expect_int(obj.get("r"), "'r'") if ranked else None
     ground = GroundSet(n)
     ring, pf = parse_ring_decl(obj.get("ring"))
     pf = require_partial_field(pf)
@@ -152,55 +156,39 @@ def parse_plucker_vector(obj: Any) -> PluckerVector:
     mapping = {}
     for key, raw in coords_raw.items():
         bits = parse_subset_key(key, ground).bits
-        if bits.bit_count() != r:
+        if ranked and bits.bit_count() != r:
             raise InputError(f"coordinate key {key!r} does not name an {r}-subset")
         mapping[bits] = _parse_value(ring, raw, f"coordinate {key!r}")
+    return ground, r, pf, mapping
+
+
+def _vector_to_json(p, **rank) -> dict:
+    """The shared vector schema, nonzero coordinates only; ``rank`` adds 'r'."""
+    ring = p.pf.ring
+    coords = {
+        format_subset_key(mask): ring.fmt(v)
+        for mask, v in p.items()
+        if not ring.is_zero(v)
+    }
+    return {"n": p.ground.n, **rank, "ring": p.pf.json_decl(), "coords": coords}
+
+
+def parse_plucker_vector(obj: Any) -> PluckerVector:
+    ground, r, pf, mapping = _parse_coords(obj, ranked=True)
     return PluckerVector.from_coords(ground, r, pf, mapping)
 
 
 def plucker_vector_to_json(p: PluckerVector) -> dict:
-    ring = p.pf.ring
-    coords = {
-        format_subset_key(mask): ring.fmt(v)
-        for mask, v in p.items()
-        if not ring.is_zero(v)
-    }
-    return {
-        "n": p.ground.n,
-        "r": p.r,
-        "ring": p.pf.json_decl(),
-        "coords": coords,
-    }
+    return _vector_to_json(p, r=p.r)
 
 
 def parse_wick_vector(obj: Any) -> WickVector:
-    obj = _expect_dict(obj, "coordinate vector")
-    n = _expect_int(obj.get("n"), "'n'")
-    ground = GroundSet(n)
-    ring, pf = parse_ring_decl(obj.get("ring"))
-    pf = require_partial_field(pf)
-    coords_raw = obj.get("coords")
-    if not isinstance(coords_raw, dict):
-        raise InputError("'coords' must be an object keyed by subsets")
-    mapping = {}
-    for key, raw in coords_raw.items():
-        bits = parse_subset_key(key, ground).bits
-        mapping[bits] = _parse_value(ring, raw, f"coordinate {key!r}")
+    ground, _, pf, mapping = _parse_coords(obj, ranked=False)
     return WickVector.from_coords(ground, pf, mapping)
 
 
 def wick_vector_to_json(p: WickVector) -> dict:
-    ring = p.pf.ring
-    coords = {
-        format_subset_key(mask): ring.fmt(v)
-        for mask, v in p.items()
-        if not ring.is_zero(v)
-    }
-    return {
-        "n": p.ground.n,
-        "ring": p.pf.json_decl(),
-        "coords": coords,
-    }
+    return _vector_to_json(p)
 
 
 def parse_vector_file(obj: Any):

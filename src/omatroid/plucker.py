@@ -20,15 +20,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
 
-from .errors import (
-    ClassificationError,
-    InputError,
-    MembershipError,
-    RankError,
-    ScalingError,
-)
+from .errors import ClassificationError, InputError, MembershipError, RankError
 from .exactalg import Matrix, PartialField, determinant
-from .groundset import GroundSet, SubsetMask, masks_of_size
+from .groundset import GroundSet, SubsetMask, mask_elements, masks_of_size
 from .matroid import BasisFamily, is_matroid
 from .verdicts import AxiomVerdict, Label
 
@@ -38,8 +32,51 @@ def _index_of(n: int, r: int) -> dict[int, int]:
     return {m: i for i, m in enumerate(masks_of_size(n, r))}
 
 
+def _canonical_coords(pf: PartialField, masks, coords) -> tuple:
+    """Validate coordinates listed in the order of ``masks`` and scale them.
+
+    There must be one coordinate per mask. Each value is coerced into the
+    ring and must lie in the partial field (MembershipError names the first
+    subset that does not). The vector is then scaled so its first nonzero
+    coordinate is 1. Over the regular partial field that coordinate is
+    already +1 or -1, its own inverse.
+    """
+    if len(coords) != len(masks):
+        raise InputError(f"expected {len(masks)} coordinates, got {len(coords)}")
+    ring = pf.ring
+    coords = [ring.coerce(v) for v in coords]
+    for mask, v in zip(masks, coords):
+        if not pf.is_element(v):
+            key = ",".join(map(str, mask_elements(mask)))
+            raise MembershipError(
+                f"coordinate {key!r} has value {ring.fmt(v)} outside the partial field"
+            )
+    first = next((v for v in coords if not ring.is_zero(v)), None)
+    if first is None:
+        raise InputError("all coordinates are zero")
+    lam = ring.inv(first)
+    if lam == ring.one:
+        return tuple(coords)
+    return tuple(ring.mul(lam, v) for v in coords)
+
+
+class _CoordinateVector:
+    """What PluckerVector and WickVector share: ``coords`` listed in the order of ``masks()``."""
+
+    def masks(self):
+        raise NotImplementedError
+
+    def items(self):
+        for m, v in zip(self.masks(), self.coords):
+            yield SubsetMask(self.ground, m), v
+
+    def support_masks(self) -> tuple[int, ...]:
+        ring = self.pf.ring
+        return tuple(m for m, v in zip(self.masks(), self.coords) if not ring.is_zero(v))
+
+
 @dataclass(frozen=True)
-class PluckerVector:
+class PluckerVector(_CoordinateVector):
     """Projective point indexed by the r-subsets of {1..n} in colex order.
 
     Constructed values are validated against the partial field and rescaled
@@ -56,21 +93,7 @@ class PluckerVector:
         n = self.ground.n
         if not 0 <= self.r <= n:
             raise InputError(f"rank {self.r} is outside 0..{n}")
-        subsets = masks_of_size(n, self.r)
-        if len(self.coords) != len(subsets):
-            raise InputError(
-                f"expected {len(subsets)} coordinates for rank {self.r} on {n} elements, "
-                f"got {len(self.coords)}"
-            )
-        ring = self.pf.ring
-        coords = [ring.coerce(v) for v in self.coords]
-        for mask, v in zip(subsets, coords):
-            if not self.pf.is_element(v):
-                key = ",".join(map(str, SubsetMask(self.ground, mask).elements()))
-                raise MembershipError(
-                    f"coordinate {key!r} has value {ring.fmt(v)} outside the partial field"
-                )
-        object.__setattr__(self, "coords", tuple(_canonical_scale(self.pf, coords)))
+        object.__setattr__(self, "coords", _canonical_coords(self.pf, self.masks(), self.coords))
 
     @classmethod
     def from_coords(
@@ -88,6 +111,9 @@ class PluckerVector:
             dense = list(coords)
         return cls(ground, r, pf, tuple(dense))
 
+    def masks(self) -> tuple[int, ...]:
+        return masks_of_size(self.ground.n, self.r)
+
     def coord(self, j: SubsetMask):
         if j.ground.n != self.ground.n:
             raise InputError("subset from a different ground set")
@@ -95,36 +121,6 @@ class PluckerVector:
         if idx is None:
             raise InputError(f"{j!r} is not an {self.r}-subset")
         return self.coords[idx]
-
-    def items(self):
-        for m, v in zip(masks_of_size(self.ground.n, self.r), self.coords):
-            yield SubsetMask(self.ground, m), v
-
-    def support_masks(self) -> tuple[int, ...]:
-        ring = self.pf.ring
-        return tuple(
-            m
-            for m, v in zip(masks_of_size(self.ground.n, self.r), self.coords)
-            if not ring.is_zero(v)
-        )
-
-
-def _canonical_scale(pf: PartialField, coords: list) -> list:
-    ring = pf.ring
-    first = next((v for v in coords if not ring.is_zero(v)), None)
-    if first is None:
-        raise InputError("all coordinates are zero")
-    if pf.units == "all":
-        lam = ring.inv(first)
-    else:
-        if first not in (1, -1):
-            raise ScalingError(
-                f"cannot normalize by non-unit {ring.fmt(first)} in the regular partial field"
-            )
-        lam = first
-    if lam == ring.one:
-        return coords
-    return [ring.mul(lam, v) for v in coords]
 
 
 @dataclass(frozen=True, slots=True)
@@ -238,26 +234,30 @@ def check_gp_3term(p: PluckerVector) -> GPVerdict:
 
 def classify_plucker(p: PluckerVector) -> PluckerClassification:
     """Strongest satisfied label plus the evidence for each route."""
-    full = check_gp_full(p)
-    short = check_gp_3term(p)
-    support = is_matroid(plucker_support(p))
+    return _classify(
+        PluckerClassification, check_gp_full(p), check_gp_3term(p), is_matroid(plucker_support(p))
+    )
+
+
+def _classify(cls, full, short, support):
+    """Strong if the full family vanishes, Weak if the short one does on an axiom-sound support."""
     if full.ok:
         label = Label.STRONG
     elif short.ok and support.ok:
         label = Label.WEAK
     else:
         label = Label.NEITHER
-    return PluckerClassification(label, full, short, support)
+    return cls(label, full, short, support)
 
 
 def reconstruct_plucker(p: PluckerVector) -> Matrix:
     """Rebuild an r x n matrix whose maximal minors reproduce p projectively.
 
     Requires the weak gate (short relations plus matroid support). The
-    colex-least support member B becomes the identity block: after scaling
-    p_B to 1, column j outside B gets entries read off the near-basis
-    coordinates p_{B - b_i + j} with the row/position sign that makes the
-    corresponding minor come out right.
+    colex-least support member B becomes the identity block; canonical
+    scaling has already made p_B = 1, so column j outside B gets entries
+    read off the near-basis coordinates p_{B - b_i + j} with the
+    row/position sign that makes the corresponding minor come out right.
     """
     short = check_gp_3term(p)
     support = is_matroid(plucker_support(p))
@@ -268,14 +268,7 @@ def reconstruct_plucker(p: PluckerVector) -> Matrix:
     ring = p.pf.ring
     n, r = p.ground.n, p.r
     idx = _index_of(n, r)
-    b_mask = min(p.support_masks())
-    p_b = p.coords[idx[b_mask]]
-    if p.pf.units == "all":
-        lam = ring.inv(p_b)
-    else:
-        if p_b not in (1, -1):
-            raise ScalingError("cannot scale by a non-unit in the regular partial field")
-        lam = p_b
+    b_mask = min(p.support_masks())  # the first nonzero coordinate, which scaling made 1
     b_elems = SubsetMask(p.ground, b_mask).elements()
     grid = [[ring.zero] * n for _ in range(r)]
     for i, be in enumerate(b_elems):
@@ -286,7 +279,7 @@ def reconstruct_plucker(p: PluckerVector) -> Matrix:
             continue
         for i, be in enumerate(b_elems, start=1):
             j_mask = (b_mask ^ (1 << (be - 1))) | jbit
-            q = ring.mul(lam, p.coords[idx[j_mask]])
+            q = p.coords[idx[j_mask]]
             if ring.is_zero(q):
                 continue
             pos = (j_mask & ((1 << j) - 1)).bit_count()  # 1-based position of j in J

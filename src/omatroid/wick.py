@@ -15,8 +15,9 @@ and the support satisfies symmetric exchange, Neither otherwise.
 
 A representation is a skew matrix A plus a twist set T; it induces the
 vector p_J = Pf(A restricted to J delta T). Reconstruction inverts this:
-twist by the colex-least support member, rescale so the empty set gets 1,
-and read the matrix entries off the two-element coordinates.
+twist by the colex-least support member, whose coordinate canonical
+scaling has already made 1, and read the matrix entries off the
+two-element coordinates.
 """
 
 from __future__ import annotations
@@ -24,16 +25,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import ClassificationError, InputError, MembershipError, ScalingError
+from .errors import ClassificationError, InputError, MembershipError
 from .exactalg import PartialField, SkewMatrix, all_principal_pfaffians
 from .groundset import GroundSet, SubsetMask, masks_of_size
 from .matroid import BasisFamily, is_orthogonal
-from .plucker import _canonical_scale
+from .plucker import _canonical_coords, _classify, _CoordinateVector
 from .verdicts import AxiomVerdict, Label
 
 
 @dataclass(frozen=True)
-class WickVector:
+class WickVector(_CoordinateVector):
     """Projective point indexed by all 2**n subsets, mask order = colex order.
 
     Canonical scaling matches PluckerVector: first nonzero coordinate is 1
@@ -45,18 +46,7 @@ class WickVector:
     coords: tuple
 
     def __post_init__(self) -> None:
-        n = self.ground.n
-        if len(self.coords) != 1 << n:
-            raise InputError(f"expected {1 << n} coordinates, got {len(self.coords)}")
-        ring = self.pf.ring
-        coords = [ring.coerce(v) for v in self.coords]
-        for mask, v in enumerate(coords):
-            if not self.pf.is_element(v):
-                key = ",".join(map(str, SubsetMask(self.ground, mask).elements()))
-                raise MembershipError(
-                    f"coordinate {key!r} has value {ring.fmt(v)} outside the partial field"
-                )
-        object.__setattr__(self, "coords", tuple(_canonical_scale(self.pf, coords)))
+        object.__setattr__(self, "coords", _canonical_coords(self.pf, self.masks(), self.coords))
 
     @classmethod
     def from_coords(
@@ -73,18 +63,13 @@ class WickVector:
             dense = list(coords)
         return cls(ground, pf, tuple(dense))
 
+    def masks(self) -> range:
+        return range(1 << self.ground.n)
+
     def coord(self, j: SubsetMask):
         if j.ground.n != self.ground.n:
             raise InputError("subset from a different ground set")
         return self.coords[j.bits]
-
-    def items(self):
-        for m, v in enumerate(self.coords):
-            yield SubsetMask(self.ground, m), v
-
-    def support_masks(self) -> tuple[int, ...]:
-        ring = self.pf.ring
-        return tuple(m for m, v in enumerate(self.coords) if not ring.is_zero(v))
 
 
 @dataclass(frozen=True)
@@ -132,7 +117,7 @@ def wick_from_representation(rep: WickRepresentation, pf: PartialField) -> WickV
 
     Every entry of the matrix and every resulting Pfaffian must be a
     partial-field element; a Pfaffian escaping the unit group raises
-    MembershipError naming the offending subset.
+    MembershipError from WickVector, naming the offending subset.
     """
     a = rep.matrix
     if a.ring != pf.ring:
@@ -147,14 +132,7 @@ def wick_from_representation(rep: WickRepresentation, pf: PartialField) -> WickV
     ground = GroundSet(a.size)
     table = all_principal_pfaffians(a)
     tb = rep.twist.bits
-    coords = [table[m ^ tb] for m in range(1 << a.size)]
-    for mask, v in enumerate(coords):
-        if not pf.is_element(v):
-            key = ",".join(map(str, SubsetMask(ground, mask).elements()))
-            raise MembershipError(
-                f"principal Pfaffian at {key!r} is {a.ring.fmt(v)}, outside the partial field"
-            )
-    return WickVector(ground, pf, tuple(coords))
+    return WickVector(ground, pf, tuple(table[m ^ tb] for m in range(1 << a.size)))
 
 
 def _pair_value(ring, coords, j1: int, j2: int):
@@ -221,24 +199,17 @@ def twist_wick(p: WickVector, t: SubsetMask) -> WickVector:
 
 
 def classify_wick(p: WickVector) -> WickClassification:
-    full = check_wick_full(p)
-    short = check_wick_4term(p)
-    support = is_orthogonal(wick_support(p))
-    if full.ok:
-        label = Label.STRONG
-    elif short.ok and support.ok:
-        label = Label.WEAK
-    else:
-        label = Label.NEITHER
-    return WickClassification(label, full, short, support)
+    return _classify(
+        WickClassification, check_wick_full(p), check_wick_4term(p), is_orthogonal(wick_support(p))
+    )
 
 
 def reconstruct_wick(p: WickVector) -> WickRepresentation:
     """Rebuild a representation (A, T) with Pf(A_{J delta T}) = p_J projectively.
 
     Requires the weak gate (distance-four relations plus symmetric-exchange
-    support). T is the colex-least support member; after twisting by T and
-    scaling the empty-set coordinate to 1, entry a_ij is the coordinate of
+    support). T is the colex-least support member, so canonical scaling has
+    made p_T = 1; after twisting by T, entry a_ij is the coordinate of
     {i, j}.
     """
     short = check_wick_4term(p)
@@ -249,18 +220,11 @@ def reconstruct_wick(p: WickVector) -> WickRepresentation:
         )
     ring = p.pf.ring
     n = p.ground.n
-    t_mask = min(p.support_masks())
-    p_t = p.coords[t_mask]
-    if p.pf.units == "all":
-        lam = ring.inv(p_t)
-    else:
-        if p_t not in (1, -1):
-            raise ScalingError("cannot scale by a non-unit in the regular partial field")
-        lam = p_t
+    t_mask = min(p.support_masks())  # the first nonzero coordinate, which scaling made 1
     grid = [[ring.zero] * n for _ in range(n)]
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            q = ring.mul(lam, p.coords[((1 << (i - 1)) | (1 << (j - 1))) ^ t_mask])
+            q = p.coords[((1 << (i - 1)) | (1 << (j - 1))) ^ t_mask]
             grid[i - 1][j - 1] = q
             grid[j - 1][i - 1] = ring.neg(q)
     a = SkewMatrix(ring, n, n, tuple(v for row in grid for v in row))

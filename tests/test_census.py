@@ -135,8 +135,6 @@ def test_census_caps_and_validation():
         representability_census(5, "gf3")
     with pytest.raises(InputError):
         representability_census(3, "gf5")
-    with pytest.raises(InputError):
-        representability_census(3, "gf2", workers=0)
 
 
 def test_uniform_two_four_is_not_binary():
@@ -173,17 +171,6 @@ def test_census_jsonl_and_resume(tmp_path):
     over.write_text(out.read_text() + lines[0] + "\n")
     with pytest.raises(InputError):
         representability_census(3, "gf2", out_path=str(over))
-
-
-def test_census_workers_match_serial(tmp_path):
-    serial = tmp_path / "serial.jsonl"
-    parallel = tmp_path / "parallel.jsonl"
-    a = representability_census(4, "gf2", out_path=str(serial), chunk_size=37)
-    b = representability_census(4, "gf2", out_path=str(parallel), workers=2, chunk_size=37)
-    assert serial.read_text() == parallel.read_text()
-    assert a.orthogonal_count == b.orthogonal_count
-    assert a.representable_counts == b.representable_counts
-    assert b.workers == 2
 
 
 def test_supports_hold_the_empty_set():

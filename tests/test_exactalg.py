@@ -17,7 +17,6 @@ from omatroid.exactalg import (
     determinant,
     identity_hom,
     pfaffian,
-    principal_submatrix,
     rational_residue_hom,
     residue_hom,
 )
@@ -119,7 +118,7 @@ def test_skew_from_upper():
 def test_principal_submatrix():
     a = SkewMatrix.from_upper(ZZ, 4, [1, 2, 3, 4, 5, 6])
     g = GroundSet(4)
-    sub = principal_submatrix(a, g.subset([2, 4]))
+    sub = a.principal(g.subset([2, 4]))
     assert sub.row_lists() == [[0, 5], [-5, 0]]
     assert a.principal(0b1010).row_lists() == [[0, 5], [-5, 0]]
     assert a.principal(0).rows == 0
@@ -250,6 +249,15 @@ def test_residue_hom_on_matrices():
     assert isinstance(img, SkewMatrix)
     assert img.ring == GF(3)
     assert img.row_lists() == [[0, 1, 2], [2, 0, 0], [1, 0, 0]]
+
+
+def test_apply_hom_refuses_a_matrix_over_another_ring():
+    m = SkewMatrix.from_upper(QQ, 3, [Fraction(1, 2), Fraction(-1), Fraction(0)])
+    with pytest.raises(InputError):
+        apply_hom(residue_hom(3), m)  # residue_hom reads integers, not rationals
+    img = apply_hom(rational_residue_hom(3), m)
+    assert img.ring == GF(3)
+    assert img.row_lists() == [[0, 2, 2], [1, 0, 0], [1, 0, 0]]  # 1/2 = 2 mod 3
 
 
 def test_rational_residue_hom_partiality():

@@ -1,0 +1,24 @@
+import pytest
+
+import omatroid
+from omatroid import errors, exactalg, jsonio
+from omatroid.groundset import GroundSet
+
+
+@pytest.mark.parametrize("module", [omatroid, jsonio], ids=lambda m: m.__name__)
+def test_every_exported_name_resolves(module):
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert missing == []
+    assert len(set(module.__all__)) == len(module.__all__)
+
+
+def test_removed_aliases_are_gone():
+    # each duplicated a method: SkewMatrix.principal, PartialField.is_element,
+    # Homomorphism.apply, and range(1 << n)
+    for name in ("principal_submatrix", "apply_hom_value", "is_element"):
+        assert not hasattr(exactalg, name)
+        assert name not in omatroid.__all__
+    assert not hasattr(GroundSet, "all_masks")
+    # no raise of ScalingError was reachable: the first nonzero coordinate is always a unit
+    assert not hasattr(errors, "ScalingError")
+    assert not hasattr(omatroid, "ScalingError")

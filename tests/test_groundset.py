@@ -121,8 +121,3 @@ def test_key_roundtrip_everywhere():
     for bits in range(1 << 4):
         s = SubsetMask(g, bits)
         assert parse_subset_key(format_subset_key(s), g) == s
-
-
-def test_all_masks():
-    g = GroundSet(3)
-    assert list(g.all_masks()) == list(range(8))

@@ -3,13 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from omatroid.errors import (
-    ClassificationError,
-    InputError,
-    MembershipError,
-    RankError,
-    ScalingError,
-)
+from omatroid.errors import ClassificationError, InputError, MembershipError, RankError
 from omatroid.exactalg import GF, Matrix, PartialField, QQ, REGULAR, ZZ, determinant
 from omatroid.groundset import GroundSet, mask_of_elements, masks_of_size
 from omatroid.plucker import (
