@@ -171,10 +171,7 @@ def _cmd_reconstruct_plucker(args):
 
 
 def _cmd_reconstruct_wick(args):
-    obj = load_json(args.input)
-    if isinstance(obj, dict) and "r" in obj:
-        raise InputError("this vector has a rank field; use reconstruct-plucker")
-    p = parse_wick_vector(obj)
+    p = parse_wick_vector(load_json(args.input))
     rep = reconstruct_wick(p)
     data = representation_to_json(rep, p.pf)
     return _report("reconstruct-wick", True, None, data), EXIT_TRUE
@@ -190,26 +187,20 @@ def _cmd_pfaffian(args):
     return _report("pfaffian", True, None, data), EXIT_TRUE
 
 
-def _is_skew_shaped(m) -> bool:
-    if m.rows != m.cols:
-        return False
-    try:
-        SkewMatrix.from_rows(m.ring, m.row_lists())
-    except InputError:
-        return False
-    return True
-
-
 def _cmd_from_matrix(args):
     m, twist_bits, ring, pf_opt = parse_matrix_file(load_json(args.input))
     pf = require_partial_field(pf_opt)
-    kind = args.kind
-    if kind == "auto":
-        kind = "wick" if twist_bits is not None or _is_skew_shaped(m) else "plucker"
-    if kind == "wick":
-        if m.rows != m.cols:
-            raise InputError(f"a skew representation must be square, got {m.rows}x{m.cols}")
-        sk = SkewMatrix.from_rows(ring, m.row_lists())
+    # auto reads a square skew matrix as a representation; a twist demands one
+    sk = None
+    if args.kind != "plucker" and m.rows == m.cols:
+        try:
+            sk = SkewMatrix.from_rows(ring, m.row_lists())
+        except InputError:
+            if args.kind == "wick" or twist_bits is not None:
+                raise
+    if args.kind == "wick" and sk is None:
+        raise InputError(f"a skew representation must be square, got {m.rows}x{m.cols}")
+    if sk is not None:
         t = SubsetMask(GroundSet(sk.size), twist_bits or 0)
         v = wick_from_representation(WickRepresentation(sk, t), pf)
         data = {"kind": "wick", "vector": wick_vector_to_json(v)}
@@ -228,7 +219,7 @@ def _cmd_twist(args):
         t = parse_subset_key(args.by, f.ground)
         g = twist_family(f, t)
         data = {"kind": "family", "twist": t.to_json(), "result": g.to_json()}
-    elif isinstance(obj, dict) and "coords" in obj and "r" not in obj:
+    elif isinstance(obj, dict) and "coords" in obj:
         p = parse_wick_vector(obj)
         t = parse_subset_key(args.by, p.ground)
         q = twist_wick(p, t)

@@ -9,11 +9,13 @@ ring together with a unit group containing -1. Two unit groups are
 supported, all nonzero elements (the field case) and {+1, -1} over the
 integers (the regular partial field).
 
-Determinants use fraction-free Bareiss elimination over the integers and
-rationals and Gaussian elimination over prime fields, with direct cofactor
-expansion for sizes up to 4. Pfaffians use the expansion along the first
-row, memoized on index-subset masks so a full principal-minor table costs
-O(2**n * n) ring operations instead of naive exponential recursion.
+Determinants use one elimination per kind of ring: Gaussian elimination
+over the fields (the rationals and GF(p)) and fraction-free Bareiss
+elimination over the integers, where every division it makes is exact.
+There is no cofactor path. Pfaffians use one expansion along the lowest
+index, written once: the principal-Pfaffian table runs it over every
+subset mask in increasing order, O(2**n * n) ring operations in all, and a
+single Pfaffian runs it top-down, visiting only the masks it reaches.
 """
 
 from __future__ import annotations
@@ -73,10 +75,6 @@ class Ring:
     def inv(self, a):
         raise InputError(f"{self!r} has no general inverses")
 
-    def divexact(self, a, b):
-        """Division that is known to be exact in this ring."""
-        raise NotImplementedError
-
     def coerce(self, v):
         """Normalize a Python value (int, Fraction, or string) into this ring."""
         raise NotImplementedError
@@ -86,9 +84,6 @@ class Ring:
 
     def fmt(self, v) -> str:
         return str(v)
-
-    def elements(self):
-        raise InputError(f"{self!r} is not finitely enumerable")
 
     def _key(self):
         return (self.kind,)
@@ -171,11 +166,6 @@ class RationalField(Ring):
             raise InputError("division by zero")
         return 1 / a
 
-    def divexact(self, a, b):
-        if b == 0:
-            raise InputError("division by zero")
-        return a / b
-
     def coerce(self, v):
         if isinstance(v, bool):
             raise InputError("booleans are not ring values")
@@ -220,9 +210,6 @@ class PrimeField(Ring):
             raise InputError("division by zero")
         return pow(a, -1, self.p)
 
-    def divexact(self, a, b):
-        return a * self.inv(b) % self.p
-
     def coerce(self, v):
         if isinstance(v, bool):
             raise InputError("booleans are not ring values")
@@ -240,9 +227,6 @@ class PrimeField(Ring):
             return int(s) % self.p
         except ValueError as exc:
             raise InputError(f"bad residue literal {s!r}") from exc
-
-    def elements(self):
-        return range(self.p)
 
     def _key(self):
         return (self.kind, self.p)
@@ -436,37 +420,20 @@ class SkewMatrix(Matrix):
 # determinants
 
 
-def _det_cofactor(ring: Ring, rows: list[list]):
-    n = len(rows)
-    if n == 0:
-        return ring.one
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return ring.sub(ring.mul(rows[0][0], rows[1][1]), ring.mul(rows[0][1], rows[1][0]))
-    acc = ring.zero
-    for j in range(n):
-        a = rows[0][j]
-        if ring.is_zero(a):
-            continue
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        term = ring.mul(a, _det_cofactor(ring, minor))
-        acc = ring.add(acc, term) if j % 2 == 0 else ring.sub(acc, term)
-    return acc
-
-
 def _det_bareiss(ring: Ring, a: list[list]):
-    """Fraction-free elimination; exact over the integers and rationals."""
+    """Fraction-free elimination over the integers (Bareiss, Math. Comp. 22, 1968).
+
+    After step k every remaining entry is a (k+1)-minor of the row-swapped
+    input, so each division by the previous pivot is exact.
+    """
     n = len(a)
     sign = 1
     prev = ring.one
-    for k in range(n - 1):
-        if ring.is_zero(a[k][k]):
-            pivot_row = next(
-                (i for i in range(k + 1, n) if not ring.is_zero(a[i][k])), None
-            )
-            if pivot_row is None:
-                return ring.zero
+    for k in range(n):
+        pivot_row = next((i for i in range(k, n) if not ring.is_zero(a[i][k])), None)
+        if pivot_row is None:
+            return ring.zero
+        if pivot_row != k:
             a[k], a[pivot_row] = a[pivot_row], a[k]
             sign = -sign
         pivot = a[k][k]
@@ -474,10 +441,8 @@ def _det_bareiss(ring: Ring, a: list[list]):
             for j in range(k + 1, n):
                 num = ring.sub(ring.mul(a[i][j], pivot), ring.mul(a[i][k], a[k][j]))
                 a[i][j] = ring.divexact(num, prev)
-            a[i][k] = ring.zero
         prev = pivot
-    det = a[n - 1][n - 1]
-    return det if sign == 1 else ring.neg(det)
+    return prev if sign == 1 else ring.neg(prev)
 
 
 def _det_gauss(field: Ring, a: list[list]):
@@ -497,32 +462,63 @@ def _det_gauss(field: Ring, a: list[list]):
             f = field.mul(a[i][k], inv)
             if field.is_zero(f):
                 continue
-            for j in range(k, n):
+            for j in range(k + 1, n):
                 a[i][j] = field.sub(a[i][j], field.mul(f, a[k][j]))
     return det
 
 
 def determinant(m: Matrix):
-    """Exact determinant of a square matrix."""
+    """Exact determinant of a square matrix: Gauss over a field, Bareiss over the integers."""
     if m.rows != m.cols:
         raise InputError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
-    n = m.rows
-    if n == 0:
-        return m.ring.one
-    rows = m.row_lists()
-    if n <= 4:
-        return _det_cofactor(m.ring, rows)
-    if isinstance(m.ring, PrimeField):
-        return _det_gauss(m.ring, rows)
-    return _det_bareiss(m.ring, rows)
+    eliminate = _det_gauss if m.ring.is_field else _det_bareiss
+    return eliminate(m.ring, m.row_lists())
 
 
 # ---------------------------------------------------------------------------
 # pfaffians
 
 
+def _expand(ring: Ring, entry, mask: int, known):
+    """Pfaffian of the principal submatrix on an even-size ``mask``.
+
+    Expands along the lowest index i: the alternating sum over the other
+    indices j of a_ij * Pf(mask minus {i, j}), reading each smaller
+    Pfaffian from ``known[submask]``.
+    """
+    lowbit = mask & -mask
+    i1 = lowbit.bit_length() - 1
+    acc = ring.zero
+    t = 1
+    r = mask ^ lowbit
+    while r:
+        b = r & -r
+        r ^= b
+        t += 1
+        a = entry(i1, b.bit_length() - 1)
+        if not ring.is_zero(a):
+            sub = known[mask ^ lowbit ^ b]
+            if not ring.is_zero(sub):
+                term = ring.mul(a, sub)
+                acc = ring.add(acc, term) if t % 2 == 0 else ring.sub(acc, term)
+    return acc
+
+
+class _Memo(dict):
+    """Pfaffians by subset mask, each expanded on its first lookup."""
+
+    def __init__(self, ring: Ring, entry):
+        super().__init__({0: ring.one})
+        self.ring = ring
+        self.entry = entry
+
+    def __missing__(self, mask: int):
+        value = self[mask] = _expand(self.ring, self.entry, mask, self)
+        return value
+
+
 def pfaffian(m: SkewMatrix):
-    """Pfaffian via first-row expansion, memoized per call on index masks.
+    """Pfaffian by top-down expansion, memoized per call on index masks.
 
     Conventions: the empty matrix has Pfaffian 1, odd sizes give 0, and
     [[0, a], [-a, 0]] gives a. The square of the result is always the
@@ -530,73 +526,27 @@ def pfaffian(m: SkewMatrix):
     """
     if not isinstance(m, SkewMatrix):
         raise InputError("pfaffian needs a skew-symmetric matrix")
-    ring = m.ring
-    n = m.size
-    if n % 2:
-        return ring.zero
-    entry = m.entry
-    memo: dict[int, object] = {0: ring.one}
-
-    def rec(mask: int):
-        got = memo.get(mask)
-        if got is not None:
-            return got
-        lowbit = mask & -mask
-        i1 = lowbit.bit_length() - 1
-        rest = mask ^ lowbit
-        acc = ring.zero
-        t = 1
-        r = rest
-        while r:
-            b = r & -r
-            r ^= b
-            t += 1
-            a = entry(i1, b.bit_length() - 1)
-            if not ring.is_zero(a):
-                sub = rec(mask ^ lowbit ^ b)
-                if not ring.is_zero(sub):
-                    term = ring.mul(a, sub)
-                    acc = ring.add(acc, term) if t % 2 == 0 else ring.sub(acc, term)
-        memo[mask] = acc
-        return acc
-
-    return rec((1 << n) - 1)
+    if m.size % 2:
+        return m.ring.zero
+    return _Memo(m.ring, m.entry)[(1 << m.size) - 1]
 
 
 def all_principal_pfaffians(m: SkewMatrix) -> list:
     """Pfaffians of every principal submatrix, indexed by subset mask.
 
-    Dynamic programming over masks in increasing order: each even-size mask
-    expands along its lowest element, so the whole table costs
-    O(2**n * n) ring operations.
+    Dynamic programming over masks in increasing order, so every smaller
+    Pfaffian an expansion reads is already in the table; the whole table
+    costs O(2**n * n) ring operations.
     """
     if not isinstance(m, SkewMatrix):
         raise InputError("pfaffian table needs a skew-symmetric matrix")
     ring = m.ring
-    n = m.size
-    zero = ring.zero
     entry = m.entry
-    table = [zero] * (1 << n)
+    table = [ring.zero] * (1 << m.size)
     table[0] = ring.one
-    for mask in range(1, 1 << n):
-        if mask.bit_count() % 2:
-            continue
-        lowbit = mask & -mask
-        i1 = lowbit.bit_length() - 1
-        acc = zero
-        t = 1
-        r = mask ^ lowbit
-        while r:
-            b = r & -r
-            r ^= b
-            t += 1
-            a = entry(i1, b.bit_length() - 1)
-            if not ring.is_zero(a):
-                sub = table[mask ^ lowbit ^ b]
-                if not ring.is_zero(sub):
-                    term = ring.mul(a, sub)
-                    acc = ring.add(acc, term) if t % 2 == 0 else ring.sub(acc, term)
-        table[mask] = acc
+    for mask in range(1, len(table)):
+        if not mask.bit_count() % 2:
+            table[mask] = _expand(ring, entry, mask, table)
     return table
 
 

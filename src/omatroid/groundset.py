@@ -46,9 +46,6 @@ class GroundSet:
             bits |= 1 << (e - 1)
         return SubsetMask(self, bits)
 
-    def subset_from_mask(self, bits: int) -> SubsetMask:
-        return SubsetMask(self, bits)
-
 
 @dataclass(frozen=True, slots=True)
 class SubsetMask:

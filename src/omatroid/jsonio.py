@@ -141,10 +141,19 @@ def parse_basis_family(obj: Any) -> BasisFamily:
 def _parse_coords(obj: Any, ranked: bool):
     """(ground, r, partial field, {mask: value}) of either vector schema.
 
-    A ranked vector reads 'r' and keys every coordinate by an r-subset;
-    otherwise r is None and any subset may be a key.
+    The rank field decides the schema: a ranked vector must have 'r' and
+    key every coordinate by an r-subset; a full vector must not have 'r',
+    its r is None and any subset may be a key.
     """
     obj = _expect_dict(obj, "coordinate vector")
+    if ranked and "r" not in obj:
+        raise InputError(
+            "no rank field 'r': this is a full (Wick) vector, not a rank-r (Plucker) one"
+        )
+    if not ranked and "r" in obj:
+        raise InputError(
+            "rank field 'r' present: this is a rank-r (Plucker) vector, not a full (Wick) one"
+        )
     n = _expect_int(obj.get("n"), "'n'")
     r = _expect_int(obj.get("r"), "'r'") if ranked else None
     ground = GroundSet(n)

@@ -218,14 +218,8 @@ def reconstruct_wick(p: WickVector) -> WickRepresentation:
         raise ClassificationError(
             "vector is not Weak (short relations or symmetric exchange fail); cannot reconstruct"
         )
-    ring = p.pf.ring
     n = p.ground.n
     t_mask = min(p.support_masks())  # the first nonzero coordinate, which scaling made 1
-    grid = [[ring.zero] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            q = p.coords[((1 << (i - 1)) | (1 << (j - 1))) ^ t_mask]
-            grid[i - 1][j - 1] = q
-            grid[j - 1][i - 1] = ring.neg(q)
-    a = SkewMatrix(ring, n, n, tuple(v for row in grid for v in row))
+    upper = [p.coords[((1 << i) | (1 << j)) ^ t_mask] for i in range(n) for j in range(i + 1, n)]
+    a = SkewMatrix.from_upper(p.pf.ring, n, upper)
     return WickRepresentation(a, SubsetMask(p.ground, t_mask))

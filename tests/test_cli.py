@@ -242,7 +242,27 @@ def test_reconstruct_wick_rejects_plucker_file(tmp_path, capsys):
     pv = write(tmp_path, "pv.json", PLUCKER_VECTOR)
     code, out, _ = run(capsys, "reconstruct-wick", pv)
     assert code == 2
-    assert "reconstruct-plucker" in report_of(out)["error"]["message"]
+    assert "rank-r (Plucker) vector" in report_of(out)["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "verb, vector, named",
+    [
+        ("check-plucker", WICK_VECTOR, "full (Wick) vector"),
+        ("reconstruct-plucker", WICK_VECTOR, "full (Wick) vector"),
+        ("check-wick", PLUCKER_VECTOR, "rank-r (Plucker) vector"),
+        ("twist", PLUCKER_VECTOR, "rank-r (Plucker) vector"),
+    ],
+    ids=["check-plucker", "reconstruct-plucker", "check-wick", "twist"],
+)
+def test_vector_verbs_refuse_the_other_schema(tmp_path, capsys, verb, vector, named):
+    path = write(tmp_path, "v.json", vector)
+    argv = [verb, "--by", "1", path] if verb == "twist" else [verb, path]
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    error = report_of(out)["error"]
+    assert error["type"] == "InputError"
+    assert named in error["message"]
 
 
 def test_pfaffian_verb(tmp_path, capsys):

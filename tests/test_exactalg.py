@@ -47,7 +47,6 @@ def test_ring_identities():
     assert f7.coerce(-3) == 4
     assert f7.mul(3, 5) == 1
     assert f7.inv(3) == 5
-    assert list(f7.elements()) == list(range(7))
     with pytest.raises(InputError):
         f7.parse("1/2")
     with pytest.raises(InputError):

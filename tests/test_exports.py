@@ -13,12 +13,13 @@ def test_every_exported_name_resolves(module):
 
 
 def test_removed_aliases_are_gone():
-    # each duplicated a method: SkewMatrix.principal, PartialField.is_element,
-    # Homomorphism.apply, and range(1 << n)
+    # each duplicated a method or constructor: SkewMatrix.principal,
+    # PartialField.is_element, Homomorphism.apply, range(1 << n) and SubsetMask
     for name in ("principal_submatrix", "apply_hom_value", "is_element"):
         assert not hasattr(exactalg, name)
         assert name not in omatroid.__all__
     assert not hasattr(GroundSet, "all_masks")
+    assert not hasattr(GroundSet, "subset_from_mask")
     # no raise of ScalingError was reachable: the first nonzero coordinate is always a unit
     assert not hasattr(errors, "ScalingError")
     assert not hasattr(omatroid, "ScalingError")

@@ -45,7 +45,7 @@ def test_subset_validation():
         g.subset([4])
     assert g.subset([1, 1]).bits == 0b1  # duplicates collapse, sets have no multiplicity
     with pytest.raises(InputError):
-        g.subset_from_mask(1 << 3)
+        SubsetMask(g, 1 << 3)
 
 
 def test_mask_helpers():

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from omatroid.errors import InputError
-from omatroid.groundset import GroundSet, mask_of_elements
+from omatroid.groundset import GroundSet, SubsetMask, mask_of_elements
 from omatroid.matroid import (
     BasisFamily,
     find_smaller_basis,
@@ -114,7 +114,7 @@ def test_twist_involution_and_parity():
     assert twist(tw, t).masks == f.masks
     # twisting preserves symmetric exchange
     for bits in range(1 << 4):
-        tt = g.subset_from_mask(bits)
+        tt = SubsetMask(g, bits)
         assert is_orthogonal(twist(f, tt)).ok
 
 
