@@ -100,17 +100,6 @@ def _members(n: int, parity: int, bits: int) -> tuple[int, ...]:
     return tuple(s for i, s in enumerate(_parity_subsets(n, parity)) if bits >> i & 1)
 
 
-def _candidate_members(n: int, index: int) -> tuple[int, ...]:
-    """Members of candidate family number ``index`` (even block first)."""
-    even_total = _class_total(n, 0)
-    if index < even_total:
-        return _members(n, 0, index + 1)
-    bits = index - even_total + 1
-    if bits > _class_total(n, 1):
-        raise InputError(f"candidate index {index} out of range")
-    return _members(n, 1, bits)
-
-
 @lru_cache(maxsize=None)
 def _orthogonal_bitmaps(n: int, parity: int) -> frozenset[int]:
     """The candidate bitmaps of one parity class that pass symmetric exchange.
@@ -394,6 +383,7 @@ def representability_census(
     """
     if field not in CENSUS_CAPS:
         raise InputError(f"field must be one of {sorted(CENSUS_CAPS)}, got {field!r}")
+    GroundSet(n)  # InputError unless a nonnegative integer
     if n > CENSUS_CAPS[field]:
         raise CapabilityError(f"census over {field} is capped at n = {CENSUS_CAPS[field]}")
     t0 = time.perf_counter()
@@ -470,7 +460,7 @@ def verify_nelson_chain(
     e_upper: Fraction | None = None,
     log2e_upper: Fraction | None = None,
 ) -> BoundCheck:
-    """Certify the zero-pattern counting chain at one n >= 12, exactly.
+    """Certify the zero-pattern counting chain at one n, 12 <= n <= 24, exactly.
 
     The polynomial family is the N = 2**(n-1) principal Pfaffians of a
     generic n x n skew matrix: m = n(n-1)/2 variables, degrees at most
@@ -480,8 +470,7 @@ def verify_nelson_chain(
     proof that the hypothesis quantity stays below r. Passing tighter valid
     bounds can only keep a true verdict true.
     """
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise InputError(f"n must be an integer, got {n!r}")
+    GroundSet(n)  # InputError unless a nonnegative integer, CapabilityError past MAX_GROUND_SIZE
     if n < 12:
         raise InputError(f"the certified chain needs n >= 12, got {n}")
     e_up = E_UPPER_DEFAULT if e_upper is None else Fraction(e_upper)

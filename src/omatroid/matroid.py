@@ -1,23 +1,22 @@
 """Basis families and their exchange axioms.
 
-A basis family is a nonempty collection of subsets of {1..n}. Four checkers
-live here:
+A basis family is a nonempty collection of subsets of {1..n}. Every axiom
+checked here has one form: for every B1, B2 in the family and every x in X,
+some y in Y has B1 delta {x, y} in the family, and the strong forms also
+want B2 delta {x, y} in it for the same y.
 
-* ``is_matroid``: all members share one size and the exchange axiom holds,
-  for every B1, B2 and x in B1 minus B2 some y in B2 minus B1 has
-  (B1 - x) + y in the family.
-* ``is_matroid_strong``: additionally (B2 - y) + x must land in the family
-  for the same y.
-* ``is_orthogonal``: the symmetric exchange axiom, for every B1, B2 and
-  x1 in the symmetric difference some distinct x2 there has
-  B1 delta {x1, x2} in the family. Members then share size parity, but
-  that is a consequence the checker never assumes.
-* ``is_orthogonal_strong``: the same x2 must also fix B2, that is
-  B2 delta {x1, x2} lies in the family too.
+* ``is_matroid`` and ``is_matroid_strong``: all members share one size,
+  X = B1 - B2 and Y = B2 - B1. Then B1 delta {x, y} = (B1 - x) + y and
+  B2 delta {x, y} = (B2 - y) + x, the basis exchange axiom.
+* ``is_orthogonal`` and ``is_orthogonal_strong``: X = B1 delta B2 and
+  Y = X - x, the symmetric exchange axiom of orthogonal matroids (even
+  delta-matroids). Members then share size parity, but that is a
+  consequence the checkers never assume.
 
-The checkers are deliberately brute force, O(|B|^2 * n^2), and double as
-the trusted oracle for everything else in the package. Failures report the
-colexicographically first violating triple so they are stable golden data.
+One search, ``_exchange``, runs all four. It is deliberately brute force,
+O(|B|^2 * n^2), and doubles as the trusted oracle for everything else in
+the package. Failures report the colexicographically first violating
+(B1, B2, x) so they are stable golden data.
 """
 
 from __future__ import annotations
@@ -80,140 +79,61 @@ class BasisFamily:
         }
 
 
-def _wrap(f: BasisFamily, mask: int) -> SubsetMask:
-    return SubsetMask(f.ground, mask)
+def _exchange(f: BasisFamily, reason: str, same_size: bool, strong: bool) -> AxiomVerdict:
+    """The one exchange search: for all B1, B2 and x in X, some y in Y fixes B1.
 
-
-def _equicardinal_violation(f: BasisFamily) -> AxiomVerdict | None:
+    ``same_size`` reads X = B1 - B2 and Y = B2 - B1 after the equal-size
+    check, otherwise X = B1 delta B2 and Y = X - x. ``strong`` asks the same
+    y to fix B2 as well. The first failing (B1, B2, x) in colex order is
+    reported under ``reason``.
+    """
     members = f.members()
-    size0 = members[0].bit_count()
-    for m in members[1:]:
-        if m.bit_count() != size0:
-            return AxiomVerdict(
-                False, "not_equicardinal", _wrap(f, members[0]), _wrap(f, m), None
-            )
-    return None
+    mset = f.masks
+    ground = f.ground
+    if same_size:
+        size = members[0].bit_count()
+        for m in members[1:]:
+            if m.bit_count() != size:
+                first, other = SubsetMask(ground, members[0]), SubsetMask(ground, m)
+                return AxiomVerdict(False, "not_equicardinal", first, other, None)
+    for b1 in members:
+        for b2 in members:
+            d = b1 ^ b2
+            xs = d & b1 if same_size else d
+            while xs:
+                xb = xs & -xs
+                xs ^= xb
+                base = b1 ^ xb
+                ys = d & b2 if same_size else d ^ xb
+                while ys:
+                    yb = ys & -ys
+                    ys ^= yb
+                    if (base ^ yb) in mset and (not strong or (b2 ^ xb ^ yb) in mset):
+                        break
+                else:
+                    b1s, b2s = SubsetMask(ground, b1), SubsetMask(ground, b2)
+                    return AxiomVerdict(False, reason, b1s, b2s, xb.bit_length())
+    return AxiomVerdict(True)
 
 
 def is_matroid(f: BasisFamily) -> AxiomVerdict:
     """Matroid basis axiom: equicardinal plus the exchange property."""
-    bad = _equicardinal_violation(f)
-    if bad is not None:
-        return bad
-    members = f.members()
-    mset = f.masks
-    for b1 in members:
-        for b2 in members:
-            out = b1 & ~b2
-            while out:
-                xbit = out & -out
-                out ^= xbit
-                base = b1 ^ xbit
-                cand = b2 & ~b1
-                c = cand
-                found = False
-                while c:
-                    yb = c & -c
-                    c ^= yb
-                    if (base | yb) in mset:
-                        found = True
-                        break
-                if not found:
-                    return AxiomVerdict(
-                        False, "exchange", _wrap(f, b1), _wrap(f, b2), xbit.bit_length()
-                    )
-    return AxiomVerdict(True)
+    return _exchange(f, "exchange", same_size=True, strong=False)
 
 
 def is_matroid_strong(f: BasisFamily) -> AxiomVerdict:
     """Strong exchange: one y must repair both bases at once."""
-    bad = _equicardinal_violation(f)
-    if bad is not None:
-        return bad
-    members = f.members()
-    mset = f.masks
-    for b1 in members:
-        for b2 in members:
-            out = b1 & ~b2
-            while out:
-                xbit = out & -out
-                out ^= xbit
-                base = b1 ^ xbit
-                c = b2 & ~b1
-                found = False
-                while c:
-                    yb = c & -c
-                    c ^= yb
-                    if (base | yb) in mset and ((b2 ^ yb) | xbit) in mset:
-                        found = True
-                        break
-                if not found:
-                    return AxiomVerdict(
-                        False, "strong_exchange", _wrap(f, b1), _wrap(f, b2), xbit.bit_length()
-                    )
-    return AxiomVerdict(True)
+    return _exchange(f, "strong_exchange", same_size=True, strong=True)
 
 
 def is_orthogonal(f: BasisFamily) -> AxiomVerdict:
     """Symmetric exchange axiom for orthogonal matroids (even delta-matroids)."""
-    members = f.members()
-    mset = f.masks
-    for b1 in members:
-        for b2 in members:
-            d = b1 ^ b2
-            m = d
-            while m:
-                x1b = m & -m
-                m ^= x1b
-                base = b1 ^ x1b
-                c = d ^ x1b
-                found = False
-                while c:
-                    x2b = c & -c
-                    c ^= x2b
-                    if (base ^ x2b) in mset:
-                        found = True
-                        break
-                if not found:
-                    return AxiomVerdict(
-                        False,
-                        "symmetric_exchange",
-                        _wrap(f, b1),
-                        _wrap(f, b2),
-                        x1b.bit_length(),
-                    )
-    return AxiomVerdict(True)
+    return _exchange(f, "symmetric_exchange", same_size=False, strong=False)
 
 
 def is_orthogonal_strong(f: BasisFamily) -> AxiomVerdict:
     """Strong symmetric exchange: one x2 must move both B1 and B2 inside the family."""
-    members = f.members()
-    mset = f.masks
-    for b1 in members:
-        for b2 in members:
-            d = b1 ^ b2
-            m = d
-            while m:
-                x1b = m & -m
-                m ^= x1b
-                c = d ^ x1b
-                found = False
-                while c:
-                    x2b = c & -c
-                    c ^= x2b
-                    pair = x1b | x2b
-                    if (b1 ^ pair) in mset and (b2 ^ pair) in mset:
-                        found = True
-                        break
-                if not found:
-                    return AxiomVerdict(
-                        False,
-                        "strong_symmetric_exchange",
-                        _wrap(f, b1),
-                        _wrap(f, b2),
-                        x1b.bit_length(),
-                    )
-    return AxiomVerdict(True)
+    return _exchange(f, "strong_symmetric_exchange", same_size=False, strong=True)
 
 
 def twist(f: BasisFamily, t: SubsetMask) -> BasisFamily:

@@ -2,7 +2,8 @@
 
 bench/traced.py replaces omatroid's public functions by name, so renaming
 one breaks the benchmark's layer metrics. One small traced from-matrix run
-must exit 0 and count at least one principal-Pfaffian table.
+must exit 0 and count at least one principal-Pfaffian table, and each
+basis-family verb must count one call of its checker.
 """
 
 import json
@@ -11,7 +12,23 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def traced(tmp_path, *argv):
+    """Run one CLI call under bench/traced.py; return the process and its layer metrics."""
+    layers = tmp_path / "layers.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "traced.py"), str(layers), *argv],
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc, json.loads(layers.read_text())
 
 
 def test_traced_from_matrix_counts_the_pfaffian_table(tmp_path):
@@ -19,15 +36,15 @@ def test_traced_from_matrix_counts_the_pfaffian_table(tmp_path):
     rows = [["0", "1", "2", "3"], ["-1", "0", "4", "5"],
             ["-2", "-4", "0", "6"], ["-3", "-5", "-6", "0"]]
     matrix.write_text(json.dumps({"ring": {"kind": "q"}, "matrix": rows}))
-    layers = tmp_path / "layers.json"
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "bench" / "traced.py"), str(layers),
-         "from-matrix", "--kind", "wick", str(matrix)],
-        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
+    proc, layers = traced(tmp_path, "from-matrix", "--kind", "wick", str(matrix))
     assert json.loads(proc.stdout)["data"]["kind"] == "wick"
-    assert json.loads(layers.read_text())["exactalg.table_calls"] >= 1
+    assert layers["exactalg.table_calls"] >= 1
+
+
+@pytest.mark.parametrize("verb, checker", [("check-matroid", "is_matroid"),
+                                           ("check-orthogonal", "is_orthogonal")])
+def test_traced_check_verbs_count_their_checker(tmp_path, verb, checker):
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps({"n": 4, "bases": [[1, 2], [1, 3], [2, 3]]}))
+    _, layers = traced(tmp_path, verb, str(family))
+    assert layers[f"matroid.{checker}_calls"] == 1

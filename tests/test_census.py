@@ -9,8 +9,8 @@ from omatroid.census import (
     BoundCheck,
     CensusReport,
     _achievable_supports,
-    _candidate_members,
     _candidate_total,
+    _candidates,
     _members,
     _orthogonal_bitmaps,
     _parity_subsets,
@@ -41,14 +41,12 @@ def test_candidate_indexing():
     for n in range(5):
         total = _candidate_total(n)
         seen = set()
-        for idx in range(total):
-            members = _candidate_members(n, idx)
+        for parity, bits, _bases in _candidates(n, 0, total):
+            members = _members(n, parity, bits)
             assert members
             assert len({m.bit_count() & 1 for m in members}) == 1
             seen.add(members)
         assert len(seen) == total
-    with pytest.raises(InputError):
-        _candidate_members(2, _candidate_total(2))
 
 
 def test_enumerate_orthogonal_counts():

@@ -338,6 +338,21 @@ def test_verify_bounds_verb(capsys):
     assert code == 2
 
 
+def test_census_verb_refuses_negative_n(capsys):
+    # malformed input, not a crash that exits 1 like a false verdict
+    code, out, _ = run(capsys, "census", "--n", "-1")
+    assert code == 2
+    assert report_of(out)["error"]["type"] == "InputError"
+
+
+def test_verify_bounds_verb_stops_at_the_ground_set_cap(capsys):
+    code, out, _ = run(capsys, "verify-bounds", "--n", "24")
+    assert code == 0
+    code, out, _ = run(capsys, "verify-bounds", "--n", "25")
+    assert code == 3
+    assert report_of(out)["error"]["type"] == "CapabilityError"
+
+
 def test_stdin_input(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(FAMILY)))
     code, out, _ = run(capsys, "check-orthogonal", "-")

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -151,3 +152,43 @@ def test_find_smaller_basis_walks_to_empty():
         seen.append(j.elements())
     assert len(seen) == 2
     assert seen[-1] == ()
+
+
+CHECKERS = (is_matroid, is_matroid_strong, is_orthogonal, is_orthogonal_strong)
+
+
+def _sampled_families(n, count, rng):
+    """Random families on [n]: one member size, one size parity, or mixed sizes, in turn."""
+    g = GroundSet(n)
+    for i in range(count):
+        k = rng.randint(1, 12)
+        if i % 3 == 0:
+            r = rng.randint(0, n)
+            pool = [m for m in range(1 << n) if m.bit_count() == r]
+        elif i % 3 == 1:
+            p = rng.randint(0, 1)
+            pool = [m for m in range(1 << n) if m.bit_count() & 1 == p]
+        else:
+            pool = list(range(1 << n))
+        yield BasisFamily(g, frozenset(rng.choice(pool) for _ in range(k)))
+
+
+def test_checker_witnesses_are_pinned():
+    # every nonempty family on [4], then 3000 seeded families each on [5] and [6];
+    # the digest covers (ok, reason, B1, B2, x) of all four checkers on each
+    g = GroundSet(4)
+    families = [
+        BasisFamily(g, frozenset(m for m in range(16) if bits >> m & 1))
+        for bits in range(1, 1 << 16)
+    ]
+    rng = random.Random(20240605)
+    for n in (5, 6):
+        families.extend(_sampled_families(n, 3000, rng))
+    h = hashlib.sha256()
+    for f in families:
+        for check in CHECKERS:
+            v = check(f)
+            b1 = None if v.b1 is None else v.b1.bits
+            b2 = None if v.b2 is None else v.b2.bits
+            h.update(repr((v.ok, v.reason, b1, b2, v.x)).encode() + b"\n")
+    assert h.hexdigest() == "aa476857312c90950e8ea1e2df9c49e0534703974758d1e56ee96ccba72d4939"
