@@ -12,6 +12,15 @@ Strong when the full family vanishes, Weak when the short family vanishes
 and the support is a matroid, and Neither otherwise. Strong and Weak agree
 for vectors over a partial field; the checkers still compute both routes
 independently so that equivalence stays testable.
+
+A term p_{S-x} * p_{T+x} is nonzero only when both of its indices are in
+the support, so S and T are then both one element away from a support
+member. The sweeps therefore walk only the (r+1)-sets and (r-1)-sets of
+that one-step neighbourhood, in the same colex order as the whole family:
+every skipped pair has only zero terms, so verdicts and the first failing
+pair are those of the sweep over all C(n, r+1) * C(n, r-1) pairs. A sweep
+that would still walk more than SWEEP_BUDGET pairs is refused before it
+starts.
 """
 
 from __future__ import annotations
@@ -20,11 +29,18 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
 
-from .errors import ClassificationError, InputError, MembershipError, RankError
+from .errors import CapabilityError, ClassificationError, InputError, MembershipError, RankError
 from .exactalg import Matrix, PartialField, determinant
 from .groundset import GroundSet, SubsetMask, mask_elements, masks_of_size
 from .matroid import BasisFamily, is_matroid
 from .verdicts import AxiomVerdict, Label
+
+
+#: The most candidate pairs one relation sweep (Plucker or Wick) may walk.
+#: A sweep that would walk more raises CapabilityError (exit 3) before it
+#: starts, so the CLI refuses in well under a second instead of running for
+#: minutes.
+SWEEP_BUDGET = 1 << 22
 
 
 @lru_cache(maxsize=None)
@@ -73,6 +89,25 @@ class _CoordinateVector:
     def support_masks(self) -> tuple[int, ...]:
         ring = self.pf.ring
         return tuple(m for m, v in zip(self.masks(), self.coords) if not ring.is_zero(v))
+
+
+def _neighbourhood(p: _CoordinateVector) -> list[int]:
+    """Masks one element away from some support member, in colex order.
+
+    A relation term multiplies two coordinates, each indexed one element
+    away from one of the pair's sets, so a pair with a set outside this
+    list has only zero terms.
+    """
+    bits = [1 << i for i in range(p.ground.n)]
+    return sorted({u ^ b for u in p.support_masks() for b in bits})
+
+
+def _within_budget(pairs: int, family: str) -> None:
+    if pairs > SWEEP_BUDGET:
+        raise CapabilityError(
+            f"the {family} sweep would walk {pairs} candidate pairs, "
+            f"over the budget of {SWEEP_BUDGET}"
+        )
 
 
 @dataclass(frozen=True)
@@ -210,8 +245,12 @@ def _sweep(p: PluckerVector, three_term_only: bool) -> GPVerdict:
         return GPVerdict(True)  # degenerate ranks have an empty relation family
     ring = p.pf.ring
     idx = _index_of(n, r)
-    for s_mask in masks_of_size(n, r + 1):
-        for t_mask in masks_of_size(n, r - 1):
+    near = _neighbourhood(p)
+    s_masks = [m for m in near if m.bit_count() == r + 1]
+    t_masks = [m for m in near if m.bit_count() == r - 1]
+    _within_budget(len(s_masks) * len(t_masks), "3-term GP" if three_term_only else "full GP")
+    for s_mask in s_masks:
+        for t_mask in t_masks:
             if three_term_only and (s_mask & ~t_mask).bit_count() != 3:
                 continue
             val = _relation_value(p, s_mask, t_mask, idx)
@@ -223,12 +262,12 @@ def _sweep(p: PluckerVector, three_term_only: bool) -> GPVerdict:
 
 
 def check_gp_full(p: PluckerVector) -> GPVerdict:
-    """Sweep all C(n, r+1) * C(n, r-1) relation instances."""
+    """Sweep all C(n, r+1) * C(n, r-1) relation instances that can have a nonzero term."""
     return _sweep(p, three_term_only=False)
 
 
 def check_gp_3term(p: PluckerVector) -> GPVerdict:
-    """Sweep only the instances with |S - T| = 3 (three surviving terms)."""
+    """Sweep only the instances with |S - T| = 3 (three surviving terms) that can be nonzero."""
     return _sweep(p, three_term_only=True)
 
 

@@ -13,6 +13,16 @@ parity. The short family keeps only pairs at distance four. A vector is
 Strong when the full family vanishes, Weak when the short family vanishes
 and the support satisfies symmetric exchange, Neither otherwise.
 
+A term p_{J1 delta i} * p_{J2 delta i} is nonzero only when both of its
+indices are in the support, so J1 and J2 both lie in the support's
+one-step neighbourhood N = {u delta {i} : u in support, i in 1..n}. The
+sweeps walk only pairs from N, in the same colex order as the whole
+family: every skipped pair has only zero terms, so verdicts and the first
+failing pair are those of the sweep over all pairs. A Pfaffian support has
+one size parity, so even a dense one leaves N in the other parity class
+and the full sweep skips three quarters of the pairs. A sweep that would
+still walk more than SWEEP_BUDGET pairs is refused before it starts.
+
 A representation is a skew matrix A plus a twist set T; it induces the
 vector p_J = Pf(A restricted to J delta T). Reconstruction inverts this:
 twist by the colex-least support member, whose coordinate canonical
@@ -23,13 +33,20 @@ two-element coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Mapping
 
 from .errors import ClassificationError, InputError, MembershipError
 from .exactalg import PartialField, SkewMatrix, all_principal_pfaffians
 from .groundset import GroundSet, SubsetMask, masks_of_size
 from .matroid import BasisFamily, is_orthogonal
-from .plucker import _canonical_coords, _classify, _CoordinateVector
+from .plucker import (
+    _canonical_coords,
+    _classify,
+    _CoordinateVector,
+    _neighbourhood,
+    _within_budget,
+)
 from .verdicts import AxiomVerdict, Label
 
 
@@ -154,39 +171,43 @@ def _pair_value(ring, coords, j1: int, j2: int):
     return acc
 
 
-def check_wick_full(p: WickVector) -> WickPairVerdict:
-    """Sweep every unordered pair {J1, J2}, including odd distances."""
+def _first_failure(p: WickVector, pairs) -> WickPairVerdict:
     ring = p.pf.ring
     coords = p.coords
-    size = 1 << p.ground.n
-    for j1 in range(size):
-        for j2 in range(j1 + 1, size):
-            val = _pair_value(ring, coords, j1, j2)
-            if not ring.is_zero(val):
-                return WickPairVerdict(
-                    False, SubsetMask(p.ground, j1), SubsetMask(p.ground, j2), val
-                )
+    for j1, j2 in pairs:
+        val = _pair_value(ring, coords, j1, j2)
+        if not ring.is_zero(val):
+            return WickPairVerdict(False, SubsetMask(p.ground, j1), SubsetMask(p.ground, j2), val)
     return WickPairVerdict(True)
 
 
+def check_wick_full(p: WickVector) -> WickPairVerdict:
+    """Sweep every unordered pair {J1, J2} that can have a nonzero term, odd distances included.
+
+    Those are the pairs with both sets in the support's one-step
+    neighbourhood N, taken in colex order; any other pair has only zero
+    terms, so the first failing pair is the first among all 2**n choose 2.
+    """
+    near = _neighbourhood(p)
+    _within_budget(len(near) * (len(near) - 1) // 2, "full Wick")
+    return _first_failure(p, combinations(near, 2))
+
+
 def check_wick_4term(p: WickVector) -> WickPairVerdict:
-    """Sweep only pairs at symmetric-difference distance four."""
-    ring = p.pf.ring
-    coords = p.coords
+    """Sweep only pairs at symmetric-difference distance four, both sets in N."""
     n = p.ground.n
     if n < 4:
         return WickPairVerdict(True)
     diffs = masks_of_size(n, 4)
-    size = 1 << n
-    for j1 in range(size):
-        partners = sorted(j1 ^ d for d in diffs if (j1 ^ d) > j1)
-        for j2 in partners:
-            val = _pair_value(ring, coords, j1, j2)
-            if not ring.is_zero(val):
-                return WickPairVerdict(
-                    False, SubsetMask(p.ground, j1), SubsetMask(p.ground, j2), val
-                )
-    return WickPairVerdict(True)
+    near = _neighbourhood(p)
+    _within_budget(len(near) * len(diffs), "4-term Wick")
+    members = set(near)
+    pairs = (
+        (j1, j2)
+        for j1 in near
+        for j2 in sorted(j1 ^ d for d in diffs if j1 ^ d > j1 and j1 ^ d in members)
+    )
+    return _first_failure(p, pairs)
 
 
 def twist_wick(p: WickVector, t: SubsetMask) -> WickVector:

@@ -4,6 +4,12 @@ Everything here is deliberately naive: determinants by the signed
 permutation sum, pfaffians by the signed perfect-matching sum. Slow but
 unarguable, and written against plain Python integers and Fractions so they
 share no code with the implementations under test.
+
+The brute relation sweeps walk every pair of their family in colex order,
+as the library did before it restricted the sweeps to the support's
+one-step neighbourhood. They read only a vector's ``coords``, ``ground.n``,
+``r`` and the ring arithmetic of ``pf.ring``, and return a plain tuple
+(ok, first failing pair as two masks, its value).
 """
 
 from itertools import permutations
@@ -75,3 +81,97 @@ def random_skew_int(rng, n, lo=-5, hi=5):
 
 def random_int_matrix(rng, rows, cols, lo=-5, hi=5):
     return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
+
+
+def _colex(n, r):
+    return [m for m in range(1 << n) if m.bit_count() == r]
+
+
+def _wick_pair_value(ring, coords, j1, j2):
+    acc = ring.zero
+    pos = 0
+    m = j1 ^ j2
+    while m:
+        b = m & -m
+        m ^= b
+        pos += 1
+        v1 = coords[j1 ^ b]
+        if ring.is_zero(v1):
+            continue
+        v2 = coords[j2 ^ b]
+        if ring.is_zero(v2):
+            continue
+        term = ring.mul(v1, v2)
+        acc = ring.sub(acc, term) if pos & 1 else ring.add(acc, term)
+    return acc
+
+
+def brute_wick_full(p):
+    """Every unordered pair {J1, J2} of the 2**n subsets, odd distances included."""
+    ring = p.pf.ring
+    coords = p.coords
+    size = 1 << p.ground.n
+    for j1 in range(size):
+        for j2 in range(j1 + 1, size):
+            val = _wick_pair_value(ring, coords, j1, j2)
+            if not ring.is_zero(val):
+                return False, j1, j2, val
+    return True, None, None, None
+
+
+def brute_wick_4term(p):
+    """Every pair at symmetric-difference distance four."""
+    ring = p.pf.ring
+    coords = p.coords
+    n = p.ground.n
+    if n < 4:
+        return True, None, None, None
+    diffs = _colex(n, 4)
+    size = 1 << n
+    for j1 in range(size):
+        partners = sorted(j1 ^ d for d in diffs if (j1 ^ d) > j1)
+        for j2 in partners:
+            val = _wick_pair_value(ring, coords, j1, j2)
+            if not ring.is_zero(val):
+                return False, j1, j2, val
+    return True, None, None, None
+
+
+def _gp_relation_value(p, s_mask, t_mask, idx):
+    ring = p.pf.ring
+    coords = p.coords
+    acc = ring.zero
+    m = s_mask
+    while m:
+        b = m & -m
+        m ^= b
+        if t_mask & b:
+            continue  # T + x collapses to a set of size r-1, the term is zero
+        x = b.bit_length()  # element label
+        v1 = coords[idx[s_mask ^ b]]
+        if ring.is_zero(v1):
+            continue
+        v2 = coords[idx[t_mask | b]]
+        if ring.is_zero(v2):
+            continue
+        term = ring.mul(v1, v2)
+        parity = (s_mask >> x).bit_count() + (t_mask >> x).bit_count()
+        acc = ring.sub(acc, term) if parity & 1 else ring.add(acc, term)
+    return acc
+
+
+def brute_gp_sweep(p, three_term_only):
+    """Every (S, T) with |S| = r+1 and |T| = r-1, or only those with |S - T| = 3."""
+    n, r = p.ground.n, p.r
+    if r + 1 > n or r - 1 < 0:
+        return True, None, None, None  # degenerate ranks have an empty relation family
+    ring = p.pf.ring
+    idx = {m: i for i, m in enumerate(_colex(n, r))}
+    for s_mask in _colex(n, r + 1):
+        for t_mask in _colex(n, r - 1):
+            if three_term_only and (s_mask & ~t_mask).bit_count() != 3:
+                continue
+            val = _gp_relation_value(p, s_mask, t_mask, idx)
+            if not ring.is_zero(val):
+                return False, s_mask, t_mask, val
+    return True, None, None, None

@@ -1,0 +1,254 @@
+"""The neighbourhood sweeps against the brute sweeps, twists, and the sweep budget.
+
+The Wick and Grassmann-Plucker sweeps walk only pairs whose sets lie one
+element away from the support. The brute sweeps in ``oracles`` walk every
+pair of the family in the same colex order, so both must give the same
+verdict, the same first failing pair and the same value. Vectors come from
+block (zero-heavy) and dense matrices over GF(2), GF(3), GF(7), the
+rationals and the regular partial field, then have one coordinate moved,
+or one coordinate of the other size parity made nonzero.
+"""
+
+import json
+import random
+import time
+from fractions import Fraction
+from math import comb
+
+import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
+
+from omatroid.cli import main
+from omatroid.errors import CapabilityError, MembershipError, RankError
+from omatroid.exactalg import (
+    GF,
+    Matrix,
+    PartialField,
+    QQ,
+    REGULAR,
+    SkewMatrix,
+    all_principal_pfaffians,
+)
+from omatroid.groundset import GroundSet, SubsetMask
+from omatroid.plucker import (
+    SWEEP_BUDGET,
+    PluckerVector,
+    _neighbourhood,
+    check_gp_3term,
+    check_gp_full,
+    plucker_from_matrix,
+)
+from omatroid.wick import (
+    WickRepresentation,
+    WickVector,
+    check_wick_4term,
+    check_wick_full,
+    twist_wick,
+    wick_from_representation,
+)
+
+from oracles import brute_gp_sweep, brute_wick_4term, brute_wick_full
+
+PARTIAL_FIELDS = {
+    "gf2": PartialField.for_field(GF(2)),
+    "gf3": PartialField.for_field(GF(3)),
+    "gf7": PartialField.for_field(GF(7)),
+    "qq": PartialField.for_field(QQ),
+    "regular": REGULAR,
+}
+
+ENTRIES = {
+    "gf2": st.integers(0, 1),
+    "gf3": st.integers(0, 2),
+    "gf7": st.integers(0, 6),
+    "qq": st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
+    "regular": st.sampled_from([0, 1, -1]),
+}
+
+SWEEPS = settings(max_examples=40, deadline=None)
+
+
+def _entry(draw, name, block, i, j):
+    """A matrix entry; in a block matrix, zero unless i and j share a block."""
+    if block is not None and block[i] != block[j]:
+        return 0
+    return draw(ENTRIES[name])
+
+
+def _moved(draw, name, pf, coords, masks):
+    """The coordinates with one entry, at one of ``masks``, set to another element."""
+    ring = pf.ring
+    m = draw(st.sampled_from(masks))
+    v = ring.coerce(draw(ENTRIES[name].filter(lambda x: ring.coerce(x) != coords[m])))
+    coords = list(coords)
+    coords[m] = v
+    if all(ring.is_zero(c) for c in coords):
+        reject()
+    return coords
+
+
+@st.composite
+def wick_vectors(draw, name):
+    """A Wick vector from a block or dense skew matrix and a random twist,
+    kept as is, with one coordinate moved, or with one coordinate of the
+    other size parity made nonzero."""
+    pf = PARTIAL_FIELDS[name]
+    n = draw(st.integers(2, 5 if name == "regular" else 7), label="n")
+    g = GroundSet(n)
+    block = draw(st.none() | st.lists(st.integers(0, 2), min_size=n, max_size=n), label="block")
+    upper = [_entry(draw, name, block, i, j) for i in range(n) for j in range(i + 1, n)]
+    twist = draw(st.integers(0, (1 << n) - 1), label="twist")
+    try:
+        p = wick_from_representation(
+            WickRepresentation(SkewMatrix.from_upper(pf.ring, n, upper), SubsetMask(g, twist)), pf
+        )
+    except MembershipError:
+        reject()
+    kind = draw(st.sampled_from(["pfaffian", "moved", "mixed"]), label="kind")
+    if kind == "pfaffian":
+        return p
+    if kind == "moved":
+        masks = range(1 << n)
+    else:  # a Pfaffian support has the parity of the twist; add a member of the other one
+        masks = [m for m in range(1 << n) if (m ^ twist).bit_count() % 2]
+        if not masks:
+            reject()
+    return WickVector(g, pf, tuple(_moved(draw, name, pf, p.coords, masks)))
+
+
+@st.composite
+def plucker_vectors(draw, name):
+    """A Plucker vector of rank 1..n-1 on 3 <= n <= 7 from a block or dense matrix,
+    kept as is or with one coordinate moved."""
+    pf = PARTIAL_FIELDS[name]
+    n = draw(st.integers(3, 7), label="n")
+    r = draw(st.integers(1, n - 1), label="r")
+    block = draw(st.none() | st.lists(st.integers(0, 2), min_size=n, max_size=n), label="block")
+    row_block = draw(st.lists(st.integers(0, 2), min_size=r, max_size=r)) if block else None
+    rows = [
+        [0 if block and block[j] != row_block[i] else draw(ENTRIES[name]) for j in range(n)]
+        for i in range(r)
+    ]
+    try:
+        p = plucker_from_matrix(Matrix.from_rows(pf.ring, rows), pf)
+    except (RankError, MembershipError):
+        reject()
+    if draw(st.sampled_from([False, True, True]), label="moved"):
+        coords = _moved(draw, name, pf, p.coords, range(len(p.coords)))
+        p = PluckerVector(p.ground, r, pf, tuple(coords))
+    return p
+
+
+def _verdict(v, a, b):
+    """A sweep verdict as the oracle's tuple: ok, the two masks of the pair, the value."""
+    pair = [getattr(v, name) for name in (a, b)]
+    return (v.ok, *(None if s is None else s.bits for s in pair), v.value)
+
+
+@pytest.mark.parametrize("name", sorted(PARTIAL_FIELDS))
+@SWEEPS
+@given(data=st.data())
+def test_wick_sweeps_match_the_brute_sweeps(name, data):
+    p = data.draw(wick_vectors(name))
+    assert _verdict(check_wick_full(p), "j1", "j2") == brute_wick_full(p)
+    assert _verdict(check_wick_4term(p), "j1", "j2") == brute_wick_4term(p)
+
+
+@pytest.mark.parametrize(
+    "support, sweep, brute, pair",
+    [
+        # the empty set fails against {1,2,5} and {1,2,3,4}; colex order meets {1,2,3,4} first
+        ((0b00001, 0b01110, 0b10010), check_wick_full, brute_wick_full, (0, 0b01111)),
+        # {2} fails against {3,4,5} and {1,2,3,4,5}; colex order meets {3,4,5} first
+        ((0, 0b00011, 0b10110, 0b11110), check_wick_4term, brute_wick_4term, (0b10, 0b11100)),
+    ],
+)
+def test_the_witness_is_the_colex_first_failing_pair(support, sweep, brute, pair):
+    p = WickVector.from_coords(GroundSet(5), PARTIAL_FIELDS["qq"], dict.fromkeys(support, 1))
+    v = _verdict(sweep(p), "j1", "j2")
+    assert v == brute(p)
+    assert v[1:3] == pair
+
+
+@pytest.mark.parametrize("name", sorted(PARTIAL_FIELDS))
+@SWEEPS
+@given(data=st.data())
+def test_gp_sweeps_match_the_brute_sweeps(name, data):
+    p = data.draw(plucker_vectors(name))
+    assert _verdict(check_gp_full(p), "s", "t") == brute_gp_sweep(p, three_term_only=False)
+    assert _verdict(check_gp_3term(p), "s", "t") == brute_gp_sweep(p, three_term_only=True)
+
+
+@pytest.mark.parametrize("name", sorted(PARTIAL_FIELDS))
+@SWEEPS
+@given(data=st.data())
+def test_twisting_keeps_both_wick_verdicts(name, data):
+    p = data.draw(wick_vectors(name))
+    t = SubsetMask(p.ground, data.draw(st.integers(0, (1 << p.ground.n) - 1), label="t"))
+    q = twist_wick(p, t)
+    assert check_wick_full(q).ok == check_wick_full(p).ok
+    assert check_wick_4term(q).ok == check_wick_4term(p).ok
+
+
+# ---------------------------------------------------------------------------
+# the sweep budget
+
+
+def _dense_wick_coords(n: int, seed: int) -> list:
+    rng = random.Random(seed)
+    f7 = GF(7)
+    a = SkewMatrix.from_upper(f7, n, [rng.randrange(7) for _ in range(n * (n - 1) // 2)])
+    return all_principal_pfaffians(a)
+
+
+def _wick_file(tmp_path, n: int, coords) -> str:
+    keys = {",".join(str(e) for e in SubsetMask(GroundSet(n), m).elements()): str(v)
+            for m, v in enumerate(coords) if v}
+    path = tmp_path / "wick.json"
+    path.write_text(json.dumps({"n": n, "ring": {"kind": "gfp", "p": 7}, "coords": keys}))
+    return str(path)
+
+
+def _timed_main(capsys, *argv):
+    start = time.perf_counter()
+    code = main(list(argv))
+    elapsed = time.perf_counter() - start
+    return code, json.loads(capsys.readouterr().out), elapsed
+
+
+@pytest.mark.parametrize("mode", ["full", "short"])
+def test_dense_n14_wick_vector_is_refused_fast(tmp_path, capsys, mode):
+    coords = _dense_wick_coords(14, seed=14)
+    assert sum(1 for v in coords if v) > 6000
+    path = _wick_file(tmp_path, 14, coords)
+    code, rep, elapsed = _timed_main(capsys, "check-wick", path, "--mode", mode)
+    assert code == 3
+    assert rep["error"]["type"] == "CapabilityError"
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("mode", ["full", "short"])
+def test_four_member_n14_wick_vector_is_answered_fast(tmp_path, capsys, mode):
+    coords = {0: 1, 0b11: 1, 0b1100: 1, 0b1111: 1}  # Pf of the blocks {1,2} and {3,4}
+    path = _wick_file(tmp_path, 14, [coords.get(m, 0) for m in range(1 << 14)])
+    code, rep, elapsed = _timed_main(capsys, "check-wick", path, "--mode", mode)
+    assert (code, rep["verdict"]) == (0, True)
+    assert elapsed < 1.0
+
+
+def test_dense_n12_wick_vector_fits_the_budget():
+    p = WickVector(GroundSet(12), PARTIAL_FIELDS["gf7"], tuple(_dense_wick_coords(12, seed=12)))
+    near = len(_neighbourhood(p))
+    assert comb(near, 2) <= SWEEP_BUDGET
+    assert near * comb(12, 4) <= SWEEP_BUDGET
+    assert check_wick_4term(p).ok
+
+
+def test_dense_n14_plucker_vector_is_refused():
+    g = GroundSet(14)
+    p = PluckerVector(g, 7, PARTIAL_FIELDS["gf7"], (1,) * comb(14, 7))
+    with pytest.raises(CapabilityError):
+        check_gp_full(p)
+    with pytest.raises(CapabilityError):
+        check_gp_3term(p)
