@@ -145,8 +145,8 @@ def _check_vector(args, p, data, sweeps, pair, xkey):
         witness = _pair_witness(v, ring, pair)
         ok = v.ok
     else:
+        support = support_check(p)  # first, so a support over the budget is refused at once
         short = short_sweep(p)
-        support = support_check(p)
         ok = short.ok and support.ok
         data.update({"mode": "short", "equations_ok": short.ok, "support_ok": support.ok})
         if not short.ok:

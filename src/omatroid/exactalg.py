@@ -12,10 +12,10 @@ integers (the regular partial field).
 Determinants use one elimination per kind of ring: Gaussian elimination
 over the fields (the rationals and GF(p)) and fraction-free Bareiss
 elimination over the integers, where every division it makes is exact.
-There is no cofactor path. Pfaffians use one expansion along the lowest
-index, written once: the principal-Pfaffian table runs it over every
-subset mask in increasing order, O(2**n * n) ring operations in all, and a
-single Pfaffian runs it top-down, visiting only the masks it reaches.
+There is no cofactor path. A single Pfaffian uses skew elimination,
+O(n**3), run over the rationals for integer input. The table of all
+principal Pfaffians expands along the lowest index over every mask in
+increasing order, O(2**n * n); rational input runs on integers.
 """
 
 from __future__ import annotations
@@ -23,10 +23,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Sequence
 
 from .errors import InputError, MapUndefinedError
-from .groundset import SubsetMask, mask_elements
+from .groundset import SubsetMask, mask_elements, within_budget
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +171,7 @@ class RationalField(Ring):
         if isinstance(v, bool):
             raise InputError("booleans are not ring values")
         if isinstance(v, (int, Fraction)):
-            return Fraction(v)
+            return v if type(v) is Fraction else Fraction(v)
         if isinstance(v, str):
             return self.parse(v)
         raise InputError(f"cannot coerce {v!r} into the rationals")
@@ -504,50 +505,69 @@ def _expand(ring: Ring, entry, mask: int, known):
     return acc
 
 
-class _Memo(dict):
-    """Pfaffians by subset mask, each expanded on its first lookup."""
+def _pf_eliminate(field: Ring, a: list[list]):
+    """Pfaffian of a skew matrix over a field, by Parlett-Reid pivoting.
 
-    def __init__(self, ring: Ring, entry):
-        super().__init__({0: ring.one})
-        self.ring = ring
-        self.entry = entry
-
-    def __missing__(self, mask: int):
-        value = self[mask] = _expand(self.ring, self.entry, mask, self)
-        return value
+    Step k swaps index k+1 with the first j > k where a_kj != 0 (a sign flip;
+    none, as at the end of an odd size, gives 0), multiplies in p = a_k,k+1
+    and keeps the skew Schur complement a_il + (a_k+1,i a_kl - a_ki a_k+1,l) / p.
+    """
+    n, pf = len(a), field.one
+    for k in range(0, n, 2):
+        row = a[k]
+        j = next((j for j in range(k + 1, n) if not field.is_zero(row[j])), None)
+        if j is None:
+            return field.zero
+        if j != k + 1:
+            a[k + 1], a[j] = a[j], a[k + 1]
+            for r in a[k:]:
+                r[k + 1], r[j] = r[j], r[k + 1]
+            pf = field.neg(pf)
+        pf, inv = field.mul(pf, row[k + 1]), field.inv(row[k + 1])
+        x, w = [field.mul(v, inv) for v in row], a[k + 1]
+        for i in range(k + 2, n):
+            for l in range(i + 1, n):
+                v = field.add(a[i][l], field.sub(field.mul(w[i], x[l]), field.mul(x[i], w[l])))
+                a[i][l], a[l][i] = v, field.neg(v)
+    return pf
 
 
 def pfaffian(m: SkewMatrix):
-    """Pfaffian by top-down expansion, memoized per call on index masks.
+    """Pfaffian by skew elimination, run in QQ over the integers.
 
-    Conventions: the empty matrix has Pfaffian 1, odd sizes give 0, and
-    [[0, a], [-a, 0]] gives a. The square of the result is always the
-    determinant.
+    The empty matrix has Pfaffian 1, odd sizes give 0 and [[0, a], [-a, 0]]
+    gives a; the square of the result is always the determinant.
     """
     if not isinstance(m, SkewMatrix):
         raise InputError("pfaffian needs a skew-symmetric matrix")
-    if m.size % 2:
-        return m.ring.zero
-    return _Memo(m.ring, m.entry)[(1 << m.size) - 1]
+    if m.ring.is_field:
+        return _pf_eliminate(m.ring, m.row_lists())
+    return m.ring.coerce(_pf_eliminate(QQ, [[Fraction(v) for v in r] for r in m.row_lists()]))
 
 
 def all_principal_pfaffians(m: SkewMatrix) -> list:
     """Pfaffians of every principal submatrix, indexed by subset mask.
 
-    Dynamic programming over masks in increasing order, so every smaller
-    Pfaffian an expansion reads is already in the table; the whole table
-    costs O(2**n * n) ring operations.
+    Expansions over masks in increasing order, O(2**n * n) ring operations,
+    refused above SWEEP_BUDGET. Over QQ it runs on the integer matrix cA, c
+    the lcm of the denominators: entry J is Pf((cA)_J) / c**(|J|/2).
     """
     if not isinstance(m, SkewMatrix):
         raise InputError("pfaffian table needs a skew-symmetric matrix")
-    ring = m.ring
-    entry = m.entry
-    table = [ring.zero] * (1 << m.size)
-    table[0] = ring.one
+    n, ring, entry = m.size, m.ring, m.entry
+    within_budget(n << n, "Pfaffian table", "expansion steps")
+    if ring == QQ:
+        c = lcm(*(v.denominator for v in m.entries))
+        ints = [v.numerator * (c // v.denominator) for v in m.entries]
+        ring, entry = ZZ, lambda i, j: ints[i * n + j]
+    table = [ring.one] + [ring.zero] * ((1 << n) - 1)
     for mask in range(1, len(table)):
         if not mask.bit_count() % 2:
             table[mask] = _expand(ring, entry, mask, table)
-    return table
+    if ring == m.ring:
+        return table
+    scale = [c ** (k // 2) for k in range(n + 1)]
+    return [Fraction(v, scale[mask.bit_count()]) if v else QQ.zero for mask, v in enumerate(table)]
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,21 @@ from .errors import CapabilityError, InputError
 #: 2**n slots, so this keeps everything comfortably in memory.
 MAX_GROUND_SIZE = 24
 
+#: The most steps one exponential kernel may take: the pairs a relation
+#: sweep walks, the member pairs an exchange check walks, or the 2**n * n
+#: expansion steps of a principal-Pfaffian table. Above it the kernel
+#: raises CapabilityError (exit 3) before it starts, so the CLI refuses in
+#: well under a second instead of running for minutes.
+SWEEP_BUDGET = 1 << 22
+
+
+def within_budget(steps: int, task: str, unit: str = "candidate pairs") -> None:
+    """Refuse ``task`` with CapabilityError if it would take more than SWEEP_BUDGET steps."""
+    if steps > SWEEP_BUDGET:
+        raise CapabilityError(
+            f"the {task} would walk {steps} {unit}, over the budget of {SWEEP_BUDGET}"
+        )
+
 
 @dataclass(frozen=True, slots=True)
 class GroundSet:

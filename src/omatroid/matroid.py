@@ -15,8 +15,10 @@ want B2 delta {x, y} in it for the same y.
 
 One search, ``_exchange``, runs all four. It is deliberately brute force,
 O(|B|^2 * n^2), and doubles as the trusted oracle for everything else in
-the package. Failures report the colexicographically first violating
-(B1, B2, x) so they are stable golden data.
+the package. A family with more than SWEEP_BUDGET member pairs is refused
+(CapabilityError) before the search starts. Failures report the
+colexicographically first violating (B1, B2, x) so they are stable golden
+data.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import InputError
-from .groundset import GroundSet, SubsetMask, mask_elements
+from .groundset import GroundSet, SubsetMask, mask_elements, within_budget
 from .verdicts import AxiomVerdict
 
 
@@ -96,6 +98,7 @@ def _exchange(f: BasisFamily, reason: str, same_size: bool, strong: bool) -> Axi
             if m.bit_count() != size:
                 first, other = SubsetMask(ground, members[0]), SubsetMask(ground, m)
                 return AxiomVerdict(False, "not_equicardinal", first, other, None)
+    within_budget(len(members) ** 2, f"{reason} check", "member pairs")
     for b1 in members:
         for b2 in members:
             d = b1 ^ b2

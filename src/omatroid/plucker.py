@@ -29,18 +29,18 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
 
-from .errors import CapabilityError, ClassificationError, InputError, MembershipError, RankError
+from .errors import ClassificationError, InputError, MembershipError, RankError
 from .exactalg import Matrix, PartialField, determinant
-from .groundset import GroundSet, SubsetMask, mask_elements, masks_of_size
+from .groundset import (  # SWEEP_BUDGET stays importable from here, next to the sweeps
+    SWEEP_BUDGET,
+    GroundSet,
+    SubsetMask,
+    mask_elements,
+    masks_of_size,
+    within_budget,
+)
 from .matroid import BasisFamily, is_matroid
 from .verdicts import AxiomVerdict, Label
-
-
-#: The most candidate pairs one relation sweep (Plucker or Wick) may walk.
-#: A sweep that would walk more raises CapabilityError (exit 3) before it
-#: starts, so the CLI refuses in well under a second instead of running for
-#: minutes.
-SWEEP_BUDGET = 1 << 22
 
 
 @lru_cache(maxsize=None)
@@ -100,14 +100,6 @@ def _neighbourhood(p: _CoordinateVector) -> list[int]:
     """
     bits = [1 << i for i in range(p.ground.n)]
     return sorted({u ^ b for u in p.support_masks() for b in bits})
-
-
-def _within_budget(pairs: int, family: str) -> None:
-    if pairs > SWEEP_BUDGET:
-        raise CapabilityError(
-            f"the {family} sweep would walk {pairs} candidate pairs, "
-            f"over the budget of {SWEEP_BUDGET}"
-        )
 
 
 @dataclass(frozen=True)
@@ -248,7 +240,8 @@ def _sweep(p: PluckerVector, three_term_only: bool) -> GPVerdict:
     near = _neighbourhood(p)
     s_masks = [m for m in near if m.bit_count() == r + 1]
     t_masks = [m for m in near if m.bit_count() == r - 1]
-    _within_budget(len(s_masks) * len(t_masks), "3-term GP" if three_term_only else "full GP")
+    family = "3-term GP sweep" if three_term_only else "full GP sweep"
+    within_budget(len(s_masks) * len(t_masks), family)
     for s_mask in s_masks:
         for t_mask in t_masks:
             if three_term_only and (s_mask & ~t_mask).bit_count() != 3:
@@ -298,8 +291,8 @@ def reconstruct_plucker(p: PluckerVector) -> Matrix:
     read off the near-basis coordinates p_{B - b_i + j} with the
     row/position sign that makes the corresponding minor come out right.
     """
-    short = check_gp_3term(p)
     support = is_matroid(plucker_support(p))
+    short = check_gp_3term(p)
     if not (short.ok and support.ok):
         raise ClassificationError(
             "vector is not Weak (short relations or matroid support fail); cannot reconstruct"

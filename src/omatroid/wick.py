@@ -38,14 +38,13 @@ from typing import Mapping
 
 from .errors import ClassificationError, InputError, MembershipError
 from .exactalg import PartialField, SkewMatrix, all_principal_pfaffians
-from .groundset import GroundSet, SubsetMask, masks_of_size
+from .groundset import GroundSet, SubsetMask, masks_of_size, within_budget
 from .matroid import BasisFamily, is_orthogonal
 from .plucker import (
     _canonical_coords,
     _classify,
     _CoordinateVector,
     _neighbourhood,
-    _within_budget,
 )
 from .verdicts import AxiomVerdict, Label
 
@@ -189,7 +188,7 @@ def check_wick_full(p: WickVector) -> WickPairVerdict:
     terms, so the first failing pair is the first among all 2**n choose 2.
     """
     near = _neighbourhood(p)
-    _within_budget(len(near) * (len(near) - 1) // 2, "full Wick")
+    within_budget(len(near) * (len(near) - 1) // 2, "full Wick sweep")
     return _first_failure(p, combinations(near, 2))
 
 
@@ -200,7 +199,7 @@ def check_wick_4term(p: WickVector) -> WickPairVerdict:
         return WickPairVerdict(True)
     diffs = masks_of_size(n, 4)
     near = _neighbourhood(p)
-    _within_budget(len(near) * len(diffs), "4-term Wick")
+    within_budget(len(near) * len(diffs), "4-term Wick sweep")
     members = set(near)
     pairs = (
         (j1, j2)
@@ -233,8 +232,8 @@ def reconstruct_wick(p: WickVector) -> WickRepresentation:
     made p_T = 1; after twisting by T, entry a_ij is the coordinate of
     {i, j}.
     """
-    short = check_wick_4term(p)
     support = is_orthogonal(wick_support(p))
+    short = check_wick_4term(p)
     if not (short.ok and support.ok):
         raise ClassificationError(
             "vector is not Weak (short relations or symmetric exchange fail); cannot reconstruct"

@@ -1,11 +1,13 @@
 import io
 import json
+import time
+from fractions import Fraction
 
 import pytest
 
 from omatroid.cli import main
 from omatroid.errors import InputError
-from omatroid.exactalg import QQ, REGULAR, ZZ
+from omatroid.exactalg import QQ, REGULAR, ZZ, Matrix, determinant
 from omatroid.jsonio import (
     parse_basis_family,
     parse_matrix_file,
@@ -394,3 +396,35 @@ def test_output_is_byte_stable(tmp_path, capsys):
     assert out1.endswith("\n")
     compact = out1.strip()
     assert ": " not in compact and ", " not in compact
+
+
+def _skew24_qq(tmp_path):
+    n = 24
+    rows = [["0"] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = Fraction((i * 7 + j * 3) % 11 - 5, (i + j) % 4 + 1)
+            rows[i][j], rows[j][i] = str(v), str(-v)
+    return write(tmp_path, "skew24.json", {"ring": {"kind": "q"}, "matrix": rows}), rows
+
+
+def test_pfaffian_table_over_the_budget_is_refused_fast(tmp_path, capsys):
+    # 2**24 * 24 expansion steps: refused before the 2**24-entry table is allocated
+    path, _ = _skew24_qq(tmp_path)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "from-matrix", path, "--kind", "wick")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    error = report_of(out)["error"]
+    assert error["type"] == "CapabilityError"
+    assert "Pfaffian table" in error["message"]
+
+
+def test_single_pfaffian_of_a_24x24_matrix_answers_fast(tmp_path, capsys):
+    path, rows = _skew24_qq(tmp_path)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "pfaffian", path)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    pf = Fraction(report_of(out)["data"]["pfaffian"])
+    assert pf * pf == determinant(Matrix.from_rows(QQ, rows))

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from omatroid.errors import InputError, MapUndefinedError
+from omatroid.errors import CapabilityError, InputError, MapUndefinedError
 from omatroid.exactalg import (
     GF,
     Matrix,
@@ -20,7 +20,7 @@ from omatroid.exactalg import (
     rational_residue_hom,
     residue_hom,
 )
-from omatroid.groundset import GroundSet
+from omatroid.groundset import SWEEP_BUDGET, GroundSet
 
 from oracles import leibniz_det, matching_pfaffian, random_int_matrix, random_skew_int
 
@@ -202,6 +202,19 @@ def test_pfaffian_square_is_determinant():
             rows = random_skew_int(rng, n)
             m = SkewMatrix.from_rows(ZZ, rows)
             assert pfaffian(m) ** 2 == determinant(m)
+
+
+def test_rational_coerce_keeps_a_fraction():
+    v = Fraction(3, 4)
+    assert QQ.coerce(v) is v
+    assert type(QQ.coerce(3)) is Fraction and QQ.coerce(3) == 3
+
+
+def test_principal_pfaffian_table_budget():
+    # 2**n * n expansion steps: n = 17 fits SWEEP_BUDGET and n = 18 does not
+    assert 17 << 17 <= SWEEP_BUDGET < 18 << 18
+    with pytest.raises(CapabilityError):
+        all_principal_pfaffians(SkewMatrix.from_upper(GF(7), 18, [0] * (18 * 17 // 2)))
 
 
 def test_pfaffian_rejects_plain_matrix():

@@ -1,10 +1,13 @@
-"""Property tests: one Pfaffian by three routes, and its square.
+"""Property tests: one Pfaffian by three routes, its square, and residue maps.
 
 On random skew matrices of size 0 to 8 over the integers, the rationals
-and GF(7), the top-down Pfaffian, the last entry of the principal-Pfaffian
+and GF(7), the eliminated Pfaffian, the last entry of the principal-Pfaffian
 table and the perfect-matching sum of the oracle (reduced mod 7 over GF(7))
-must agree, and Pf(A)**2 must equal det(A). Half the drawn entries are
-zero, so singular matrices and pivot swaps come up often.
+must agree, and Pf(A)**2 must equal det(A). Elimination and table must also
+agree at sizes 9 to 12, every entry of a rational table must be the
+matching sum of its principal submatrix, and reduction mod p must commute
+with the Pfaffian. Half the drawn entries are zero, so singular matrices
+and pivot swaps come up often.
 """
 
 from fractions import Fraction
@@ -19,8 +22,11 @@ from omatroid.exactalg import (
     SkewMatrix,
     ZZ,
     all_principal_pfaffians,
+    apply_hom,
     determinant,
     pfaffian,
+    rational_residue_hom,
+    residue_hom,
 )
 
 from oracles import matching_pfaffian
@@ -47,3 +53,47 @@ def test_pfaffian_routes_agree_and_square_to_the_determinant(name, data):
     pf = pfaffian(m)
     assert pf == all_principal_pfaffians(m)[-1] == ring.coerce(matching_pfaffian(m.row_lists()))
     assert ring.mul(pf, pf) == determinant(m)
+
+
+def _skew(data, ring, n: int, entries) -> SkewMatrix:
+    k = n * (n - 1) // 2
+    upper = data.draw(st.lists(st.just(0) | entries, min_size=k, max_size=k), label="upper")
+    return SkewMatrix.from_upper(ring, n, upper)
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_elimination_matches_the_table_at_sizes_9_to_12(name, data):
+    n = data.draw(st.integers(9, 12), label="n")
+    m = _skew(data, RINGS[name], n, ENTRIES[name])
+    assert pfaffian(m) == all_principal_pfaffians(m)[-1]
+
+
+@pytest.mark.parametrize("name", ["zz", "qq"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_residue_maps_commute_with_pfaffians(name, data):
+    p = data.draw(st.sampled_from([2, 3, 5, 7]), label="p")
+    n = data.draw(st.integers(0, 10), label="n")
+    if name == "zz":
+        h, entries = residue_hom(p), ENTRIES["zz"]
+    else:
+        # denominators prime to p: the cases where the residue map is defined
+        dens = st.sampled_from([d for d in range(1, 7) if d % p])
+        h, entries = rational_residue_hom(p), st.builds(Fraction, st.integers(-9, 9), dens)
+    m = _skew(data, RINGS[name], n, entries)
+    assert pfaffian(apply_hom(h, m)) == h.apply(pfaffian(m))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_rational_table_is_the_matching_sum_on_every_mask(data):
+    n = data.draw(st.integers(0, 8), label="n")
+    mixed = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+    m = _skew(data, QQ, n, mixed)
+    rows = m.row_lists()
+    for mask, v in enumerate(all_principal_pfaffians(m)):
+        idx = [i for i in range(n) if mask >> i & 1]
+        assert type(v) is Fraction
+        assert v == matching_pfaffian([[rows[i][j] for j in idx] for i in idx])

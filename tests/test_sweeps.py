@@ -31,6 +31,7 @@ from omatroid.exactalg import (
     all_principal_pfaffians,
 )
 from omatroid.groundset import GroundSet, SubsetMask
+from omatroid.matroid import BasisFamily, is_orthogonal
 from omatroid.plucker import (
     SWEEP_BUDGET,
     PluckerVector,
@@ -243,6 +244,35 @@ def test_dense_n12_wick_vector_fits_the_budget():
     assert comb(near, 2) <= SWEEP_BUDGET
     assert near * comb(12, 4) <= SWEEP_BUDGET
     assert check_wick_4term(p).ok
+
+
+def test_dense_n13_support_check_is_refused_fast(tmp_path, capsys):
+    # |F|**2 member pairs of the symmetric exchange check are over the budget,
+    # and the support check runs before the 4-term sweep, which would fit
+    coords = _dense_wick_coords(13, seed=13)
+    members = sum(1 for v in coords if v)
+    assert members ** 2 > SWEEP_BUDGET
+    path = _wick_file(tmp_path, 13, coords)
+    code, rep, elapsed = _timed_main(capsys, "check-wick", path, "--mode", "short")
+    assert code == 3
+    assert rep["error"]["type"] == "CapabilityError"
+    assert "member pairs" in rep["error"]["message"]
+    assert elapsed < 1.0
+
+
+def test_dense_n12_support_check_fits_the_budget():
+    p = WickVector(GroundSet(12), PARTIAL_FIELDS["gf7"], tuple(_dense_wick_coords(12, seed=12)))
+    assert len(p.support_masks()) ** 2 <= SWEEP_BUDGET
+
+
+def test_exchange_check_is_refused_above_the_budget():
+    # 2**11 members make exactly SWEEP_BUDGET member pairs; one more is refused
+    g = GroundSet(12)
+    evens = frozenset(range(0, 1 << 12, 2))
+    assert len(evens) ** 2 == SWEEP_BUDGET
+    assert not is_orthogonal(BasisFamily(g, evens)).ok
+    with pytest.raises(CapabilityError):
+        is_orthogonal(BasisFamily(g, evens | {1}))
 
 
 def test_dense_n14_plucker_vector_is_refused():
