@@ -8,11 +8,13 @@ Three kinds of work live here:
   symmetric exchange for every bitmap of a parity class at once;
   ``enumerate_orthogonal`` and the census both read it, and the brute-force
   ``matroid.is_orthogonal`` is the oracle the tests hold it to;
-* representability censuses over GF(2), GF(3), and the regular partial
-  field, by enumerating every skew matrix over the field, collecting the
-  achievable Pfaffian supports S, and matching families against every twist
-  S Δ t (a support always contains the empty set, so t is then a member of
-  the family). Census records are JSON lines assembled from text
+* representability over GF(2), GF(3), and the regular partial field, from
+  one search: every skew matrix with entries among the field's values whose
+  whole Pfaffian table stays among them, keeping the first matrix found for
+  each support S. A family is representable when it is a twist S Δ t (a
+  support always contains the empty set, so t is then a member of the
+  family). The search is sized in table steps against SWEEP_BUDGET, which
+  also caps the censuses. Census records are JSON lines assembled from text
   fragments, and a resumed file is checked against them line by line;
 * an exact verification of the counting-bound chain that caps the number
   of realizable zero patterns of the principal-Pfaffian polynomial family,
@@ -40,7 +42,7 @@ from math import comb
 
 from .errors import CapabilityError, InputError
 from .exactalg import GF, SkewMatrix, ZZ, all_principal_pfaffians
-from .groundset import GroundSet, SubsetMask, mask_elements
+from .groundset import GroundSet, SubsetMask, mask_elements, within_budget
 from .matroid import BasisFamily, is_matroid, is_orthogonal
 from .wick import WickRepresentation
 
@@ -50,11 +52,11 @@ ENUM_MAX_N = 5
 #: Candidates per census chunk: one progress line and one file write each.
 CENSUS_CHUNK = 4096
 
-#: Representability caps per field (matrix count is q**(n(n-1)/2)).
-CENSUS_CAPS = {"gf2": 5, "gf3": 4}
+#: Each finite partial field the support search covers: its ring and the entry values.
+SEARCH_FIELDS = {"gf2": (GF(2), range(2)), "gf3": (GF(3), range(3)), "regular": (ZZ, (0, 1, -1))}
 
-REGULAR_SEARCH_MAX_N = 4
-DEMO_MAX_N = 4
+#: The fields a representability census runs over.
+CENSUS_FIELDS = ("gf2", "gf3")
 
 #: Default certified upper bounds: e <= 2.71828183 and log2(e) <= 1.4426951.
 E_UPPER_DEFAULT = Fraction(271828183, 10**8)
@@ -180,12 +182,25 @@ def _support(table) -> frozenset[int]:
 
 
 @lru_cache(maxsize=None)
-def _achievable_supports(n: int, field: str) -> frozenset[frozenset[int]]:
-    """Supports {J : Pf(A_J) != 0} over all skew A with entries in the field."""
-    ring = GF(2) if field == "gf2" else GF(3)
-    return frozenset(
-        _support(all_principal_pfaffians(a)) for a in _skew_matrices(ring, n, range(ring.p))
-    )
+def _achievable_supports(n: int, field: str) -> dict[frozenset[int], SkewMatrix]:
+    """The first-found skew matrix of each Pfaffian support over a finite partial field.
+
+    Entries run over the field's values in SEARCH_FIELDS, and a matrix counts
+    only when its whole principal-Pfaffian table stays inside those values:
+    always over GF(p), and over {0, +1, -1} exactly the valid vectors of the
+    regular partial field, the ones whose support survives every residue map.
+    Refused before it starts if its tables would take more than SWEEP_BUDGET
+    table steps in all, counted as all_principal_pfaffians counts them.
+    """
+    ring, values = SEARCH_FIELDS[field]
+    within_budget(len(values) ** (n * (n - 1) // 2) * (n << n), f"{field} support search", "table steps")
+    allowed = frozenset(values)
+    found: dict[frozenset[int], SkewMatrix] = {}
+    for a in _skew_matrices(ring, n, values):
+        table = all_principal_pfaffians(a)
+        if allowed.issuperset(table):
+            found.setdefault(_support(table), a)
+    return found
 
 
 @lru_cache(maxsize=None)
@@ -202,32 +217,13 @@ def _representable_families(n: int, field: str) -> frozenset[int]:
     )
 
 
-@lru_cache(maxsize=None)
-def _regular_normal_reps(n: int) -> dict[frozenset[int], SkewMatrix]:
-    """First-found skew matrix over {0, +1, -1} per achievable support.
-
-    Only matrices whose entire principal-Pfaffian table stays inside
-    {0, +1, -1} count: those are the valid regular-partial-field vectors,
-    and exactly the ones whose support survives every residue map.
-    """
-    found: dict[frozenset[int], SkewMatrix] = {}
-    for a in _skew_matrices(ZZ, n, (0, 1, -1)):
-        table = all_principal_pfaffians(a)
-        if all(v in (0, 1, -1) for v in table):
-            found.setdefault(_support(table), a)
-    return found
-
-
 def find_regular_representation(f: BasisFamily) -> WickRepresentation | None:
     """A representation of f over the regular partial field, or None.
 
     Twists range over the members of f in colex order; the first achievable
     support wins, so the result is deterministic.
     """
-    n = f.ground.n
-    if n > REGULAR_SEARCH_MAX_N:
-        raise CapabilityError(f"regular representability search is capped at n = {REGULAR_SEARCH_MAX_N}")
-    reps = _regular_normal_reps(n)
+    reps = _achievable_supports(f.ground.n, "regular")
     for t in sorted(f.masks):
         target = frozenset(b ^ t for b in f.masks)
         a = reps.get(target)
@@ -381,12 +377,11 @@ def representability_census(
     computed again. The sweep runs in chunks of CENSUS_CHUNK candidates,
     with one progress line after each.
     """
-    if field not in CENSUS_CAPS:
-        raise InputError(f"field must be one of {sorted(CENSUS_CAPS)}, got {field!r}")
+    if field not in CENSUS_FIELDS:
+        raise InputError(f"field must be one of {list(CENSUS_FIELDS)}, got {field!r}")
     GroundSet(n)  # InputError unless a nonnegative integer
-    if n > CENSUS_CAPS[field]:
-        raise CapabilityError(f"census over {field} is capped at n = {CENSUS_CAPS[field]}")
     t0 = time.perf_counter()
+    _representable_families(n, field)  # searched before --out is opened: a refusal leaves no file
     total = _candidate_total(n)
     reused, tally = 0, Counter()
     if out_path and os.path.exists(out_path):
@@ -562,12 +557,11 @@ def realizable_sets_demo(n: int, field: str = "gf2") -> RealizableSetsDemo:
     Every assignment of the m = n(n-1)/2 matrix variables realizes the
     pattern of subsets with nonvanishing Pfaffian. The distinct patterns
     are counted against the cap r = 2**(n**3) from the bound chain, and
-    each pattern is checked to satisfy symmetric exchange.
+    each pattern is checked to satisfy symmetric exchange. The patterns are
+    the GF(2) support search's, so n = 5 is the largest that runs.
     """
     if field != "gf2":
         raise InputError("the zero-pattern demo runs over gf2")
-    if n > DEMO_MAX_N:
-        raise CapabilityError(f"the zero-pattern demo is capped at n = {DEMO_MAX_N}")
     ground = GroundSet(n)
     raw = _achievable_supports(n, "gf2")
     supports = tuple(sorted((tuple(sorted(s)) for s in raw)))

@@ -16,7 +16,7 @@ import sys
 from functools import partial
 
 from . import __version__
-from .census import representability_census, verify_nelson_chain
+from .census import CENSUS_FIELDS, representability_census, verify_nelson_chain
 from .errors import CapabilityError, InputError, OmatroidError
 from .exactalg import SkewMatrix, pfaffian
 from .groundset import GroundSet, SubsetMask, parse_subset_key
@@ -339,7 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = add("census", "sweep all candidate families on n elements", _cmd_census, with_input=False)
     sp.add_argument("--n", type=int, required=True, help="ground set size")
-    sp.add_argument("--field", choices=sorted(["gf2", "gf3"]), default="gf2")
+    sp.add_argument("--field", choices=CENSUS_FIELDS, default="gf2")
     sp.add_argument("--out", default=None, help="JSONL output path (appends; resumes)")
 
     sp = add(

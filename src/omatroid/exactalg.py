@@ -325,6 +325,8 @@ class Matrix:
             raise InputError(
                 f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
             )
+        # every entry a canonical ring value: InputError for anything outside the ring
+        object.__setattr__(self, "entries", tuple(map(self.ring.coerce, self.entries)))
 
     @classmethod
     def from_rows(cls, ring: Ring, rows: Sequence[Sequence]) -> "Matrix":
@@ -333,8 +335,7 @@ class Matrix:
         for r in rows:
             if len(r) != ncols:
                 raise InputError("ragged rows")
-        entries = tuple(ring.coerce(v) for r in rows for v in r)
-        return cls(ring, len(rows), ncols, entries)
+        return cls(ring, len(rows), ncols, tuple(v for r in rows for v in r))
 
     def entry(self, i: int, j: int):
         return self.entries[i * self.cols + j]
@@ -385,17 +386,16 @@ class SkewMatrix(Matrix):
 
     @classmethod
     def from_upper(cls, ring: Ring, n: int, upper: Sequence) -> "SkewMatrix":
-        """Build from the strictly-upper-triangle entries, row by row."""
+        """Build from the strictly-upper-triangle entries (numbers), row by row."""
         need = n * (n - 1) // 2
-        vals = [ring.coerce(v) for v in upper]
-        if len(vals) != need:
-            raise InputError(f"expected {need} upper entries, got {len(vals)}")
+        if len(upper) != need:
+            raise InputError(f"expected {need} upper entries, got {len(upper)}")
         grid = [[ring.zero] * n for _ in range(n)]
         k = 0
         for i in range(n):
             for j in range(i + 1, n):
-                grid[i][j] = vals[k]
-                grid[j][i] = ring.neg(vals[k])
+                grid[i][j] = upper[k]
+                grid[j][i] = ring.neg(upper[k])
                 k += 1
         return cls(ring, n, n, tuple(v for row in grid for v in row))
 

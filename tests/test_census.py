@@ -16,6 +16,7 @@ from omatroid.census import (
     _parity_subsets,
     _representable_families,
     _skew_matrices,
+    _support,
     enumerate_orthogonal,
     find_regular_representation,
     realizable_sets_demo,
@@ -23,7 +24,7 @@ from omatroid.census import (
     verify_nelson_chain,
 )
 from omatroid.errors import CapabilityError, InputError
-from omatroid.exactalg import GF, PartialField, REGULAR, ZZ
+from omatroid.exactalg import GF, PartialField, REGULAR, ZZ, all_principal_pfaffians
 from omatroid.groundset import GroundSet
 from omatroid.matroid import BasisFamily, is_matroid, is_orthogonal
 from omatroid.wick import wick_from_representation
@@ -135,6 +136,15 @@ def test_census_caps_and_validation():
         representability_census(3, "gf5")
 
 
+def test_census_refusal_creates_no_file(tmp_path):
+    # the support search is sized before --out is opened
+    out = tmp_path / "census.jsonl"
+    for n, field in ((6, "gf2"), (5, "gf3")):
+        with pytest.raises(CapabilityError):
+            representability_census(n, field, out_path=str(out))
+        assert not out.exists()
+
+
 def test_uniform_two_four_is_not_binary():
     # all 2-subsets of a 4-set: passes both axioms, has no representation
     # over GF(2) or the regular partial field, but has one over GF(3)
@@ -178,6 +188,21 @@ def test_supports_hold_the_empty_set():
             assert all(0 in s for s in _achievable_supports(n, field))
             rep = _representable_families(n, field)
             assert all(sum(1 << m for m in s) in rep for s in _achievable_supports(n, field))
+
+
+def test_one_support_search_for_every_partial_field():
+    # a sign matrix with a table in {0, +1, -1} reduces to GF(2) and GF(3) with the
+    # same support, and every binary support has such a matrix
+    for n in range(5):
+        regular = _achievable_supports(n, "regular")
+        assert set(regular) == set(_achievable_supports(n, "gf2"))
+        assert set(regular) <= set(_achievable_supports(n, "gf3"))
+        closure = frozenset(sum(1 << (s ^ t) for s in support) for support in regular for t in range(1 << n))
+        assert closure == _representable_families(n, "gf2")
+        for support, a in regular.items():
+            assert set(a.entries) <= {0, 1, -1}
+            assert _support(all_principal_pfaffians(a)) == support
+    assert len(_representable_families(4, "gf2")) == 270
 
 
 # sha256 of the census files as the per-candidate exchange checker wrote them
@@ -248,6 +273,20 @@ def test_find_regular_representation_roundtrip():
     assert frozenset(v.support_masks()) == f.masks
     with pytest.raises(CapabilityError):
         find_regular_representation(fam(5, [1, 2]))
+
+
+# sha256 over find_regular_representation of every orthogonal matroid on [n],
+# n <= 4, in enumeration order: which matrix is found first is part of the output
+REGULAR_REPS_DIGEST = "8fc08b5d46e89af017211f5468fccb37d12c30ae39db4995295b79e2a0db3f67"
+
+
+def test_find_regular_representation_digest():
+    h = hashlib.sha256()
+    for n in range(5):
+        for f in enumerate_orthogonal(n):
+            rep = find_regular_representation(f)
+            h.update(repr(None if rep is None else (rep.matrix.entries, rep.twist.bits)).encode())
+    assert h.hexdigest() == REGULAR_REPS_DIGEST
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +368,15 @@ def test_realizable_demo_counts():
     assert d4.supports[0] == (0,)
 
 
+def test_realizable_demo_at_n5():
+    d5 = realizable_sets_demo(5)
+    assert d5.count == 1024
+    assert d5.all_orthogonal
+
+
 def test_realizable_demo_validation():
     with pytest.raises(CapabilityError):
-        realizable_sets_demo(5)
+        realizable_sets_demo(6)
     with pytest.raises(InputError):
         realizable_sets_demo(3, field="gf3")
 

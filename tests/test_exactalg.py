@@ -95,6 +95,17 @@ def test_matrix_shapes():
         Matrix.from_rows(ZZ, [[1, 2], [3]])
 
 
+def test_matrix_entries_are_ring_values():
+    # the constructor coerces every entry, however the matrix was built
+    m = SkewMatrix(QQ, 4, 4, (0, 1, 2, 3, -1, 0, 4, 5, -2, -4, 0, 6, -3, -5, -6, 0))
+    assert type(pfaffian(m)) is Fraction and pfaffian(m) == 8
+    d = determinant(Matrix(QQ, 2, 2, (1, 2, -3, -1)))
+    assert type(d) is Fraction and d == 5
+    assert determinant(Matrix(GF(3), 1, 1, (3,))) == 0
+    with pytest.raises(InputError):
+        Matrix(QQ, 1, 1, (1.5,))
+
+
 def test_skew_validation():
     SkewMatrix.from_rows(ZZ, [[0, 2], [-2, 0]])
     with pytest.raises(InputError):

@@ -1,7 +1,7 @@
 import pytest
 
 import omatroid
-from omatroid import errors, exactalg, jsonio
+from omatroid import census, errors, exactalg, jsonio
 from omatroid.groundset import GroundSet
 
 
@@ -23,3 +23,6 @@ def test_removed_aliases_are_gone():
     # no raise of ScalingError was reachable: the first nonzero coordinate is always a unit
     assert not hasattr(errors, "ScalingError")
     assert not hasattr(omatroid, "ScalingError")
+    # one support search, sized by SWEEP_BUDGET, replaced the regular search and the hand-set caps
+    for name in ("_regular_normal_reps", "REGULAR_SEARCH_MAX_N", "DEMO_MAX_N", "CENSUS_CAPS"):
+        assert not hasattr(census, name)
