@@ -113,8 +113,11 @@ def _orthogonal_bitmaps(n: int, parity: int) -> frozenset[int]:
     exactly when, for every T with some T Δ {x} in F and every B in F, some
     x in T Δ B has T Δ {x} in F. That is decided for all 2**k bitmaps at
     once, one operation on 2**k-bit integers per (T, B, x).
-    ``matroid.is_orthogonal`` is the oracle the tests hold it to.
+    ``matroid.is_orthogonal`` is the oracle the tests hold it to. Above
+    ENUM_MAX_N it refuses before building any bitmap.
     """
+    if n > ENUM_MAX_N:
+        raise CapabilityError(f"orthogonal enumeration is capped at n = {ENUM_MAX_N}")
     subsets = _parity_subsets(n, parity)
     size = 1 << len(subsets)
     everything = (1 << size) - 1
@@ -153,8 +156,6 @@ def enumerate_orthogonal(n: int, parity: str = "both") -> tuple[BasisFamily, ...
     """
     if parity not in ("even", "odd", "both"):
         raise InputError(f"parity must be 'even', 'odd', or 'both', got {parity!r}")
-    if n > ENUM_MAX_N:
-        raise CapabilityError(f"orthogonal enumeration is capped at n = {ENUM_MAX_N}")
     ground = GroundSet(n)
     classes = {"even": (0,), "odd": (1,), "both": (0, 1)}[parity]
     return tuple(

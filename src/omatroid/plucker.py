@@ -15,22 +15,33 @@ independently so that equivalence stays testable.
 
 A term p_{S-x} * p_{T+x} is nonzero only when both of its indices are in
 the support, so S and T are then both one element away from a support
-member. The sweeps therefore walk only the (r+1)-sets and (r-1)-sets of
-that one-step neighbourhood, in the same colex order as the whole family:
-every skipped pair has only zero terms, so verdicts and the first failing
-pair are those of the sweep over all C(n, r+1) * C(n, r-1) pairs. A sweep
-that would still walk more than SWEEP_BUDGET pairs is refused before it
-starts.
+member. Both checks therefore take only the (r+1)-sets N_S and (r-1)-sets
+N_T of that one-step neighbourhood, in the same colex order as the whole
+family: every skipped pair has only zero terms, so verdicts and the first
+failing pair are those over all C(n, r+1) * C(n, r-1) pairs.
+
+The short family is swept pair by pair. The full family is bilinear: the
+relation for (S, T) is the dot product u_S . w_T of two rows on the
+coordinates x in 1..n, so the whole family is the product U W^T, one row
+per set of N_S and of N_T. It vanishes exactly when every u_S is orthogonal
+to an echelon basis of the w_T, at most n rows computed exactly over the
+ring's field of fractions. The first u_S that is not is the first failing
+S, and sweeping its row alone gives the first failing T, so the witness and
+its value are the pair sweep's. Either check is refused before it starts
+when its family has more than SWEEP_BUDGET pairs in N_S x N_T, the
+certificate included, so refusals do not depend on the method.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 from typing import Mapping
 
 from .errors import ClassificationError, InputError, MembershipError, RankError
-from .exactalg import Matrix, PartialField, determinant
+from .exactalg import Matrix, PartialField, PrimeField, determinant
 from .groundset import (  # SWEEP_BUDGET stays importable from here, next to the sweeps
     SWEEP_BUDGET,
     GroundSet,
@@ -231,37 +242,111 @@ def _relation_value(p: PluckerVector, s_mask: int, t_mask: int, idx: dict[int, i
     return acc
 
 
-def _sweep(p: PluckerVector, three_term_only: bool) -> GPVerdict:
-    n, r = p.ground.n, p.r
-    if r + 1 > n or r - 1 < 0:
-        return GPVerdict(True)  # degenerate ranks have an empty relation family
-    ring = p.pf.ring
-    idx = _index_of(n, r)
+def _first_unorthogonal_row(ring, u_rows, w_rows) -> int | None:
+    """Index of the first of ``u_rows`` with a nonzero dot product against some of ``w_rows``.
+
+    Rows are equal-length lists of ring values, and products are taken in
+    the ring's field of fractions: GF(p) itself, QQ for QQ and ZZ. The W
+    rows are reduced to an echelon basis, which has their span, so a U row
+    is orthogonal to every W row exactly when it is orthogonal to each
+    basis row. ``u_rows`` is read only up to the row found; None means
+    every product vanishes.
+    """
+    p = ring.p if isinstance(ring, PrimeField) else None
+    basis = []  # (pivot, row): row[pivot] == 1, and later rows are 0 at earlier pivots
+    for w in w_rows:
+        for k, b in basis:
+            f = w[k]
+            if f:
+                if p:
+                    w = [(x - f * y) % p for x, y in zip(w, b)]
+                else:
+                    w = [x - f * y for x, y in zip(w, b)]
+        if not any(w):
+            continue  # w is in the span of the basis
+        k = next(k for k, x in enumerate(w) if x)
+        if p:
+            inv = pow(w[k], -1, p)
+            basis.append((k, [x * inv % p for x in w]))
+        else:
+            inv = Fraction(1, w[k])
+            basis.append((k, [x * inv for x in w]))
+        if len(basis) == len(w):
+            break  # the W rows span everything, so any nonzero U row is the one
+    for index, u in enumerate(u_rows):
+        for _, b in basis:
+            dot = sum(map(mul, u, b))
+            if (dot % p if p else dot):
+                return index
+    return None
+
+
+def _signed_row(ring, coords, idx, n: int, mask: int, elems: int) -> list:
+    """x -> (-1)**|mask above x| * p_{mask delta x} for the elements x in ``elems``, else 0."""
+    row = [0] * n
+    while elems:
+        b = elems & -elems
+        elems ^= b
+        x = b.bit_length()  # element label
+        v = coords[idx[mask ^ b]]
+        row[x - 1] = ring.neg(v) if (mask >> x).bit_count() & 1 else v
+    return row
+
+
+def _relation_sets(p: PluckerVector, family: str) -> tuple[list[int], list[int]]:
+    """The (r+1)-sets and (r-1)-sets of the neighbourhood, once their pairs fit the budget.
+
+    Degenerate ranks have no sets of one of the sizes, so no pairs.
+    """
     near = _neighbourhood(p)
-    s_masks = [m for m in near if m.bit_count() == r + 1]
-    t_masks = [m for m in near if m.bit_count() == r - 1]
-    family = "3-term GP sweep" if three_term_only else "full GP sweep"
+    s_masks = [m for m in near if m.bit_count() == p.r + 1]
+    t_masks = [m for m in near if m.bit_count() == p.r - 1]
     within_budget(len(s_masks) * len(t_masks), family)
-    for s_mask in s_masks:
-        for t_mask in t_masks:
-            if three_term_only and (s_mask & ~t_mask).bit_count() != 3:
-                continue
-            val = _relation_value(p, s_mask, t_mask, idx)
-            if not ring.is_zero(val):
-                return GPVerdict(
-                    False, SubsetMask(p.ground, s_mask), SubsetMask(p.ground, t_mask), val
-                )
+    return s_masks, t_masks
+
+
+def _first_failure(p: PluckerVector, pairs) -> GPVerdict:
+    ring = p.pf.ring
+    idx = _index_of(p.ground.n, p.r)
+    for s_mask, t_mask in pairs:
+        val = _relation_value(p, s_mask, t_mask, idx)
+        if not ring.is_zero(val):
+            return GPVerdict(False, SubsetMask(p.ground, s_mask), SubsetMask(p.ground, t_mask), val)
     return GPVerdict(True)
 
 
 def check_gp_full(p: PluckerVector) -> GPVerdict:
-    """Sweep all C(n, r+1) * C(n, r-1) relation instances that can have a nonzero term."""
-    return _sweep(p, three_term_only=False)
+    """Decide all C(n, r+1) * C(n, r-1) relation instances by the rank certificate.
+
+    The relation for (S, T) is the dot product of the rows u_S and w_T, on
+    the coordinates x in 1..n, with u_S(x) = sign * p_{S - x} for x in S
+    and w_T(x) = sign * p_{T + x} for x outside T, each sign being -1 to
+    the number of the set's elements above x. The first S whose row is not
+    orthogonal to every w_T is the first failing S, and its T is found by
+    sweeping that one row.
+    """
+    s_masks, t_masks = _relation_sets(p, "full GP sweep")
+    ring, coords, n = p.pf.ring, p.coords, p.ground.n
+    idx = _index_of(n, p.r)
+    everything = (1 << n) - 1
+    i = _first_unorthogonal_row(
+        ring,
+        (_signed_row(ring, coords, idx, n, s, s) for s in s_masks),
+        (_signed_row(ring, coords, idx, n, t, everything ^ t) for t in t_masks),
+    )
+    if i is None:
+        return GPVerdict(True)
+    verdict = _first_failure(p, ((s_masks[i], t) for t in t_masks))
+    assert not verdict.ok, "the certificate's row holds no failing pair"
+    return verdict
 
 
 def check_gp_3term(p: PluckerVector) -> GPVerdict:
     """Sweep only the instances with |S - T| = 3 (three surviving terms) that can be nonzero."""
-    return _sweep(p, three_term_only=True)
+    s_masks, t_masks = _relation_sets(p, "3-term GP sweep")
+    return _first_failure(
+        p, ((s, t) for s in s_masks for t in t_masks if (s & ~t).bit_count() == 3)
+    )
 
 
 def classify_plucker(p: PluckerVector) -> PluckerClassification:

@@ -15,13 +15,22 @@ and the support satisfies symmetric exchange, Neither otherwise.
 
 A term p_{J1 delta i} * p_{J2 delta i} is nonzero only when both of its
 indices are in the support, so J1 and J2 both lie in the support's
-one-step neighbourhood N = {u delta {i} : u in support, i in 1..n}. The
-sweeps walk only pairs from N, in the same colex order as the whole
+one-step neighbourhood N = {u delta {i} : u in support, i in 1..n}. Both
+checks take only pairs from N, in the same colex order as the whole
 family: every skipped pair has only zero terms, so verdicts and the first
-failing pair are those of the sweep over all pairs. A Pfaffian support has
-one size parity, so even a dense one leaves N in the other parity class
-and the full sweep skips three quarters of the pairs. A sweep that would
-still walk more than SWEEP_BUDGET pairs is refused before it starts.
+failing pair are those over all pairs.
+
+The short family is swept pair by pair. The full family is bilinear: on
+2n coordinates (i, a), a in {0, 1}, the relation for (J1, J2) is minus the
+dot product u_J1 . w_J2, so the family over N is the symmetric product
+U W^T with a zero diagonal. It vanishes exactly when every u_J is
+orthogonal to an echelon basis of the w_J, at most 2n rows computed
+exactly over the ring's field of fractions. By symmetry the first u_J1
+that is not has its first failing partner later in colex order, and
+sweeping that row alone gives the pair sweep's witness and value. Either
+check is refused before it starts when it has more than SWEEP_BUDGET pairs
+from N to cover, the certificate included, so refusals do not depend on
+the method.
 
 A representation is a skew matrix A plus a twist set T; it induces the
 vector p_J = Pf(A restricted to J delta T). Reconstruction inverts this:
@@ -33,7 +42,6 @@ two-element coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Mapping
 
 from .errors import ClassificationError, InputError, MembershipError
@@ -44,6 +52,7 @@ from .plucker import (
     _canonical_coords,
     _classify,
     _CoordinateVector,
+    _first_unorthogonal_row,
     _neighbourhood,
 )
 from .verdicts import AxiomVerdict, Label
@@ -180,16 +189,39 @@ def _first_failure(p: WickVector, pairs) -> WickPairVerdict:
     return WickPairVerdict(True)
 
 
-def check_wick_full(p: WickVector) -> WickPairVerdict:
-    """Sweep every unordered pair {J1, J2} that can have a nonzero term, odd distances included.
+def _wick_row(ring, coords, n: int, mask: int) -> list:
+    """i -> (-1)**|mask below i| * p_{mask delta i}, at slot i + n * [i in mask] of 2n."""
+    row = [0] * (2 * n)
+    for i in range(n):
+        b = 1 << i
+        v = coords[mask ^ b]
+        if v:
+            row[i + n * (mask >> i & 1)] = ring.neg(v) if (mask & (b - 1)).bit_count() & 1 else v
+    return row
 
-    Those are the pairs with both sets in the support's one-step
-    neighbourhood N, taken in colex order; any other pair has only zero
-    terms, so the first failing pair is the first among all 2**n choose 2.
+
+def check_wick_full(p: WickVector) -> WickPairVerdict:
+    """Decide every unordered pair {J1, J2}, odd distances included, by the rank certificate.
+
+    Only pairs with both sets in the support's one-step neighbourhood N can
+    have a nonzero term. Over N the relations are the entries of U W^T,
+    where u_J = _wick_row(J) and w_J is u_J with its two halves swapped:
+    the slots of u_J1 and w_J2 meet exactly at the i in J1 delta J2, and
+    the signs multiply to minus the relation's. U W^T is symmetric with a
+    zero diagonal, so the first J1 of N whose row is not orthogonal to
+    every w_J has its first failing partner later in colex order, and that
+    row alone is swept.
     """
     near = _neighbourhood(p)
     within_budget(len(near) * (len(near) - 1) // 2, "full Wick sweep")
-    return _first_failure(p, combinations(near, 2))
+    ring, coords, n = p.pf.ring, p.coords, p.ground.n
+    u_rows = [_wick_row(ring, coords, n, j) for j in near]
+    i = _first_unorthogonal_row(ring, u_rows, (u[n:] + u[:n] for u in u_rows))
+    if i is None:
+        return WickPairVerdict(True)
+    verdict = _first_failure(p, ((near[i], j2) for j2 in near[i + 1 :]))
+    assert not verdict.ok, "the certificate's row holds no failing pair"
+    return verdict
 
 
 def check_wick_4term(p: WickVector) -> WickPairVerdict:

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -87,6 +88,14 @@ def test_orthogonal_kernel_matches_oracle_on_n5_sample():
     for parity in (0, 1):
         sample = rng.sample(range(1, 1 << 16), 3000)
         assert all(_kernel_agrees(5, parity, bits) for bits in sample)
+
+
+def test_orthogonal_kernel_refuses_above_the_cap_at_once():
+    # n = 6 would build 32 integers of 2**32 bits each; the kernel refuses before the first
+    start = time.perf_counter()
+    with pytest.raises(CapabilityError, match="orthogonal enumeration is capped at n = 5"):
+        _orthogonal_bitmaps(6, 0)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_skew_matrices_count_in_code_order():

@@ -193,6 +193,74 @@ def test_twisting_keeps_both_wick_verdicts(name, data):
 
 
 # ---------------------------------------------------------------------------
+# the full families' rank certificate on dense vectors with a late coordinate moved
+#
+# The full checks decide their family by one echelon basis of the W rows. A
+# coordinate late in colex order reaches that basis only through the last W
+# rows, so moving one tests that the basis keeps every row it needs, and the
+# witness must still be the brute sweep's first failing pair.
+
+
+def _late_moved(pf, coords, late):
+    """Copies of ``coords``, each with one of the last ``late`` nonzero coordinates moved."""
+    ring = pf.ring
+    support = [m for m, v in enumerate(coords) if not ring.is_zero(v)]
+    for m in support[-late:]:
+        moved = list(coords)
+        v = coords[m]
+        moved[m] = ring.neg(v) if pf == REGULAR else ring.add(v, v)  # 2v != v off characteristic 2
+        yield moved
+
+
+def _dense_wick(name, seed, n=8):
+    """A dense Wick vector: a random skew matrix, or over the regular partial field the
+    all-ones one (every principal Pfaffian 1), with random signs; then a random twist."""
+    rng = random.Random(seed)
+    pf = PARTIAL_FIELDS[name]
+    if name == "regular":
+        signs = [rng.choice((1, -1)) for _ in range(n)]
+        upper = [signs[i] * signs[j] for i in range(n) for j in range(i + 1, n)]
+    else:
+        entry = {"gf7": lambda: rng.randrange(1, 7),
+                 "qq": lambda: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))}[name]
+        upper = [entry() for _ in range(n * (n - 1) // 2)]
+    twist = SubsetMask(GroundSet(n), rng.randrange(1 << n))
+    rep = WickRepresentation(SkewMatrix.from_upper(pf.ring, n, upper), twist)
+    return wick_from_representation(rep, pf)
+
+
+@pytest.mark.parametrize("name", ["gf7", "qq", "regular"])
+def test_full_wick_certificate_finds_the_brute_witness(name):
+    p = _dense_wick(name, seed=8)
+    assert 8 * len(p.support_masks()) >= 3 * len(p.coords)  # 3/4 of one parity class
+    assert check_wick_full(p).ok
+    for coords in _late_moved(p.pf, p.coords, late=4):
+        q = WickVector(p.ground, p.pf, tuple(coords))
+        v = check_wick_full(q)
+        assert _verdict(v, "j1", "j2") == brute_wick_full(q)
+        assert not v.ok
+        if name == "regular":
+            assert type(v.value) is int  # the elimination over QQ leaks no Fraction
+
+
+@pytest.mark.parametrize("name", ["gf7", "qq"])
+def test_full_gp_certificate_finds_the_brute_witness(name):
+    rng = random.Random(3)
+    pf = PARTIAL_FIELDS[name]
+    entry = {"gf7": lambda: rng.randrange(7),
+             "qq": lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 3))}[name]
+    rows = [[entry() for _ in range(8)] for _ in range(3)]
+    p = plucker_from_matrix(Matrix.from_rows(pf.ring, rows), pf)
+    assert len(p.support_masks()) >= comb(8, 3) - 8
+    assert check_gp_full(p).ok
+    for coords in _late_moved(pf, p.coords, late=4):
+        q = PluckerVector(p.ground, 3, pf, tuple(coords))
+        v = check_gp_full(q)
+        assert _verdict(v, "s", "t") == brute_gp_sweep(q, three_term_only=False)
+        assert not v.ok
+
+
+# ---------------------------------------------------------------------------
 # the sweep budget
 
 
