@@ -6,8 +6,9 @@ Three kinds of work live here:
   sets. A candidate family is a bitmap over the subsets of one parity
   (families mixing parities never pass), and one bitset sweep decides
   symmetric exchange for every bitmap of a parity class at once;
-  ``enumerate_orthogonal`` and the census both read it, and the brute-force
-  ``matroid.is_orthogonal`` is the oracle the tests hold it to;
+  ``enumerate_orthogonal`` and the census both read it, and the tests hold
+  it to the pair-by-pair exchange search in ``tests/oracles.py`` and to
+  ``matroid.is_orthogonal``;
 * representability over GF(2), GF(3), and the regular partial field, from
   one search: every skew matrix with entries among the field's values whose
   whole Pfaffian table stays among them, keeping the first matrix found for
@@ -113,8 +114,9 @@ def _orthogonal_bitmaps(n: int, parity: int) -> frozenset[int]:
     exactly when, for every T with some T Δ {x} in F and every B in F, some
     x in T Δ B has T Δ {x} in F. That is decided for all 2**k bitmaps at
     once, one operation on 2**k-bit integers per (T, B, x).
-    ``matroid.is_orthogonal`` is the oracle the tests hold it to. Above
-    ENUM_MAX_N it refuses before building any bitmap.
+    The tests hold it to the pair-by-pair exchange search in
+    ``tests/oracles.py`` and to ``matroid.is_orthogonal``. Above ENUM_MAX_N
+    it refuses before building any bitmap.
     """
     if n > ENUM_MAX_N:
         raise CapabilityError(f"orthogonal enumeration is capped at n = {ENUM_MAX_N}")

@@ -13,12 +13,15 @@ want B2 delta {x, y} in it for the same y.
   delta-matroids). Members then share size parity, but that is a
   consequence the checkers never assume.
 
-One search, ``_exchange``, runs all four. It is deliberately brute force,
-O(|B|^2 * n^2), and doubles as the trusted oracle for everything else in
-the package. A family with more than SWEEP_BUDGET member pairs is refused
-(CapabilityError) before the search starts. Failures report the
-colexicographically first violating (B1, B2, x) so they are stable golden
-data.
+One search, ``_exchange``, runs all four. It holds a set of members as an
+|F|-bit integer, one bit per member in colex order, and for every B1 and x
+finds all failing B2 at once with one AND per y: O(|F| * n^2) big-integer
+operations in all. ``tests/oracles.py`` keeps the pair-by-pair search as
+the reference it is held to. A family with more than SWEEP_BUDGET member
+pairs is refused (CapabilityError) before the search starts; the budget
+still counts |F|^2 member pairs, though the search does not walk them.
+Failures report the colexicographically first violating (B1, B2, x) so
+they are stable golden data.
 """
 
 from __future__ import annotations
@@ -88,9 +91,19 @@ def _exchange(f: BasisFamily, reason: str, same_size: bool, strong: bool) -> Axi
     check, otherwise X = B1 delta B2 and Y = X - x. ``strong`` asks the same
     y to fix B2 as well. The first failing (B1, B2, x) in colex order is
     reported under ``reason``.
+
+    Every B2 is decided at once, as one bit of an |F|-bit set over the
+    members in colex order. For B1 and x let S = {y != x : B1 delta {x, y}
+    in F}; the failing B2 are those that differ from B1 at x and agree with
+    it on all of S. (For matroids x runs over B1, and S lies outside B1
+    because the members share one size, so this is the same reading.) The
+    strong forms also let through, for each y in S, the B2 with
+    B2 delta {x, y} outside F, a set that depends on {x, y} alone and is
+    built the first time that pair comes up. The witness needs no second
+    search: B1 is the first member with a failing B2, B2 the lowest failing
+    bit over its x's, and x the first x whose failing set holds that bit.
     """
     members = f.members()
-    mset = f.masks
     ground = f.ground
     if same_size:
         size = members[0].bit_count()
@@ -99,23 +112,51 @@ def _exchange(f: BasisFamily, reason: str, same_size: bool, strong: bool) -> Axi
                 first, other = SubsetMask(ground, members[0]), SubsetMask(ground, m)
                 return AxiomVerdict(False, "not_equicardinal", first, other, None)
     within_budget(len(members) ** 2, f"{reason} check", "member pairs")
+    mset = f.masks
+    everything = (1 << len(members)) - 1
+    has = [0] * ground.n  # has[y]: the members holding y
+    for i, m in enumerate(members):
+        bit = 1 << i
+        while m:
+            low = m & -m
+            m ^= low
+            has[low.bit_length() - 1] |= bit
+    outside = {}  # strong only: {x, y} -> the members B2 with B2 delta {x, y} outside F
+    full = ground.full_mask
     for b1 in members:
-        for b2 in members:
-            d = b1 ^ b2
-            xs = d & b1 if same_size else d
-            while xs:
-                xb = xs & -xs
-                xs ^= xb
-                base = b1 ^ xb
-                ys = d & b2 if same_size else d ^ xb
-                while ys:
-                    yb = ys & -ys
-                    ys ^= yb
-                    if (base ^ yb) in mset and (not strong or (b2 ^ xb ^ yb) in mset):
-                        break
-                else:
-                    b1s, b2s = SubsetMask(ground, b1), SubsetMask(ground, b2)
-                    return AxiomVerdict(False, reason, b1s, b2s, xb.bit_length())
+        best = best_x = 0
+        xs = b1 if same_size else full
+        while xs:
+            xb = xs & -xs
+            xs ^= xb
+            x = xb.bit_length() - 1
+            fail = everything & ~has[x] if b1 & xb else has[x]  # the B2 that differ at x
+            if best:
+                fail &= best - 1  # a later x matters only below the best B2 so far
+            base = b1 ^ xb
+            ys = full ^ (b1 if same_size else xb)
+            while fail and ys:
+                yb = ys & -ys
+                ys ^= yb
+                if base ^ yb in mset:
+                    y = yb.bit_length() - 1
+                    agree = has[y] if b1 & yb else ~has[y]
+                    if strong:
+                        pair = xb | yb
+                        miss = outside.get(pair)
+                        if miss is None:
+                            miss = everything
+                            for i, m in enumerate(members):
+                                if m ^ pair in mset:
+                                    miss ^= 1 << i
+                            outside[pair] = miss
+                        agree |= miss
+                    fail &= agree
+            if fail:
+                best, best_x = fail & -fail, x + 1
+        if best:
+            b2 = members[best.bit_length() - 1]
+            return AxiomVerdict(False, reason, SubsetMask(ground, b1), SubsetMask(ground, b2), best_x)
     return AxiomVerdict(True)
 
 

@@ -10,6 +10,11 @@ as the library did before it restricted the sweeps to the support's
 one-step neighbourhood. They read only a vector's ``coords``, ``ground.n``,
 ``r`` and the ring arithmetic of ``pf.ring``, and return a plain tuple
 (ok, first failing pair as two masks, its value).
+
+``brute_exchange`` is the pair-by-pair search the four exchange-axiom
+checkers of ``matroid.py`` ran before they decided every B2 at once with
+member bitsets: it tries every (B1, B2, x) in colex order and tests each
+candidate y.
 """
 
 from itertools import permutations
@@ -175,3 +180,39 @@ def brute_gp_sweep(p, three_term_only):
             if not ring.is_zero(val):
                 return False, s_mask, t_mask, val
     return True, None, None, None
+
+
+def brute_exchange(f, reason, same_size, strong):
+    """The exchange axioms by walking every member pair (B1, B2) and every x, in colex order.
+
+    For all B1, B2 in the family and x in X, some y in Y must have
+    B1 Δ {x, y} in the family, and B2 Δ {x, y} too when ``strong``. With
+    ``same_size`` the members must share one size (else the first member and
+    the first of another size are reported), X = B1 - B2 and Y = B2 - B1;
+    otherwise X = B1 Δ B2 and Y = X - x. Reads only ``f.masks`` and returns
+    (ok, reason, B1 bits, B2 bits, x) for the first failure, x as a 1-based
+    element label.
+    """
+    members = sorted(f.masks)
+    mset = f.masks
+    if same_size:
+        for m in members[1:]:
+            if m.bit_count() != members[0].bit_count():
+                return False, "not_equicardinal", members[0], m, None
+    for b1 in members:
+        for b2 in members:
+            d = b1 ^ b2
+            xs = d & b1 if same_size else d
+            while xs:
+                xb = xs & -xs
+                xs ^= xb
+                base = b1 ^ xb
+                ys = d & b2 if same_size else d ^ xb
+                while ys:
+                    yb = ys & -ys
+                    ys ^= yb
+                    if (base ^ yb) in mset and (not strong or (b2 ^ xb ^ yb) in mset):
+                        break
+                else:
+                    return False, reason, b1, b2, xb.bit_length()
+    return True, None, None, None, None

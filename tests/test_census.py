@@ -30,6 +30,8 @@ from omatroid.groundset import GroundSet
 from omatroid.matroid import BasisFamily, is_matroid, is_orthogonal
 from omatroid.wick import wick_from_representation
 
+from oracles import brute_exchange
+
 
 def fam(n, *bases):
     return BasisFamily.from_subsets(GroundSet(n), bases)
@@ -73,7 +75,8 @@ def test_enumerate_results_verify():
 
 def _kernel_agrees(n, parity, bits):
     fam_ = BasisFamily(GroundSet(n), frozenset(_members(n, parity, bits)))
-    return (bits in _orthogonal_bitmaps(n, parity)) == is_orthogonal(fam_).ok
+    brute = brute_exchange(fam_, "symmetric_exchange", same_size=False, strong=False)[0]
+    return (bits in _orthogonal_bitmaps(n, parity)) == is_orthogonal(fam_).ok == brute
 
 
 def test_orthogonal_kernel_matches_oracle_exhaustively():

@@ -3,8 +3,12 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from omatroid.census import enumerate_orthogonal
 from omatroid.errors import InputError
+from omatroid.exactalg import GF, Matrix, PartialField, SkewMatrix, all_principal_pfaffians
 from omatroid.groundset import GroundSet, SubsetMask, mask_of_elements
 from omatroid.matroid import (
     BasisFamily,
@@ -15,6 +19,9 @@ from omatroid.matroid import (
     is_orthogonal_strong,
     twist,
 )
+from omatroid.plucker import plucker_from_matrix, plucker_support
+
+from oracles import brute_exchange
 
 
 def fam(n, *bases):
@@ -192,3 +199,70 @@ def test_checker_witnesses_are_pinned():
             b2 = None if v.b2 is None else v.b2.bits
             h.update(repr((v.ok, v.reason, b1, b2, v.x)).encode() + b"\n")
     assert h.hexdigest() == "aa476857312c90950e8ea1e2df9c49e0534703974758d1e56ee96ccba72d4939"
+
+
+MODES = (
+    (is_matroid, "exchange", True, False),
+    (is_matroid_strong, "strong_exchange", True, True),
+    (is_orthogonal, "symmetric_exchange", False, False),
+    (is_orthogonal_strong, "strong_symmetric_exchange", False, True),
+)
+
+
+def _matches_brute(f):
+    for check, reason, same_size, strong in MODES:
+        v = check(f)
+        b1 = None if v.b1 is None else v.b1.bits
+        b2 = None if v.b2 is None else v.b2.bits
+        got = (v.ok, v.reason, b1, b2, v.x)
+        assert got == brute_exchange(f, reason, same_size, strong), (check.__name__, sorted(f.masks))
+
+
+def _drop_one(f, rng):
+    """The family without one member, picked by ``rng``."""
+    return BasisFamily(f.ground, f.masks - {rng.choice(f.members())})
+
+
+@st.composite
+def families(draw):
+    """Families on n <= 7 of mixed sizes, of one size parity, or of one size."""
+    n = draw(st.integers(0, 7), label="n")
+    r = draw(st.integers(0, n), label="r")
+    kind = draw(st.sampled_from(["mixed", "parity", "size"]), label="kind")
+    pool = [
+        m for m in range(1 << n)
+        if kind == "mixed" or (m.bit_count() - r) % 2 == 0 and (kind == "parity" or m.bit_count() == r)
+    ]
+    masks = draw(st.frozensets(st.sampled_from(pool), min_size=1, max_size=24), label="members")
+    return BasisFamily(GroundSet(n), masks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=families())
+def test_checkers_match_the_brute_exchange_on_random_families(f):
+    _matches_brute(f)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_checkers_match_the_brute_exchange_on_orthogonal_families_less_one_member(n):
+    rng = random.Random(n)
+    outcomes = set()
+    for f in enumerate_orthogonal(n):
+        if len(f) > 1:
+            less = _drop_one(f, rng)
+            _matches_brute(less)
+            outcomes.add(is_orthogonal(less).ok)
+    assert outcomes == {False, True}
+
+
+def test_checkers_match_the_brute_exchange_on_dense_supports_less_one_member():
+    # a random 10x10 skew matrix and a random 6x12 matrix over GF(7): hundreds of members
+    rng = random.Random(710)
+    f7 = GF(7)
+    skew = SkewMatrix.from_upper(f7, 10, [rng.randrange(7) for _ in range(45)])
+    wick = BasisFamily(GroundSet(10), frozenset(m for m, v in enumerate(all_principal_pfaffians(skew)) if v))
+    rows = Matrix(f7, 6, 12, tuple(rng.randrange(7) for _ in range(72)))
+    gp = plucker_support(plucker_from_matrix(rows, PartialField.for_field(f7)))
+    assert len(wick) > 400 and len(gp) > 700
+    for f in (wick, gp):
+        _matches_brute(_drop_one(f, rng))
