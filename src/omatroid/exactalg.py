@@ -9,13 +9,13 @@ ring together with a unit group containing -1. Two unit groups are
 supported, all nonzero elements (the field case) and {+1, -1} over the
 integers (the regular partial field).
 
-Determinants use one elimination per kind of ring: Gaussian elimination
-over the fields (the rationals and GF(p)) and fraction-free Bareiss
-elimination over the integers, where every division it makes is exact.
-There is no cofactor path. A single Pfaffian uses skew elimination,
-O(n**3), run over the rationals for integer input. The table of all
-principal Pfaffians expands along the lowest index over every mask in
-increasing order, O(2**n * n); rational input runs on integers.
+One row reduction to reduced echelon form, over the ring's field of
+fractions (integers run through the rationals), serves the determinant
+here and the maximal minors of a wide matrix in ``plucker``. There is no
+cofactor path. A single Pfaffian uses skew elimination, O(n**3), run over
+the rationals for integer input. The table of all principal Pfaffians
+expands along the lowest index over every mask in increasing order,
+O(2**n * n); rational input runs on integers.
 """
 
 from __future__ import annotations
@@ -118,12 +118,6 @@ class IntegerRing(Ring):
         if a in (1, -1):
             return a
         raise InputError(f"{a} is not a unit of the integers")
-
-    def divexact(self, a, b):
-        q, rem = divmod(a, b)
-        if rem:
-            raise InputError(f"inexact division {a}/{b} over the integers")
-        return q
 
     def coerce(self, v):
         if isinstance(v, bool):
@@ -344,15 +338,6 @@ class Matrix:
         c = self.cols
         return [list(self.entries[i * c : (i + 1) * c]) for i in range(self.rows)]
 
-    def column_submatrix(self, col_idx: Sequence[int]) -> "Matrix":
-        """Select columns by 0-based index, keeping their given order."""
-        ents = []
-        c = self.cols
-        for i in range(self.rows):
-            base = i * c
-            ents.extend(self.entries[base + j] for j in col_idx)
-        return Matrix(self.ring, self.rows, len(col_idx), tuple(ents))
-
     def to_json_rows(self) -> list[list[str]]:
         fmt = self.ring.fmt
         return [[fmt(v) for v in row] for row in self.row_lists()]
@@ -421,59 +406,49 @@ class SkewMatrix(Matrix):
 # determinants
 
 
-def _det_bareiss(ring: Ring, a: list[list]):
-    """Fraction-free elimination over the integers (Bareiss, Math. Comp. 22, 1968).
+def _field_rows(m: Matrix):
+    """The field of fractions of m's ring, and m's rows over it: integers become rationals."""
+    if m.ring.is_field:
+        return m.ring, m.row_lists()
+    return QQ, [[Fraction(v) for v in r] for r in m.row_lists()]
 
-    After step k every remaining entry is a (k+1)-minor of the row-swapped
-    input, so each division by the previous pivot is exact.
+
+def _reduce(field: Ring, rows: list[list]):
+    """Bring ``rows`` to reduced echelon form over ``field``, in place.
+
+    Returns the pivot columns and the sign of the row swaps times the
+    product of the pivots: at full row rank, the determinant of the input's
+    columns at the pivots, since the rows then read A_P^-1 A.
     """
-    n = len(a)
-    sign = 1
-    prev = ring.one
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if not ring.is_zero(a[i][k])), None)
-        if pivot_row is None:
-            return ring.zero
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = ring.sub(ring.mul(a[i][j], pivot), ring.mul(a[i][k], a[k][j]))
-                a[i][j] = ring.divexact(num, prev)
-        prev = pivot
-    return prev if sign == 1 else ring.neg(prev)
-
-
-def _det_gauss(field: Ring, a: list[list]):
-    n = len(a)
-    det = field.one
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if not field.is_zero(a[i][k])), None)
-        if pivot_row is None:
-            return field.zero
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
+    pivots, det = [], field.one
+    width = len(rows[0]) if rows else 0
+    for c in range(width):
+        k = len(pivots)
+        i = next((i for i in range(k, len(rows)) if not field.is_zero(rows[i][c])), None)
+        if i is None:
+            continue
+        if i != k:
+            rows[k], rows[i] = rows[i], rows[k]
             det = field.neg(det)
-        pivot = a[k][k]
-        det = field.mul(det, pivot)
-        inv = field.inv(pivot)
-        for i in range(k + 1, n):
-            f = field.mul(a[i][k], inv)
-            if field.is_zero(f):
-                continue
-            for j in range(k + 1, n):
-                a[i][j] = field.sub(a[i][j], field.mul(f, a[k][j]))
-    return det
+        det, inv = field.mul(det, rows[k][c]), field.inv(rows[k][c])
+        row = rows[k] = [field.mul(inv, v) for v in rows[k]]
+        for other in rows:
+            f = other[c]
+            if other is not row and not field.is_zero(f):
+                for j in range(c, width):
+                    other[j] = field.sub(other[j], field.mul(f, row[j]))
+        pivots.append(c)
+        if len(pivots) == len(rows):
+            break
+    return pivots, det
 
 
 def determinant(m: Matrix):
-    """Exact determinant of a square matrix: Gauss over a field, Bareiss over the integers."""
+    """Exact determinant of a square matrix, by one row reduction."""
     if m.rows != m.cols:
         raise InputError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
-    eliminate = _det_gauss if m.ring.is_field else _det_bareiss
-    return eliminate(m.ring, m.row_lists())
+    pivots, det = _reduce(*_field_rows(m))
+    return m.ring.coerce(det) if len(pivots) == m.rows else m.ring.zero
 
 
 # ---------------------------------------------------------------------------
@@ -540,9 +515,7 @@ def pfaffian(m: SkewMatrix):
     """
     if not isinstance(m, SkewMatrix):
         raise InputError("pfaffian needs a skew-symmetric matrix")
-    if m.ring.is_field:
-        return _pf_eliminate(m.ring, m.row_lists())
-    return m.ring.coerce(_pf_eliminate(QQ, [[Fraction(v) for v in r] for r in m.row_lists()]))
+    return m.ring.coerce(_pf_eliminate(*_field_rows(m)))
 
 
 def all_principal_pfaffians(m: SkewMatrix) -> list:
@@ -573,7 +546,6 @@ def all_principal_pfaffians(m: SkewMatrix) -> list:
 # ---------------------------------------------------------------------------
 # homomorphisms
 
-HOM_IDENTITY = "identity"
 HOM_INT_TO_GFP = "int_to_gfp"
 HOM_RAT_TO_GFP = "rat_to_gfp"
 
@@ -587,8 +559,6 @@ class Homomorphism:
     kind: str
 
     def apply(self, v):
-        if self.kind == HOM_IDENTITY:
-            return v
         p = self.target.ring.p
         if self.kind == HOM_INT_TO_GFP:
             return v % p
@@ -600,10 +570,6 @@ class Homomorphism:
                 )
             return v.numerator % p * pow(den, -1, p) % p
         raise InputError(f"unknown homomorphism kind {self.kind!r}")
-
-
-def identity_hom(pf: PartialField) -> Homomorphism:
-    return Homomorphism(pf, pf, HOM_IDENTITY)
 
 
 def residue_hom(p: int) -> Homomorphism:

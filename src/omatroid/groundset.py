@@ -19,8 +19,9 @@ from .errors import CapabilityError, InputError
 MAX_GROUND_SIZE = 24
 
 #: The most steps one exponential kernel may take: the pairs a relation
-#: sweep walks, the member pairs an exchange check walks, or the 2**n * n
-#: expansion steps of a principal-Pfaffian table. Above it the kernel
+#: sweep walks, the member pairs an exchange check walks, the 2**n * n
+#: expansion steps of a principal-Pfaffian table, or the exchange steps of
+#: a table of maximal minors. Above it the kernel
 #: raises CapabilityError (exit 3) before it starts, so the CLI refuses in
 #: well under a second instead of running for minutes.
 SWEEP_BUDGET = 1 << 22
@@ -117,32 +118,6 @@ def mask_of_elements(elements: Iterable[int]) -> int:
     return bits
 
 
-def _require_same_ground(a: SubsetMask, b: SubsetMask) -> None:
-    if a.ground.n != b.ground.n:
-        raise InputError(
-            f"mismatched ground sets: size {a.ground.n} vs {b.ground.n}"
-        )
-
-
-def sym_diff(a: SubsetMask, b: SubsetMask) -> SubsetMask:
-    """Symmetric difference of two subsets of the same ground set."""
-    _require_same_ground(a, b)
-    return SubsetMask(a.ground, a.bits ^ b.bits)
-
-
-def sign_xst(x: int, s: SubsetMask, t: SubsetMask) -> int:
-    """Sign (-1)**m with m = #{e in s : e > x} + #{e in t : e > x}.
-
-    This is the coefficient sign attached to the term that moves x from s
-    into t in the quadratic exchange relations. Requires x in s.
-    """
-    _require_same_ground(s, t)
-    if x not in s:
-        raise InputError(f"element {x} is not a member of {s!r}")
-    m = (s.bits >> x).bit_count() + (t.bits >> x).bit_count()
-    return -1 if m & 1 else 1
-
-
 @lru_cache(maxsize=None)
 def masks_of_size(n: int, r: int) -> tuple[int, ...]:
     """All r-subset masks of {1..n} in colex (numeric) order.
@@ -163,11 +138,6 @@ def masks_of_size(n: int, r: int) -> tuple[int, ...]:
         w = v + u
         v = w | (((v ^ w) >> 2) // u)
     return tuple(out)
-
-
-def subsets_of_size(ground: GroundSet, r: int) -> list[SubsetMask]:
-    """All r-subsets of the ground set, colex ordered."""
-    return [SubsetMask(ground, m) for m in masks_of_size(ground.n, r)]
 
 
 def parse_subset_key(key: str, ground: GroundSet) -> SubsetMask:

@@ -23,7 +23,7 @@ from .exactalg import (
     Ring,
     ZZ,
 )
-from .groundset import GroundSet, format_subset_key, parse_subset_key
+from .groundset import GroundSet, mask_elements, parse_subset_key
 from .matroid import BasisFamily
 from .plucker import PluckerVector
 from .wick import WickRepresentation, WickVector
@@ -172,12 +172,15 @@ def _parse_coords(obj: Any, ranked: bool):
 
 
 def _vector_to_json(p, **rank) -> dict:
-    """The shared vector schema, nonzero coordinates only; ``rank`` adds 'r'."""
-    ring = p.pf.ring
+    """The shared vector schema, nonzero coordinates only; ``rank`` adds 'r'.
+
+    Zero is falsy in every ring, so zeros are dropped before a key is built.
+    """
+    fmt = p.pf.ring.fmt
     coords = {
-        format_subset_key(mask): ring.fmt(v)
-        for mask, v in p.items()
-        if not ring.is_zero(v)
+        ",".join(map(str, mask_elements(mask))): fmt(v)
+        for mask, v in zip(p.masks(), p.coords)
+        if v
     }
     return {"n": p.ground.n, **rank, "ring": p.pf.json_decl(), "coords": coords}
 

@@ -187,35 +187,3 @@ def twist(f: BasisFamily, t: SubsetMask) -> BasisFamily:
     tb = t.bits
     return BasisFamily(f.ground, frozenset(b ^ tb for b in f.masks))
 
-
-def find_smaller_basis(f: BasisFamily, j: SubsetMask) -> SubsetMask:
-    """In a normal orthogonal matroid, drop two elements of a nonempty basis.
-
-    Requires the empty set and j to be members and j nonempty. Among all
-    two-element subsets {a, b} of j with j delta {a, b} in the family, the
-    colexicographically least resulting basis is returned. Failure to find
-    one means the family was not a normal orthogonal matroid.
-    """
-    if j.ground.n != f.ground.n:
-        raise InputError("basis lives on a different ground set")
-    if 0 not in f.masks:
-        raise InputError("family is not normal (empty set is not a member)")
-    if j.bits == 0:
-        raise InputError("basis must be nonempty")
-    if j.bits not in f.masks:
-        raise InputError(f"{j!r} is not a member of the family")
-    check = is_orthogonal(f)
-    if not check.ok:
-        raise InputError("family is not an orthogonal matroid")
-    jb = j.bits
-    elems = mask_elements(jb)
-    best = None
-    for ai in range(len(elems)):
-        for bi in range(ai + 1, len(elems)):
-            pair = (1 << (elems[ai] - 1)) | (1 << (elems[bi] - 1))
-            cand = jb ^ pair
-            if cand in f.masks and (best is None or cand < best):
-                best = cand
-    if best is None:
-        raise InputError("no smaller basis exists; the family violates normality")
-    return SubsetMask(f.ground, best)

@@ -37,11 +37,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from operator import mul
 from typing import Mapping
 
 from .errors import ClassificationError, InputError, MembershipError, RankError
-from .exactalg import Matrix, PartialField, PrimeField, determinant
+from .exactalg import Matrix, PartialField, PrimeField, _field_rows, _reduce
 from .groundset import (  # SWEEP_BUDGET stays importable from here, next to the sweeps
     SWEEP_BUDGET,
     GroundSet,
@@ -92,10 +93,6 @@ class _CoordinateVector:
 
     def masks(self):
         raise NotImplementedError
-
-    def items(self):
-        for m, v in zip(self.masks(), self.coords):
-            yield SubsetMask(self.ground, m), v
 
     def support_masks(self) -> tuple[int, ...]:
         ring = self.pf.ring
@@ -194,9 +191,17 @@ def plucker_support(p: PluckerVector) -> BasisFamily:
 def plucker_from_matrix(a: Matrix, pf: PartialField) -> PluckerVector:
     """Maximal minors of a full-row-rank r x n matrix, column labels 1..n.
 
-    Costs one r x r determinant per r-subset. Raises RankError when every
-    minor vanishes and MembershipError when a minor falls outside the
-    partial field.
+    One row reduction over the ring's field of fractions gives the first
+    pivot basis P, p_P = det(A_P) and E = A_P^-1 A. Every other r-set S
+    then follows from sets one step nearer P by one column exchange: with
+    j the lowest element of S - P,
+
+        p_S = sum over i in P - S of  (-1)**k * E[row of i][j] * p_{S - j + i}
+
+    where k counts the elements of S - j strictly between i and j. That is
+    at most C(n, r) * min(r, n - r) exchange steps, refused above
+    SWEEP_BUDGET. Raises RankError when every minor vanishes and
+    MembershipError when a minor falls outside the partial field.
     """
     if a.ring != pf.ring:
         raise InputError(f"matrix ring {a.ring!r} does not match partial field {pf!r}")
@@ -204,19 +209,33 @@ def plucker_from_matrix(a: Matrix, pf: PartialField) -> PluckerVector:
     if r > n:
         raise RankError(f"a {r}x{n} matrix cannot have row rank {r}")
     ground = GroundSet(n)
-    ring = pf.ring
-    coords = []
-    for mask in masks_of_size(n, r):
-        idx = []
-        m = mask
-        while m:
-            b = m & -m
-            m ^= b
-            idx.append(b.bit_length() - 1)
-        coords.append(determinant(a.column_submatrix(idx)))
-    if all(ring.is_zero(v) for v in coords):
+    within_budget(comb(n, r) * min(r, n - r), "minor table", "exchange steps")
+    field, rows = _field_rows(a)  # integer minors are whole Fractions, coerced back by PluckerVector
+    pivots, det = _reduce(field, rows)
+    if len(pivots) < r:
         raise RankError(f"matrix has row rank below {r}; every maximal minor vanishes")
-    return PluckerVector(ground, r, pf, tuple(coords))
+    base = sum(1 << c for c in pivots)
+    row_of = {1 << c: row for c, row in zip(pivots, rows)}
+    minors = {base: det}
+    for s in sorted(masks_of_size(n, r), key=lambda m: (m & ~base).bit_count()):
+        if s == base:
+            continue
+        rest = s & ~base
+        jb = rest & -rest
+        j = jb.bit_length() - 1
+        acc = field.zero
+        missing = base & ~s
+        while missing:
+            ib = missing & -missing
+            missing ^= ib
+            e, v = row_of[ib][j], minors[s ^ jb | ib]
+            if e and v:  # zero is falsy in every ring
+                term = field.mul(e, v)
+                lo, hi = min(ib, jb), max(ib, jb)
+                between = s & (hi - 1) & ~(2 * lo - 1)
+                acc = field.sub(acc, term) if between.bit_count() & 1 else field.add(acc, term)
+        minors[s] = acc
+    return PluckerVector(ground, r, pf, tuple(minors[s] for s in masks_of_size(n, r)))
 
 
 def _relation_value(p: PluckerVector, s_mask: int, t_mask: int, idx: dict[int, int]):

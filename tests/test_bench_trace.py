@@ -2,8 +2,9 @@
 
 bench/traced.py replaces omatroid's public functions by name, so renaming
 one breaks the benchmark's layer metrics. One small traced from-matrix run
-must exit 0 and count at least one principal-Pfaffian table, and each
-basis-family verb must count one call of its checker.
+must exit 0 and count at least one principal-Pfaffian table, a traced
+maximal-minor run must count its minors without one determinant call, and
+each basis-family verb must count one call of its checker.
 """
 
 import json
@@ -39,6 +40,16 @@ def test_traced_from_matrix_counts_the_pfaffian_table(tmp_path):
     proc, layers = traced(tmp_path, "from-matrix", "--kind", "wick", str(matrix))
     assert json.loads(proc.stdout)["data"]["kind"] == "wick"
     assert layers["exactalg.table_calls"] >= 1
+
+
+def test_traced_plucker_minors_make_no_determinant_call(tmp_path):
+    matrix = tmp_path / "wide.json"
+    rows = [["1", "0", "1", "1"], ["0", "1", "1", "2"]]
+    matrix.write_text(json.dumps({"ring": {"kind": "q"}, "matrix": rows}))
+    proc, layers = traced(tmp_path, "from-matrix", "--kind", "plucker", str(matrix))
+    assert json.loads(proc.stdout)["data"]["kind"] == "plucker"
+    assert layers["plucker.minors"] == 6
+    assert layers["exactalg.determinant_calls"] == 0
 
 
 @pytest.mark.parametrize("verb, checker", [("check-matroid", "is_matroid"),

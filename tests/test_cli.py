@@ -420,6 +420,28 @@ def test_pfaffian_table_over_the_budget_is_refused_fast(tmp_path, capsys):
     assert "Pfaffian table" in error["message"]
 
 
+def test_minor_table_over_the_budget_is_refused_fast(tmp_path, capsys):
+    # C(24, 12) * 12 exchange steps: refused before the 12x24 matrix is reduced
+    rows = [[str(Fraction((i * 7 + j * 3) % 11 - 5, j % 4 + 1)) for j in range(24)] for i in range(12)]
+    path = write(tmp_path, "wide.json", {"ring": {"kind": "q"}, "matrix": rows})
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "from-matrix", path, "--kind", "plucker")
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    error = report_of(out)["error"]
+    assert error["type"] == "CapabilityError"
+    assert "minor table" in error["message"]
+
+
+def test_square_minor_table_is_one_elimination(tmp_path, capsys):
+    # C(20, 20) * 0 exchange steps: the one coordinate is the determinant, scaled to 1
+    path, rows = _skew24_qq(tmp_path)
+    square = write(tmp_path, "square.json", {"ring": {"kind": "q"}, "matrix": [r[:20] for r in rows[:20]]})
+    code, out, _ = run(capsys, "from-matrix", square, "--kind", "plucker")
+    assert code == 0
+    assert report_of(out)["data"]["vector"]["coords"] == {",".join(map(str, range(1, 21))): "1"}
+
+
 def test_single_pfaffian_of_a_24x24_matrix_answers_fast(tmp_path, capsys):
     path, rows = _skew24_qq(tmp_path)
     start = time.perf_counter()

@@ -1,7 +1,7 @@
 import pytest
 
 import omatroid
-from omatroid import census, errors, exactalg, jsonio
+from omatroid import census, errors, exactalg, groundset, jsonio, matroid, plucker
 from omatroid.groundset import GroundSet
 
 
@@ -26,3 +26,18 @@ def test_removed_aliases_are_gone():
     # one support search, sized by SWEEP_BUDGET, replaced the regular search and the hand-set caps
     for name in ("_regular_normal_reps", "REGULAR_SEARCH_MAX_N", "DEMO_MAX_N", "CENSUS_CAPS"):
         assert not hasattr(census, name)
+    # one row reduction serves determinants and maximal minors
+    for name in ("_det_gauss", "_det_bareiss", "identity_hom", "HOM_IDENTITY"):
+        assert not hasattr(exactalg, name)
+    assert not hasattr(exactalg.IntegerRing, "divexact")
+    assert not hasattr(exactalg.Matrix, "column_submatrix")
+    assert not hasattr(plucker._CoordinateVector, "items")
+    # helpers that only their own tests called
+    for module, name in ((groundset, "sym_diff"), (groundset, "sign_xst"),
+                         (groundset, "_require_same_ground"), (groundset, "subsets_of_size"),
+                         (matroid, "find_smaller_basis")):
+        assert not hasattr(module, name)
+    for name in ("sym_diff", "sign_xst", "subsets_of_size", "find_smaller_basis", "identity_hom",
+                 "HOM_IDENTITY"):
+        assert not hasattr(omatroid, name)
+        assert name not in omatroid.__all__

@@ -11,9 +11,6 @@ from omatroid.groundset import (
     mask_of_elements,
     masks_of_size,
     parse_subset_key,
-    sign_xst,
-    subsets_of_size,
-    sym_diff,
 )
 
 
@@ -55,14 +52,6 @@ def test_mask_helpers():
     assert mask_of_elements([]) == 0
 
 
-def test_sym_diff():
-    g = GroundSet(4)
-    d = sym_diff(g.subset([1, 2]), g.subset([2, 3]))
-    assert d.elements() == (1, 3)
-    with pytest.raises(InputError):
-        sym_diff(g.subset([1]), GroundSet(3).subset([1]))
-
-
 def test_masks_of_size_is_colex():
     assert masks_of_size(4, 2) == (0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100)
     assert masks_of_size(3, 0) == (0,)
@@ -74,29 +63,6 @@ def test_masks_of_size_is_colex():
             assert len(ms) == comb(n, r)
             assert list(ms) == sorted(ms)
             assert all(m.bit_count() == r for m in ms)
-
-
-def test_subsets_of_size():
-    g = GroundSet(4)
-    subs = subsets_of_size(g, 3)
-    assert [s.elements() for s in subs] == [
-        (1, 2, 3),
-        (1, 2, 4),
-        (1, 3, 4),
-        (2, 3, 4),
-    ]
-
-
-def test_sign_xst():
-    g = GroundSet(5)
-    s = g.subset([1, 2, 3])
-    t = g.subset([5])
-    # counts elements above x: x=1 sees {2,3} and {5}, odd total
-    assert sign_xst(1, s, t) == -1
-    assert sign_xst(2, s, t) == 1
-    assert sign_xst(3, s, t) == -1
-    with pytest.raises(InputError):
-        sign_xst(4, s, t)
 
 
 def test_subset_keys():

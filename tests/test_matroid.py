@@ -12,7 +12,6 @@ from omatroid.exactalg import GF, Matrix, PartialField, SkewMatrix, all_principa
 from omatroid.groundset import GroundSet, SubsetMask, mask_of_elements
 from omatroid.matroid import (
     BasisFamily,
-    find_smaller_basis,
     is_matroid,
     is_matroid_strong,
     is_orthogonal,
@@ -124,41 +123,6 @@ def test_twist_involution_and_parity():
     for bits in range(1 << 4):
         tt = SubsetMask(g, bits)
         assert is_orthogonal(twist(f, tt)).ok
-
-
-def test_find_smaller_basis_golden():
-    f = fam(4, [], [1, 2], [3, 4], [1, 2, 3, 4])
-    j = f.ground.subset([1, 2, 3, 4])
-    smaller = find_smaller_basis(f, j)
-    assert smaller.elements() == (1, 2)
-
-
-def test_find_smaller_basis_validation():
-    f = fam(4, [], [1, 2], [3, 4], [1, 2, 3, 4])
-    g = f.ground
-    with pytest.raises(InputError):
-        find_smaller_basis(f, g.subset([1, 2, 3]))  # not a member
-    with pytest.raises(InputError):
-        find_smaller_basis(f, g.subset([]))  # already minimal
-    nof = fam(4, [], [1, 2, 3, 4])
-    with pytest.raises(InputError):
-        find_smaller_basis(nof, nof.ground.subset([1, 2, 3, 4]))  # not orthogonal
-    shifted = fam(3, [1], [2], [3], [1, 2, 3])
-    with pytest.raises(InputError):
-        find_smaller_basis(shifted, shifted.ground.subset([1, 2, 3]))  # no empty member
-
-
-def test_find_smaller_basis_walks_to_empty():
-    # iterating from the top member reaches the empty set in size/2 steps
-    f = fam(4, [], [1, 2], [1, 3], [2, 3], [1, 4], [2, 4], [3, 4], [1, 2, 3, 4])
-    assert is_orthogonal(f).ok
-    j = f.ground.subset([1, 2, 3, 4])
-    seen = []
-    while j.bits:
-        j = find_smaller_basis(f, j)
-        seen.append(j.elements())
-    assert len(seen) == 2
-    assert seen[-1] == ()
 
 
 CHECKERS = (is_matroid, is_matroid_strong, is_orthogonal, is_orthogonal_strong)

@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omatroid.errors import ClassificationError, InputError, MembershipError, RankError
-from omatroid.exactalg import GF, Matrix, PartialField, QQ, REGULAR, ZZ, determinant
+from omatroid.exactalg import GF, Matrix, PartialField, QQ, REGULAR, ZZ
 from omatroid.groundset import GroundSet, mask_of_elements, masks_of_size
 from omatroid.plucker import (
     PluckerVector,
@@ -16,6 +18,8 @@ from omatroid.plucker import (
     reconstruct_plucker,
 )
 from omatroid.verdicts import Label
+
+from oracles import leibniz_det
 
 QF = PartialField.for_field(QQ)
 G4 = GroundSet(4)
@@ -76,6 +80,37 @@ def test_from_matrix_golden():
     assert p.r == 2
     assert p.coords == tuple(Fraction(v) for v in EXAMPLE_COORDS)
     assert [s for s in p.support_masks()] == list(masks_of_size(4, 2))
+
+
+# entries per partial field: small enough that rank drops and minors outside {0, +1, -1} both occur
+MINOR_ENTRIES = {
+    "qq": (QF, st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))),
+    "gf7": (PartialField.for_field(GF(7)), st.integers(0, 6)),
+    "regular": (REGULAR, st.sampled_from([0, 1, -1, 2])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MINOR_ENTRIES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_minors_match_the_leibniz_oracle(name, data):
+    pf, entries = MINOR_ENTRIES[name]
+    n = data.draw(st.integers(0, 7), label="n")
+    r = data.draw(st.integers(0, n), label="r")
+    rows = data.draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=r, max_size=r))
+    minors = []
+    for mask in masks_of_size(n, r):
+        cols = [j for j in range(n) if mask >> j & 1]
+        minors.append(pf.ring.coerce(leibniz_det([[row[j] for j in cols] for row in rows])))
+    a = Matrix(pf.ring, r, n, tuple(v for row in rows for v in row))
+    if not any(minors):
+        with pytest.raises(RankError):
+            plucker_from_matrix(a, pf)
+    elif not all(map(pf.is_element, minors)):
+        with pytest.raises(MembershipError):
+            plucker_from_matrix(a, pf)
+    else:
+        assert plucker_from_matrix(a, pf) == PluckerVector(GroundSet(n), r, pf, tuple(minors))
 
 
 def test_from_matrix_errors():
