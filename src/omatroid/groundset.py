@@ -18,12 +18,14 @@ from .errors import CapabilityError, InputError
 #: 2**n slots, so this keeps everything comfortably in memory.
 MAX_GROUND_SIZE = 24
 
-#: The most steps one exponential kernel may take: the pairs a relation
-#: sweep walks, the member pairs an exchange check walks, the 2**n * n
-#: expansion steps of a principal-Pfaffian table, or the exchange steps of
-#: a table of maximal minors. Above it the kernel
-#: raises CapabilityError (exit 3) before it starts, so the CLI refuses in
-#: well under a second instead of running for minutes.
+#: The most steps one exponential kernel may take: the candidate pairs of
+#: a relation family in the support's neighbourhood (all counted, though
+#: the rank certificate evaluates only the pairs of dirty rows), the member
+#: pairs of an exchange check, the 2**n * n expansion steps of a
+#: principal-Pfaffian table, or the exchange steps of a table of maximal
+#: minors. Above it the kernel raises CapabilityError (exit 3) before it
+#: starts, so the CLI refuses in well under a second instead of running
+#: for minutes.
 SWEEP_BUDGET = 1 << 22
 
 

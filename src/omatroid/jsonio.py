@@ -175,13 +175,22 @@ def _vector_to_json(p, **rank) -> dict:
     """The shared vector schema, nonzero coordinates only; ``rank`` adds 'r'.
 
     Zero is falsy in every ring, so zeros are dropped before a key is built.
+    A key extends the key of its mask without the top element, which is
+    joined at most once and then shared; over all subsets, colex order has
+    usually built that shorter key already.
     """
     fmt = p.pf.ring.fmt
-    coords = {
-        ",".join(map(str, mask_elements(mask))): fmt(v)
-        for mask, v in zip(p.masks(), p.coords)
-        if v
-    }
+    keys = {0: ""}
+    coords = {}
+    for mask, v in zip(p.masks(), p.coords):
+        if v:
+            top = mask.bit_length()
+            rest = mask ^ (1 << top >> 1)
+            head = keys.get(rest)
+            if head is None:
+                head = keys[rest] = ",".join(map(str, mask_elements(rest)))
+            key = keys[mask] = f"{head},{top}" if head else (str(top) if mask else "")
+            coords[key] = fmt(v)
     return {"n": p.ground.n, **rank, "ring": p.pf.json_decl(), "coords": coords}
 
 

@@ -20,26 +20,26 @@ N_T of that one-step neighbourhood, in the same colex order as the whole
 family: every skipped pair has only zero terms, so verdicts and the first
 failing pair are those over all C(n, r+1) * C(n, r-1) pairs.
 
-The short family is swept pair by pair. The full family is bilinear: the
-relation for (S, T) is the dot product u_S . w_T of two rows on the
-coordinates x in 1..n, so the whole family is the product U W^T, one row
-per set of N_S and of N_T. It vanishes exactly when every u_S is orthogonal
-to an echelon basis of the w_T, at most n rows computed exactly over the
-ring's field of fractions. The first u_S that is not is the first failing
-S, and sweeping its row alone gives the first failing T, so the witness and
-its value are the pair sweep's. Either check is refused before it starts
-when its family has more than SWEEP_BUDGET pairs in N_S x N_T, the
-certificate included, so refusals do not depend on the method.
+Both families are bilinear: the relation for (S, T) is the dot product
+u_S . w_T of two rows on the coordinates x in 1..n, an entry of U W^T. A
+row u_S is dirty when it is not orthogonal to the span of the w_T, and a
+relation is nonzero only when its u_S is dirty. The full family vanishes
+exactly when no u_S is dirty, and sweeping the first dirty row gives the
+first failing T. The short check sweeps the rows of dirty S only, so it
+evaluates no pair when the full family vanishes. Either way the witness
+and its value are the pair sweep's. Either check is refused before it
+starts when its family has more than SWEEP_BUDGET pairs in N_S x N_T, so
+refusals do not depend on the method.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
-from math import comb
+from functools import lru_cache, partial
+from itertools import chain
+from math import comb, gcd, lcm
 from operator import mul
-from typing import Mapping
+from typing import Callable, Iterator, Mapping
 
 from .errors import ClassificationError, InputError, MembershipError, RankError
 from .exactalg import Matrix, PartialField, PrimeField, _field_rows, _reduce
@@ -238,8 +238,9 @@ def plucker_from_matrix(a: Matrix, pf: PartialField) -> PluckerVector:
     return PluckerVector(ground, r, pf, tuple(minors[s] for s in masks_of_size(n, r)))
 
 
-def _relation_value(p: PluckerVector, s_mask: int, t_mask: int, idx: dict[int, int]):
+def _relation_value(p: PluckerVector, s_mask: int, t_mask: int):
     ring = p.pf.ring
+    idx = _index_of(p.ground.n, p.r)
     coords = p.coords
     acc = ring.zero
     m = s_mask
@@ -261,43 +262,50 @@ def _relation_value(p: PluckerVector, s_mask: int, t_mask: int, idx: dict[int, i
     return acc
 
 
-def _first_unorthogonal_row(ring, u_rows, w_rows) -> int | None:
-    """Index of the first of ``u_rows`` with a nonzero dot product against some of ``w_rows``.
+def _dirty_test(ring, rows) -> Callable[[list], bool]:
+    """A test for whether a row is dirty: not orthogonal to the span of ``rows``.
 
-    Rows are equal-length lists of ring values, and products are taken in
-    the ring's field of fractions: GF(p) itself, QQ for QQ and ZZ. The W
-    rows are reduced to an echelon basis, which has their span, so a U row
-    is orthogonal to every W row exactly when it is orthogonal to each
-    basis row. ``u_rows`` is read only up to the row found; None means
-    every product vanishes.
+    Rows are equal-length lists of ring values; over QQ and ZZ each is scaled
+    to integers, which keeps span and orthogonality, so no Fraction is made.
+    The echelon basis that decides the test is grown from ``rows``, read
+    once, only while a tested row is orthogonal to all of it: a dirty row
+    met early costs a few rows, a clean one completes the basis.
     """
     p = ring.p if isinstance(ring, PrimeField) else None
-    basis = []  # (pivot, row): row[pivot] == 1, and later rows are 0 at earlier pivots
-    for w in w_rows:
-        for k, b in basis:
-            f = w[k]
-            if f:
-                if p:
-                    w = [(x - f * y) % p for x, y in zip(w, b)]
-                else:
-                    w = [x - f * y for x, y in zip(w, b)]
-        if not any(w):
-            continue  # w is in the span of the basis
-        k = next(k for k, x in enumerate(w) if x)
+    pivots, basis = [], []  # basis[i] is 0 at pivots[:i] and not at pivots[i]
+
+    def whole(row: list) -> list:
         if p:
-            inv = pow(w[k], -1, p)
-            basis.append((k, [x * inv % p for x in w]))
-        else:
-            inv = Fraction(1, w[k])
-            basis.append((k, [x * inv for x in w]))
-        if len(basis) == len(w):
-            break  # the W rows span everything, so any nonzero U row is the one
-    for index, u in enumerate(u_rows):
-        for _, b in basis:
-            dot = sum(map(mul, u, b))
-            if (dot % p if p else dot):
-                return index
-    return None
+            return row
+        scale = lcm(*(x.denominator for x in row))
+        return [x.numerator * (scale // x.denominator) for x in row]
+
+    def grow():  # the basis rows still to come, each appended to ``basis`` when found
+        for w in map(whole, rows):
+            for k, b in zip(pivots, basis):
+                c, f = b[k], w[k]
+                if f:
+                    w = [c * x - f * y for x, y in zip(w, b)]
+            if p:
+                w = [x % p for x in w]
+            else:
+                g = gcd(*w) or 1
+                w = [x // g for x in w]
+            if any(w):
+                pivots.append(next(k for k, x in enumerate(w) if x))
+                basis.append(w)
+                yield w
+
+    growth = grow()
+
+    def dirty(u: list) -> bool:
+        u = whole(u)
+        if not any(u):
+            return False
+        dots = (sum(map(mul, u, b)) for b in chain(basis, growth))
+        return any(d % p for d in dots) if p else any(dots)
+
+    return dirty
 
 
 def _signed_row(ring, coords, idx, n: int, mask: int, elems: int) -> list:
@@ -312,60 +320,59 @@ def _signed_row(ring, coords, idx, n: int, mask: int, elems: int) -> list:
     return row
 
 
-def _relation_sets(p: PluckerVector, family: str) -> tuple[list[int], list[int]]:
-    """The (r+1)-sets and (r-1)-sets of the neighbourhood, once their pairs fit the budget.
+def _first_failure(p: _CoordinateVector, pairs, value, verdict=GPVerdict):
+    """The first of ``pairs`` (a, b) with a nonzero ``value(a, b)``, as a failing ``verdict``."""
+    ring = p.pf.ring
+    for a, b in pairs:
+        val = value(a, b)
+        if not ring.is_zero(val):
+            return verdict(False, SubsetMask(p.ground, a), SubsetMask(p.ground, b), val)
+    return verdict(True)
 
-    Degenerate ranks have no sets of one of the sizes, so no pairs.
-    """
+
+def _gp_rows(p: PluckerVector, family: str) -> tuple[list[int], list[int], Iterator, Iterator]:
+    """The (r+1)-sets and (r-1)-sets of N, once their pairs fit the budget, and lazy rows."""
     near = _neighbourhood(p)
     s_masks = [m for m in near if m.bit_count() == p.r + 1]
     t_masks = [m for m in near if m.bit_count() == p.r - 1]
     within_budget(len(s_masks) * len(t_masks), family)
-    return s_masks, t_masks
-
-
-def _first_failure(p: PluckerVector, pairs) -> GPVerdict:
-    ring = p.pf.ring
-    idx = _index_of(p.ground.n, p.r)
-    for s_mask, t_mask in pairs:
-        val = _relation_value(p, s_mask, t_mask, idx)
-        if not ring.is_zero(val):
-            return GPVerdict(False, SubsetMask(p.ground, s_mask), SubsetMask(p.ground, t_mask), val)
-    return GPVerdict(True)
+    ring, coords, n = p.pf.ring, p.coords, p.ground.n
+    idx = _index_of(n, p.r)
+    everything = (1 << n) - 1
+    u_rows = (_signed_row(ring, coords, idx, n, s, s) for s in s_masks)
+    w_rows = (_signed_row(ring, coords, idx, n, t, everything ^ t) for t in t_masks)
+    return s_masks, t_masks, u_rows, w_rows
 
 
 def check_gp_full(p: PluckerVector) -> GPVerdict:
     """Decide all C(n, r+1) * C(n, r-1) relation instances by the rank certificate.
 
-    The relation for (S, T) is the dot product of the rows u_S and w_T, on
-    the coordinates x in 1..n, with u_S(x) = sign * p_{S - x} for x in S
-    and w_T(x) = sign * p_{T + x} for x outside T, each sign being -1 to
-    the number of the set's elements above x. The first S whose row is not
-    orthogonal to every w_T is the first failing S, and its T is found by
-    sweeping that one row.
+    u_S(x) = sign * p_{S - x} for x in S and w_T(x) = sign * p_{T + x} for
+    x outside T, each sign being -1 to the number of the set's elements
+    above x.
     """
-    s_masks, t_masks = _relation_sets(p, "full GP sweep")
-    ring, coords, n = p.pf.ring, p.coords, p.ground.n
-    idx = _index_of(n, p.r)
-    everything = (1 << n) - 1
-    i = _first_unorthogonal_row(
-        ring,
-        (_signed_row(ring, coords, idx, n, s, s) for s in s_masks),
-        (_signed_row(ring, coords, idx, n, t, everything ^ t) for t in t_masks),
-    )
-    if i is None:
+    s_masks, t_masks, u_rows, w_rows = _gp_rows(p, "full GP sweep")
+    dirty = _dirty_test(p.pf.ring, w_rows)
+    s = next((s for s, u in zip(s_masks, u_rows) if dirty(u)), None)
+    if s is None:
         return GPVerdict(True)
-    verdict = _first_failure(p, ((s_masks[i], t) for t in t_masks))
+    verdict = _first_failure(p, ((s, t) for t in t_masks), partial(_relation_value, p))
     assert not verdict.ok, "the certificate's row holds no failing pair"
     return verdict
 
 
 def check_gp_3term(p: PluckerVector) -> GPVerdict:
-    """Sweep only the instances with |S - T| = 3 (three surviving terms) that can be nonzero."""
-    s_masks, t_masks = _relation_sets(p, "3-term GP sweep")
-    return _first_failure(
-        p, ((s, t) for s in s_masks for t in t_masks if (s & ~t).bit_count() == 3)
+    """Sweep the instances with |S - T| = 3 (three surviving terms) whose u_S is dirty."""
+    s_masks, t_masks, u_rows, w_rows = _gp_rows(p, "3-term GP sweep")
+    dirty = _dirty_test(p.pf.ring, w_rows)
+    pairs = (
+        (s, t)
+        for s, u in zip(s_masks, u_rows)
+        if dirty(u)
+        for t in t_masks
+        if (s & ~t).bit_count() == 3
     )
+    return _first_failure(p, pairs, partial(_relation_value, p))
 
 
 def classify_plucker(p: PluckerVector) -> PluckerClassification:

@@ -20,17 +20,14 @@ checks take only pairs from N, in the same colex order as the whole
 family: every skipped pair has only zero terms, so verdicts and the first
 failing pair are those over all pairs.
 
-The short family is swept pair by pair. The full family is bilinear: on
-2n coordinates (i, a), a in {0, 1}, the relation for (J1, J2) is minus the
-dot product u_J1 . w_J2, so the family over N is the symmetric product
-U W^T with a zero diagonal. It vanishes exactly when every u_J is
-orthogonal to an echelon basis of the w_J, at most 2n rows computed
-exactly over the ring's field of fractions. By symmetry the first u_J1
-that is not has its first failing partner later in colex order, and
-sweeping that row alone gives the pair sweep's witness and value. Either
-check is refused before it starts when it has more than SWEEP_BUDGET pairs
-from N to cover, the certificate included, so refusals do not depend on
-the method.
+Both families use the rank certificate of plucker.py: on 2n coordinates
+(i, a), a in {0, 1}, the relation for (J1, J2) is minus u_J1 . w_J2, so
+over N the family is the symmetric product U W^T with a zero diagonal.
+By symmetry the first dirty u_J1 has its first failing partner later in
+colex order, so the full check sweeps that row alone; the short check
+sweeps the rows of dirty J1 only. Either check is refused before it
+starts when it has more than SWEEP_BUDGET pairs from N to cover, so
+refusals do not depend on the method.
 
 A representation is a skew matrix A plus a twist set T; it induces the
 vector p_J = Pf(A restricted to J delta T). Reconstruction inverts this:
@@ -42,7 +39,8 @@ two-element coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from functools import cache, partial
+from typing import Callable, Mapping
 
 from .errors import ClassificationError, InputError, MembershipError
 from .exactalg import PartialField, SkewMatrix, all_principal_pfaffians
@@ -52,7 +50,8 @@ from .plucker import (
     _canonical_coords,
     _classify,
     _CoordinateVector,
-    _first_unorthogonal_row,
+    _dirty_test,
+    _first_failure,
     _neighbourhood,
 )
 from .verdicts import AxiomVerdict, Label
@@ -179,16 +178,6 @@ def _pair_value(ring, coords, j1: int, j2: int):
     return acc
 
 
-def _first_failure(p: WickVector, pairs) -> WickPairVerdict:
-    ring = p.pf.ring
-    coords = p.coords
-    for j1, j2 in pairs:
-        val = _pair_value(ring, coords, j1, j2)
-        if not ring.is_zero(val):
-            return WickPairVerdict(False, SubsetMask(p.ground, j1), SubsetMask(p.ground, j2), val)
-    return WickPairVerdict(True)
-
-
 def _wick_row(ring, coords, n: int, mask: int) -> list:
     """i -> (-1)**|mask below i| * p_{mask delta i}, at slot i + n * [i in mask] of 2n."""
     row = [0] * (2 * n)
@@ -200,32 +189,34 @@ def _wick_row(ring, coords, n: int, mask: int) -> list:
     return row
 
 
+def _wick_rows(p: WickVector, near: list[int]) -> tuple[Callable, Callable[[list], bool]]:
+    """J -> u_J, each row built once, and the test for a row dirty against the w_J of ``near``."""
+    n = p.ground.n
+    row = cache(partial(_wick_row, p.pf.ring, p.coords, n))
+    return row, _dirty_test(p.pf.ring, (u[n:] + u[:n] for u in map(row, near)))
+
+
 def check_wick_full(p: WickVector) -> WickPairVerdict:
     """Decide every unordered pair {J1, J2}, odd distances included, by the rank certificate.
 
-    Only pairs with both sets in the support's one-step neighbourhood N can
-    have a nonzero term. Over N the relations are the entries of U W^T,
-    where u_J = _wick_row(J) and w_J is u_J with its two halves swapped:
-    the slots of u_J1 and w_J2 meet exactly at the i in J1 delta J2, and
-    the signs multiply to minus the relation's. U W^T is symmetric with a
-    zero diagonal, so the first J1 of N whose row is not orthogonal to
-    every w_J has its first failing partner later in colex order, and that
-    row alone is swept.
+    u_J = _wick_row(J) and w_J is u_J with its two halves swapped: the
+    slots of u_J1 and w_J2 meet exactly at the i in J1 delta J2, and the
+    signs multiply to minus the relation's.
     """
     near = _neighbourhood(p)
     within_budget(len(near) * (len(near) - 1) // 2, "full Wick sweep")
-    ring, coords, n = p.pf.ring, p.coords, p.ground.n
-    u_rows = [_wick_row(ring, coords, n, j) for j in near]
-    i = _first_unorthogonal_row(ring, u_rows, (u[n:] + u[:n] for u in u_rows))
-    if i is None:
+    row, dirty = _wick_rows(p, near)
+    j1 = next((j for j in near if dirty(row(j))), None)
+    if j1 is None:
         return WickPairVerdict(True)
-    verdict = _first_failure(p, ((near[i], j2) for j2 in near[i + 1 :]))
+    pairs = ((j1, j2) for j2 in near if j2 > j1)
+    verdict = _first_failure(p, pairs, partial(_pair_value, p.pf.ring, p.coords), WickPairVerdict)
     assert not verdict.ok, "the certificate's row holds no failing pair"
     return verdict
 
 
 def check_wick_4term(p: WickVector) -> WickPairVerdict:
-    """Sweep only pairs at symmetric-difference distance four, both sets in N."""
+    """Sweep the pairs of N at symmetric-difference distance four whose u_J1 is dirty."""
     n = p.ground.n
     if n < 4:
         return WickPairVerdict(True)
@@ -233,12 +224,14 @@ def check_wick_4term(p: WickVector) -> WickPairVerdict:
     near = _neighbourhood(p)
     within_budget(len(near) * len(diffs), "4-term Wick sweep")
     members = set(near)
+    row, dirty = _wick_rows(p, near)
     pairs = (
         (j1, j2)
         for j1 in near
+        if dirty(row(j1))
         for j2 in sorted(j1 ^ d for d in diffs if j1 ^ d > j1 and j1 ^ d in members)
     )
-    return _first_failure(p, pairs)
+    return _first_failure(p, pairs, partial(_pair_value, p.pf.ring, p.coords), WickPairVerdict)
 
 
 def twist_wick(p: WickVector, t: SubsetMask) -> WickVector:

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+from omatroid import plucker, wick
 from omatroid.cli import main
 from omatroid.errors import CapabilityError, MembershipError, RankError
 from omatroid.exactalg import (
@@ -193,12 +194,12 @@ def test_twisting_keeps_both_wick_verdicts(name, data):
 
 
 # ---------------------------------------------------------------------------
-# the full families' rank certificate on dense vectors with a late coordinate moved
+# the rank certificate on dense vectors with a late coordinate moved
 #
-# The full checks decide their family by one echelon basis of the W rows. A
-# coordinate late in colex order reaches that basis only through the last W
-# rows, so moving one tests that the basis keeps every row it needs, and the
-# witness must still be the brute sweep's first failing pair.
+# Every check decides which rows are dirty by one echelon basis of the W
+# rows. A coordinate late in colex order reaches that basis only through the
+# last W rows, so moving one tests that the basis keeps every row it needs,
+# and the witness must still be the brute sweep's first failing pair.
 
 
 def _late_moved(pf, coords, late):
@@ -229,6 +230,16 @@ def _dense_wick(name, seed, n=8):
     return wick_from_representation(rep, pf)
 
 
+def _dense_plucker(name, seed=3):
+    """The maximal minors of a random 3 x 8 matrix."""
+    rng = random.Random(seed)
+    pf = PARTIAL_FIELDS[name]
+    entry = {"gf7": lambda: rng.randrange(7),
+             "qq": lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 3))}[name]
+    rows = [[entry() for _ in range(8)] for _ in range(3)]
+    return plucker_from_matrix(Matrix.from_rows(pf.ring, rows), pf)
+
+
 @pytest.mark.parametrize("name", ["gf7", "qq", "regular"])
 def test_full_wick_certificate_finds_the_brute_witness(name):
     p = _dense_wick(name, seed=8)
@@ -243,14 +254,23 @@ def test_full_wick_certificate_finds_the_brute_witness(name):
             assert type(v.value) is int  # the elimination over QQ leaks no Fraction
 
 
+@pytest.mark.parametrize("name", ["gf7", "qq", "regular"])
+def test_short_wick_certificate_finds_the_brute_witness(name):
+    p = _dense_wick(name, seed=8)
+    assert check_wick_4term(p).ok
+    for coords in _late_moved(p.pf, p.coords, late=4):
+        q = WickVector(p.ground, p.pf, tuple(coords))
+        v = check_wick_4term(q)
+        assert _verdict(v, "j1", "j2") == brute_wick_4term(q)
+        assert not v.ok
+        if name == "regular":
+            assert type(v.value) is int
+
+
 @pytest.mark.parametrize("name", ["gf7", "qq"])
 def test_full_gp_certificate_finds_the_brute_witness(name):
-    rng = random.Random(3)
-    pf = PARTIAL_FIELDS[name]
-    entry = {"gf7": lambda: rng.randrange(7),
-             "qq": lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 3))}[name]
-    rows = [[entry() for _ in range(8)] for _ in range(3)]
-    p = plucker_from_matrix(Matrix.from_rows(pf.ring, rows), pf)
+    p = _dense_plucker(name)
+    pf = p.pf
     assert len(p.support_masks()) >= comb(8, 3) - 8
     assert check_gp_full(p).ok
     for coords in _late_moved(pf, p.coords, late=4):
@@ -258,6 +278,39 @@ def test_full_gp_certificate_finds_the_brute_witness(name):
         v = check_gp_full(q)
         assert _verdict(v, "s", "t") == brute_gp_sweep(q, three_term_only=False)
         assert not v.ok
+
+
+@pytest.mark.parametrize("name", ["gf7", "qq"])
+def test_short_gp_certificate_finds_the_brute_witness(name):
+    p = _dense_plucker(name)
+    assert check_gp_3term(p).ok
+    for coords in _late_moved(p.pf, p.coords, late=4):
+        q = PluckerVector(p.ground, 3, p.pf, tuple(coords))
+        v = check_gp_3term(q)
+        assert _verdict(v, "s", "t") == brute_gp_sweep(q, three_term_only=True)
+        assert not v.ok
+
+
+def test_short_checks_sweep_no_pair_when_the_full_family_passes(monkeypatch):
+    # a passing full certificate leaves no dirty row, so no relation is evaluated
+    calls = []
+
+    def counting(value):
+        def counted(*args):
+            calls.append(args)
+            return value(*args)
+        return counted
+
+    monkeypatch.setattr(wick, "_pair_value", counting(wick._pair_value))
+    monkeypatch.setattr(plucker, "_relation_value", counting(plucker._relation_value))
+    w = _dense_wick("gf7", seed=8)
+    p = _dense_plucker("gf7")
+    assert check_wick_4term(w).ok
+    assert check_gp_3term(p).ok
+    assert calls == []
+    moved = next(_late_moved(w.pf, w.coords, late=1))
+    assert not check_wick_4term(WickVector(w.ground, w.pf, tuple(moved))).ok
+    assert calls  # the counters see the pairs a failing vector sweeps
 
 
 # ---------------------------------------------------------------------------
