@@ -8,7 +8,9 @@ Three kinds of work live here:
   symmetric exchange for every bitmap of a parity class at once;
   ``enumerate_orthogonal`` and the census both read it, and the tests hold
   it to the pair-by-pair exchange search in ``tests/oracles.py`` and to
-  ``matroid.is_orthogonal``;
+  ``matroid.is_orthogonal``. An orthogonal family is counted as a matroid
+  exactly when its members share one size, since symmetric exchange on
+  such a family is basis exchange; no separate matroid check is run;
 * representability over GF(2), GF(3), and the regular partial field, from
   one search: every skew matrix with entries among the field's values whose
   whole Pfaffian table stays among them, keeping the first matrix found for
@@ -44,7 +46,7 @@ from math import comb
 from .errors import CapabilityError, InputError
 from .exactalg import GF, SkewMatrix, ZZ, all_principal_pfaffians
 from .groundset import GroundSet, SubsetMask, mask_elements, within_budget
-from .matroid import BasisFamily, is_matroid, is_orthogonal
+from .matroid import BasisFamily, is_orthogonal
 from .wick import WickRepresentation
 
 #: Enumeration cap: 2**16 families per parity class at n = 5 is the desk limit.
@@ -72,8 +74,9 @@ ASYMPTOTIC_GAP_NOTE = (
     "the enumerated instances and the exact bound chain only"
 )
 LABELED_COUNT_NOTE = (
-    "counts are of labeled families on {1..n}; matroid counts come from a direct "
-    "exchange-axiom check, no isomorphism classes or external tables are inferred"
+    "counts are of labeled families on {1..n}; a family passing symmetric exchange is "
+    "counted as a matroid exactly when its members share one size, where symmetric "
+    "exchange is basis exchange; no isomorphism classes or external tables are inferred"
 )
 
 
@@ -313,10 +316,25 @@ def _candidates(n: int, start: int, stop: int):
         offset += count
 
 
+@lru_cache(maxsize=None)
+def _size_bitmaps(n: int, parity: int) -> tuple[int, ...]:
+    """For each size k of a parity class, the bitmap of all its k-subsets."""
+    subsets = _parity_subsets(n, parity)
+    return tuple(
+        sum(1 << i for i, s in enumerate(subsets) if s.bit_count() == k)
+        for k in range(parity, n + 1, 2)
+    )
+
+
 def _census_chunk(n: int, field: str, start: int, stop: int) -> tuple[str, Counter]:
-    """Record lines of candidates start .. stop - 1, and a tally of their flags."""
-    ground = GroundSet(n)
+    """Record lines of candidates start .. stop - 1, and a tally of their flags.
+
+    Symmetric exchange on a family of one member size is basis exchange, and
+    a matroid's bases share one size, so an orthogonal candidate is a
+    matroid exactly when its bitmap lies inside one size bitmap.
+    """
     orthogonal = (_orthogonal_bitmaps(n, 0), _orthogonal_bitmaps(n, 1))
+    sizes = (_size_bitmaps(n, 0), _size_bitmaps(n, 1))
     representable = _representable_families(n, field)
     endings = _record_endings(field)
     lines = []
@@ -324,11 +342,10 @@ def _census_chunk(n: int, field: str, start: int, stop: int) -> tuple[str, Count
     for parity, bits, bases in _candidates(n, start, stop):
         flags = (False, False, False)
         if bits in orthogonal[parity]:
-            members = _members(n, parity, bits)
             flags = (
                 True,
-                is_matroid(BasisFamily(ground, frozenset(members))).ok,
-                sum(1 << s for s in members) in representable,
+                any(not bits & ~size for size in sizes[parity]),
+                sum(1 << s for s in _members(n, parity, bits)) in representable,
             )
         tally[flags] += 1
         lines.append('{"bases":[' + bases + endings[flags])

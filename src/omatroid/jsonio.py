@@ -162,11 +162,14 @@ def _parse_coords(obj: Any, ranked: bool):
     coords_raw = obj.get("coords")
     if not isinstance(coords_raw, dict):
         raise InputError("'coords' must be an object keyed by subsets")
-    mapping = {}
+    mapping, keys = {}, {}
     for key, raw in coords_raw.items():
         bits = parse_subset_key(key, ground).bits
         if ranked and bits.bit_count() != r:
             raise InputError(f"coordinate key {key!r} does not name an {r}-subset")
+        if bits in keys:
+            raise InputError(f"coordinate keys {keys[bits]!r} and {key!r} name the same subset")
+        keys[bits] = key
         mapping[bits] = _parse_value(ring, raw, f"coordinate {key!r}")
     return ground, r, pf, mapping
 

@@ -10,36 +10,33 @@ where terms with x already in T vanish. The short family keeps only the
 pairs with |S - T| = 3, whose surviving three signs alternate. A vector is
 Strong when the full family vanishes, Weak when the short family vanishes
 and the support is a matroid, and Neither otherwise. Strong and Weak agree
-for vectors over a partial field; the checkers still compute both routes
-independently so that equivalence stays testable.
+for vectors over a partial field; the checkers still decide both families
+so that equivalence stays testable.
 
-A term p_{S-x} * p_{T+x} is nonzero only when both of its indices are in
-the support, so S and T are then both one element away from a support
-member. Both checks therefore take only the (r+1)-sets N_S and (r-1)-sets
-N_T of that one-step neighbourhood, in the same colex order as the whole
-family: every skipped pair has only zero terms, so verdicts and the first
-failing pair are those over all C(n, r+1) * C(n, r-1) pairs.
+A term is nonzero only when both of its indices are in the support, so
+only the (r+1)-sets N_S and (r-1)-sets N_T one element away from a support
+member are taken, in the colex order of the whole family: skipped pairs
+have only zero terms, so verdicts and witnesses are those over all pairs.
 
-Both families are bilinear: the relation for (S, T) is the dot product
-u_S . w_T of two rows on the coordinates x in 1..n, an entry of U W^T. A
-row u_S is dirty when it is not orthogonal to the span of the w_T, and a
-relation is nonzero only when its u_S is dirty. The full family vanishes
-exactly when no u_S is dirty, and sweeping the first dirty row gives the
-first failing T. The short check sweeps the rows of dirty S only, so it
-evaluates no pair when the full family vanishes. Either way the witness
-and its value are the pair sweep's. Either check is refused before it
-starts when its family has more than SWEEP_BUDGET pairs in N_S x N_T, so
-refusals do not depend on the method.
+Both families are read off one certificate per vector, _Certificate: the
+relation for (S, T) is u_S . w_T, an entry of U W^T for rows on 1..n. Only
+a dirty u_S, one not orthogonal to the span of the w_T, has a nonzero
+relation, so the full family vanishes exactly when no row is dirty and
+fails first in the first dirty row, and the short family is swept over
+dirty rows only. The classifiers decide both families from one certificate
+and one echelon basis. A check is refused before it starts when its family
+has more than SWEEP_BUDGET pairs in N_S x N_T, whatever the method.
 """
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import chain
+from itertools import chain, compress, tee
 from math import comb, gcd, lcm
 from operator import mul
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Mapping
 
 from .errors import ClassificationError, InputError, MembershipError, RankError
 from .exactalg import Matrix, PartialField, PrimeField, _field_rows, _reduce
@@ -95,8 +92,7 @@ class _CoordinateVector:
         raise NotImplementedError
 
     def support_masks(self) -> tuple[int, ...]:
-        ring = self.pf.ring
-        return tuple(m for m, v in zip(self.masks(), self.coords) if not ring.is_zero(v))
+        return tuple(compress(self.masks(), self.coords))  # zero is falsy in every ring
 
 
 def _neighbourhood(p: _CoordinateVector) -> list[int]:
@@ -238,30 +234,6 @@ def plucker_from_matrix(a: Matrix, pf: PartialField) -> PluckerVector:
     return PluckerVector(ground, r, pf, tuple(minors[s] for s in masks_of_size(n, r)))
 
 
-def _relation_value(p: PluckerVector, s_mask: int, t_mask: int):
-    ring = p.pf.ring
-    idx = _index_of(p.ground.n, p.r)
-    coords = p.coords
-    acc = ring.zero
-    m = s_mask
-    while m:
-        b = m & -m
-        m ^= b
-        if t_mask & b:
-            continue  # T + x collapses to a set of size r-1, the term is zero
-        x = b.bit_length()  # element label
-        v1 = coords[idx[s_mask ^ b]]
-        if ring.is_zero(v1):
-            continue
-        v2 = coords[idx[t_mask | b]]
-        if ring.is_zero(v2):
-            continue
-        term = ring.mul(v1, v2)
-        parity = (s_mask >> x).bit_count() + (t_mask >> x).bit_count()
-        acc = ring.sub(acc, term) if parity & 1 else ring.add(acc, term)
-    return acc
-
-
 def _dirty_test(ring, rows) -> Callable[[list], bool]:
     """A test for whether a row is dirty: not orthogonal to the span of ``rows``.
 
@@ -281,16 +253,17 @@ def _dirty_test(ring, rows) -> Callable[[list], bool]:
         return [x.numerator * (scale // x.denominator) for x in row]
 
     def grow():  # the basis rows still to come, each appended to ``basis`` when found
-        for w in map(whole, rows):
+        for row in map(whole, rows):
+            w = row
             for k, b in zip(pivots, basis):
                 c, f = b[k], w[k]
                 if f:
                     w = [c * x - f * y for x, y in zip(w, b)]
-            if p:
-                w = [x % p for x in w]
-            else:
+            if not p:
                 g = gcd(*w) or 1
                 w = [x // g for x in w]
+            elif w is not row:  # a row met unreduced holds ring values, already taken mod p
+                w = [x % p for x in w]
             if any(w):
                 pivots.append(next(k for k, x in enumerate(w) if x))
                 basis.append(w)
@@ -302,15 +275,69 @@ def _dirty_test(ring, rows) -> Callable[[list], bool]:
         u = whole(u)
         if not any(u):
             return False
-        dots = (sum(map(mul, u, b)) for b in chain(basis, growth))
-        return any(d % p for d in dots) if p else any(dots)
+        spanning = chain(basis, growth)
+        if p:
+            return any(sum(map(mul, u, b)) % p for b in spanning)
+        return any(sum(map(mul, u, b)) for b in spanning)
 
     return dirty
 
 
-def _signed_row(ring, coords, idx, n: int, mask: int, elems: int) -> list:
-    """x -> (-1)**|mask above x| * p_{mask delta x} for the elements x in ``elems``, else 0."""
+class _Built(dict):
+    """A dict that builds each missing value once, as ``build(key)``."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
+
+
+class _Certificate:
+    """The relations of one vector over N as the entries sign * u_a . w_b of U W^T.
+
+    ``u`` and ``w`` build each row once, the only place the relation's signs
+    live. Row a is dirty when u_a is not orthogonal to the span of the
+    columns, as one lazy _dirty_test decides. Each walk over the rows reads
+    a copy of one tee of the verdicts, so it replays those found so far.
+    """
+
+    def __init__(self, p: _CoordinateVector, rows, cols, u, w, sign: int, verdict):
+        self.ground, self.ring, self.rows, self.cols = p.ground, p.pf.ring, rows, cols
+        self.u, self.w, self.sign, self.verdict = u, w, sign, verdict
+        test = _dirty_test(self.ring, map(w.__getitem__, cols))
+        self.verdicts = tee(map(test, map(u.__getitem__, rows)), 1)[0]
+
+    def value(self, a: int, b: int):
+        return self.ring.coerce(self.sign * sum(map(mul, self.u[a], self.w[b])))
+
+    def failure(self, a: int, partners):
+        """The first (a, b), b in ``partners``, with a nonzero relation, as a failing verdict."""
+        for b in partners:
+            if not self.ring.is_zero(val := self.value(a, b)):
+                g = self.ground
+                return self.verdict(False, SubsetMask(g, a), SubsetMask(g, b), val)
+
+    def full(self, partners: Callable):
+        """No dirty row, or the first failing (a, b) of the first dirty a, b in ``partners(a)``."""
+        a = next(compress(self.rows, copy(self.verdicts)), None)
+        if a is None:
+            return self.verdict(True)
+        verdict = self.failure(a, partners(a))
+        assert verdict is not None, "the certificate's row holds no failing pair"
+        return verdict
+
+    def short(self, partners: Callable):
+        """The first failing (a, b) over the dirty a, b in ``partners(a)``."""
+        failures = (self.failure(a, partners(a)) for a in compress(self.rows, copy(self.verdicts)))
+        return next((v for v in failures if v is not None), self.verdict(True))
+
+
+def _signed_row(ring, coords, idx, n: int, flip: int, mask: int) -> list:
+    """x -> (-1)**|mask above x| * p_{mask delta x} for the x in ``mask ^ flip``, else 0."""
     row = [0] * n
+    elems = mask ^ flip
     while elems:
         b = elems & -elems
         elems ^= b
@@ -320,77 +347,54 @@ def _signed_row(ring, coords, idx, n: int, mask: int, elems: int) -> list:
     return row
 
 
-def _first_failure(p: _CoordinateVector, pairs, value, verdict=GPVerdict):
-    """The first of ``pairs`` (a, b) with a nonzero ``value(a, b)``, as a failing ``verdict``."""
-    ring = p.pf.ring
-    for a, b in pairs:
-        val = value(a, b)
-        if not ring.is_zero(val):
-            return verdict(False, SubsetMask(p.ground, a), SubsetMask(p.ground, b), val)
-    return verdict(True)
+def _gp_certificate(p: PluckerVector) -> _Certificate:
+    """N_S as rows u_S, _signed_row on the x in S, and N_T as columns w_T, on the x not in T."""
+    near, n, r = _neighbourhood(p), p.ground.n, p.r
+    row = partial(_signed_row, p.pf.ring, p.coords, _index_of(n, r), n)
+    u, w = _Built(partial(row, 0)), _Built(partial(row, (1 << n) - 1))
+    s_masks = [m for m in near if m.bit_count() == r + 1]
+    t_masks = [m for m in near if m.bit_count() == r - 1]
+    return _Certificate(p, s_masks, t_masks, u, w, 1, GPVerdict)
 
 
-def _gp_rows(p: PluckerVector, family: str) -> tuple[list[int], list[int], Iterator, Iterator]:
-    """The (r+1)-sets and (r-1)-sets of N, once their pairs fit the budget, and lazy rows."""
-    near = _neighbourhood(p)
-    s_masks = [m for m in near if m.bit_count() == p.r + 1]
-    t_masks = [m for m in near if m.bit_count() == p.r - 1]
-    within_budget(len(s_masks) * len(t_masks), family)
-    ring, coords, n = p.pf.ring, p.coords, p.ground.n
-    idx = _index_of(n, p.r)
-    everything = (1 << n) - 1
-    u_rows = (_signed_row(ring, coords, idx, n, s, s) for s in s_masks)
-    w_rows = (_signed_row(ring, coords, idx, n, t, everything ^ t) for t in t_masks)
-    return s_masks, t_masks, u_rows, w_rows
+def _gp_full(cert: _Certificate) -> GPVerdict:
+    within_budget(len(cert.rows) * len(cert.cols), "full GP sweep")
+    return cert.full(lambda s: cert.cols)
+
+
+def _gp_3term(cert: _Certificate) -> GPVerdict:
+    within_budget(len(cert.rows) * len(cert.cols), "3-term GP sweep")
+    return cert.short(lambda s: (t for t in cert.cols if (s & ~t).bit_count() == 3))
 
 
 def check_gp_full(p: PluckerVector) -> GPVerdict:
-    """Decide all C(n, r+1) * C(n, r-1) relation instances by the rank certificate.
-
-    u_S(x) = sign * p_{S - x} for x in S and w_T(x) = sign * p_{T + x} for
-    x outside T, each sign being -1 to the number of the set's elements
-    above x.
-    """
-    s_masks, t_masks, u_rows, w_rows = _gp_rows(p, "full GP sweep")
-    dirty = _dirty_test(p.pf.ring, w_rows)
-    s = next((s for s, u in zip(s_masks, u_rows) if dirty(u)), None)
-    if s is None:
-        return GPVerdict(True)
-    verdict = _first_failure(p, ((s, t) for t in t_masks), partial(_relation_value, p))
-    assert not verdict.ok, "the certificate's row holds no failing pair"
-    return verdict
+    """Decide all C(n, r+1) * C(n, r-1) relation instances by the rank certificate."""
+    return _gp_full(_gp_certificate(p))
 
 
 def check_gp_3term(p: PluckerVector) -> GPVerdict:
     """Sweep the instances with |S - T| = 3 (three surviving terms) whose u_S is dirty."""
-    s_masks, t_masks, u_rows, w_rows = _gp_rows(p, "3-term GP sweep")
-    dirty = _dirty_test(p.pf.ring, w_rows)
-    pairs = (
-        (s, t)
-        for s, u in zip(s_masks, u_rows)
-        if dirty(u)
-        for t in t_masks
-        if (s & ~t).bit_count() == 3
-    )
-    return _first_failure(p, pairs, partial(_relation_value, p))
+    return _gp_3term(_gp_certificate(p))
 
 
 def classify_plucker(p: PluckerVector) -> PluckerClassification:
-    """Strongest satisfied label plus the evidence for each route."""
-    return _classify(
-        PluckerClassification, check_gp_full(p), check_gp_3term(p), is_matroid(plucker_support(p))
-    )
+    """Strongest satisfied label plus the evidence for each route, from one certificate."""
+    cert = _gp_certificate(p)
+    full, short = _gp_full(cert), _gp_3term(cert)
+    return _classify(PluckerClassification, full, short, is_matroid(plucker_support(p)))
 
 
 def _classify(cls, full, short, support):
     """Strong if the full family vanishes, Weak if the short one does on an axiom-sound support."""
-    if full.ok:
-        label = Label.STRONG
-    elif short.ok and support.ok:
-        label = Label.WEAK
-    else:
-        label = Label.NEITHER
+    label = Label.STRONG if full.ok else Label.WEAK if short.ok and support.ok else Label.NEITHER
     return cls(label, full, short, support)
+
+
+def _weak_gate(support: AxiomVerdict, short, axiom: str) -> None:
+    """Refuse to reconstruct a vector whose short family or support axiom fails."""
+    if not (short.ok and support.ok):
+        message = f"vector is not Weak (short relations or {axiom} fail); cannot reconstruct"
+        raise ClassificationError(message)
 
 
 def reconstruct_plucker(p: PluckerVector) -> Matrix:
@@ -402,14 +406,8 @@ def reconstruct_plucker(p: PluckerVector) -> Matrix:
     read off the near-basis coordinates p_{B - b_i + j} with the
     row/position sign that makes the corresponding minor come out right.
     """
-    support = is_matroid(plucker_support(p))
-    short = check_gp_3term(p)
-    if not (short.ok and support.ok):
-        raise ClassificationError(
-            "vector is not Weak (short relations or matroid support fail); cannot reconstruct"
-        )
-    ring = p.pf.ring
-    n, r = p.ground.n, p.r
+    _weak_gate(is_matroid(plucker_support(p)), check_gp_3term(p), "matroid support")
+    ring, n, r = p.pf.ring, p.ground.n, p.r
     idx = _index_of(n, r)
     b_mask = min(p.support_masks())  # the first nonzero coordinate, which scaling made 1
     b_elems = SubsetMask(p.ground, b_mask).elements()

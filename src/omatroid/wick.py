@@ -13,21 +13,18 @@ parity. The short family keeps only pairs at distance four. A vector is
 Strong when the full family vanishes, Weak when the short family vanishes
 and the support satisfies symmetric exchange, Neither otherwise.
 
-A term p_{J1 delta i} * p_{J2 delta i} is nonzero only when both of its
-indices are in the support, so J1 and J2 both lie in the support's
-one-step neighbourhood N = {u delta {i} : u in support, i in 1..n}. Both
-checks take only pairs from N, in the same colex order as the whole
-family: every skipped pair has only zero terms, so verdicts and the first
-failing pair are those over all pairs.
+A term is nonzero only when both of its indices are in the support, so
+only pairs from the support's one-step neighbourhood
+N = {u delta {i} : u in support, i in 1..n} are taken, in the colex order
+of the whole family: verdicts and witnesses are those over all pairs.
 
-Both families use the rank certificate of plucker.py: on 2n coordinates
-(i, a), a in {0, 1}, the relation for (J1, J2) is minus u_J1 . w_J2, so
-over N the family is the symmetric product U W^T with a zero diagonal.
-By symmetry the first dirty u_J1 has its first failing partner later in
-colex order, so the full check sweeps that row alone; the short check
-sweeps the rows of dirty J1 only. Either check is refused before it
-starts when it has more than SWEEP_BUDGET pairs from N to cover, so
-refusals do not depend on the method.
+Both families are read off the certificate of plucker.py on 2n slots
+(i, a), a in {0, 1}: the relation for (J1, J2) is minus u_J1 . w_J2, and
+U W^T is symmetric with a zero diagonal, so the first dirty u_J1 fails
+first against a later partner. The full check sweeps that row alone, the
+short check the dirty rows only, and classify_wick decides both from one
+certificate. Either check is refused before it starts when it has more
+than SWEEP_BUDGET pairs from N to cover, whatever the method.
 
 A representation is a skew matrix A plus a twist set T; it induces the
 vector p_J = Pf(A restricted to J delta T). Reconstruction inverts this:
@@ -39,20 +36,21 @@ two-element coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, partial
-from typing import Callable, Mapping
+from functools import partial
+from typing import Mapping
 
-from .errors import ClassificationError, InputError, MembershipError
+from .errors import InputError, MembershipError
 from .exactalg import PartialField, SkewMatrix, all_principal_pfaffians
 from .groundset import GroundSet, SubsetMask, masks_of_size, within_budget
 from .matroid import BasisFamily, is_orthogonal
 from .plucker import (
+    _Built,
     _canonical_coords,
+    _Certificate,
     _classify,
     _CoordinateVector,
-    _dirty_test,
-    _first_failure,
     _neighbourhood,
+    _weak_gate,
 )
 from .verdicts import AxiomVerdict, Label
 
@@ -159,25 +157,6 @@ def wick_from_representation(rep: WickRepresentation, pf: PartialField) -> WickV
     return WickVector(ground, pf, tuple(table[m ^ tb] for m in range(1 << a.size)))
 
 
-def _pair_value(ring, coords, j1: int, j2: int):
-    acc = ring.zero
-    pos = 0
-    m = j1 ^ j2
-    while m:
-        b = m & -m
-        m ^= b
-        pos += 1
-        v1 = coords[j1 ^ b]
-        if ring.is_zero(v1):
-            continue
-        v2 = coords[j2 ^ b]
-        if ring.is_zero(v2):
-            continue
-        term = ring.mul(v1, v2)
-        acc = ring.sub(acc, term) if pos & 1 else ring.add(acc, term)
-    return acc
-
-
 def _wick_row(ring, coords, n: int, mask: int) -> list:
     """i -> (-1)**|mask below i| * p_{mask delta i}, at slot i + n * [i in mask] of 2n."""
     row = [0] * (2 * n)
@@ -189,49 +168,40 @@ def _wick_row(ring, coords, n: int, mask: int) -> list:
     return row
 
 
-def _wick_rows(p: WickVector, near: list[int]) -> tuple[Callable, Callable[[list], bool]]:
-    """J -> u_J, each row built once, and the test for a row dirty against the w_J of ``near``."""
-    n = p.ground.n
-    row = cache(partial(_wick_row, p.pf.ring, p.coords, n))
-    return row, _dirty_test(p.pf.ring, (u[n:] + u[:n] for u in map(row, near)))
+def _wick_certificate(p: WickVector) -> _Certificate:
+    """N as rows u_J = _wick_row(J) and as columns w_J, u_J with its halves swapped.
+
+    Their slots meet at the i in J1 delta J2, and the signs multiply to minus the relation's.
+    """
+    near, n = _neighbourhood(p), p.ground.n
+    u = _Built(partial(_wick_row, p.pf.ring, p.coords, n))
+    w = _Built(lambda j: (row := u[j])[n:] + row[:n])
+    return _Certificate(p, near, near, u, w, -1, WickPairVerdict)
+
+
+def _wick_full(cert: _Certificate) -> WickPairVerdict:
+    within_budget(len(cert.rows) * (len(cert.rows) - 1) // 2, "full Wick sweep")
+    return cert.full(lambda j1: (j2 for j2 in cert.rows if j2 > j1))
+
+
+def _wick_4term(cert: _Certificate) -> WickPairVerdict:
+    n, near = cert.ground.n, cert.rows
+    if n < 4:
+        return WickPairVerdict(True)
+    diffs = masks_of_size(n, 4)
+    within_budget(len(near) * len(diffs), "4-term Wick sweep")
+    members = set(near)
+    return cert.short(lambda j1: sorted(j1 ^ d for d in diffs if j1 ^ d > j1 and j1 ^ d in members))
 
 
 def check_wick_full(p: WickVector) -> WickPairVerdict:
-    """Decide every unordered pair {J1, J2}, odd distances included, by the rank certificate.
-
-    u_J = _wick_row(J) and w_J is u_J with its two halves swapped: the
-    slots of u_J1 and w_J2 meet exactly at the i in J1 delta J2, and the
-    signs multiply to minus the relation's.
-    """
-    near = _neighbourhood(p)
-    within_budget(len(near) * (len(near) - 1) // 2, "full Wick sweep")
-    row, dirty = _wick_rows(p, near)
-    j1 = next((j for j in near if dirty(row(j))), None)
-    if j1 is None:
-        return WickPairVerdict(True)
-    pairs = ((j1, j2) for j2 in near if j2 > j1)
-    verdict = _first_failure(p, pairs, partial(_pair_value, p.pf.ring, p.coords), WickPairVerdict)
-    assert not verdict.ok, "the certificate's row holds no failing pair"
-    return verdict
+    """Decide every unordered pair {J1, J2}, odd distances included, by the rank certificate."""
+    return _wick_full(_wick_certificate(p))
 
 
 def check_wick_4term(p: WickVector) -> WickPairVerdict:
     """Sweep the pairs of N at symmetric-difference distance four whose u_J1 is dirty."""
-    n = p.ground.n
-    if n < 4:
-        return WickPairVerdict(True)
-    diffs = masks_of_size(n, 4)
-    near = _neighbourhood(p)
-    within_budget(len(near) * len(diffs), "4-term Wick sweep")
-    members = set(near)
-    row, dirty = _wick_rows(p, near)
-    pairs = (
-        (j1, j2)
-        for j1 in near
-        if dirty(row(j1))
-        for j2 in sorted(j1 ^ d for d in diffs if j1 ^ d > j1 and j1 ^ d in members)
-    )
-    return _first_failure(p, pairs, partial(_pair_value, p.pf.ring, p.coords), WickPairVerdict)
+    return _wick_4term(_wick_certificate(p))
 
 
 def twist_wick(p: WickVector, t: SubsetMask) -> WickVector:
@@ -244,9 +214,10 @@ def twist_wick(p: WickVector, t: SubsetMask) -> WickVector:
 
 
 def classify_wick(p: WickVector) -> WickClassification:
-    return _classify(
-        WickClassification, check_wick_full(p), check_wick_4term(p), is_orthogonal(wick_support(p))
-    )
+    """Strongest satisfied label plus the evidence for each route, from one certificate."""
+    cert = _wick_certificate(p)
+    full, short = _wick_full(cert), _wick_4term(cert)
+    return _classify(WickClassification, full, short, is_orthogonal(wick_support(p)))
 
 
 def reconstruct_wick(p: WickVector) -> WickRepresentation:
@@ -257,12 +228,7 @@ def reconstruct_wick(p: WickVector) -> WickRepresentation:
     made p_T = 1; after twisting by T, entry a_ij is the coordinate of
     {i, j}.
     """
-    support = is_orthogonal(wick_support(p))
-    short = check_wick_4term(p)
-    if not (short.ok and support.ok):
-        raise ClassificationError(
-            "vector is not Weak (short relations or symmetric exchange fail); cannot reconstruct"
-        )
+    _weak_gate(is_orthogonal(wick_support(p)), check_wick_4term(p), "symmetric exchange")
     n = p.ground.n
     t_mask = min(p.support_masks())  # the first nonzero coordinate, which scaling made 1
     upper = [p.coords[((1 << i) | (1 << j)) ^ t_mask] for i in range(n) for j in range(i + 1, n)]

@@ -193,6 +193,18 @@ def test_census_jsonl_and_resume(tmp_path):
         representability_census(3, "gf2", out_path=str(over))
 
 
+def test_census_matroid_flags_match_is_matroid(tmp_path):
+    # the census reads the matroid flag off member sizes; every family of a
+    # record, orthogonal or not, must get the verdict is_matroid gives it
+    for n in range(5):
+        out = tmp_path / f"census{n}.jsonl"
+        representability_census(n, "gf2", out_path=str(out))
+        for line in out.read_text().splitlines():
+            record = json.loads(line)
+            f = fam(n, *record["bases"])
+            assert record.get("matroid", False) == is_matroid(f).ok, record
+
+
 def test_supports_hold_the_empty_set():
     # the twist set behind the census is sound only because Pf of the empty matrix is 1
     for field, top in (("gf2", 5), ("gf3", 4)):

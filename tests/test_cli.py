@@ -267,6 +267,27 @@ def test_vector_verbs_refuse_the_other_schema(tmp_path, capsys, verb, vector, na
     assert named in error["message"]
 
 
+@pytest.mark.parametrize(
+    "verbs, vector",
+    [
+        (["check-wick", "twist"],
+         {"n": 3, "ring": {"kind": "gfp", "p": 7}, "coords": {"": "1", "1,2": "3", "2,1": "5"}}),
+        (["check-plucker"],
+         {"n": 3, "r": 2, "ring": {"kind": "gfp", "p": 7}, "coords": {"1,2": "1", "2,1": "2"}}),
+    ],
+    ids=["wick", "plucker"],
+)
+def test_vector_naming_one_subset_twice_is_refused(tmp_path, capsys, verbs, vector):
+    path = write(tmp_path, "v.json", vector)
+    for verb in verbs:
+        argv = [verb, "--by", "1", path] if verb == "twist" else [verb, path]
+        code, out, _ = run(capsys, *argv)
+        assert code == 2
+        error = report_of(out)["error"]
+        assert error["type"] == "InputError"
+        assert "'1,2'" in error["message"] and "'2,1'" in error["message"]
+
+
 def test_pfaffian_verb(tmp_path, capsys):
     wmat = write(tmp_path, "wm.json", WICK_MATRIX)
     code, out, _ = run(capsys, "pfaffian", wmat)

@@ -1,4 +1,4 @@
-"""The neighbourhood sweeps against the brute sweeps, twists, and the sweep budget.
+"""The neighbourhood sweeps against the brute sweeps, the classifiers, twists and the budget.
 
 The Wick and Grassmann-Plucker sweeps walk only pairs whose sets lie one
 element away from the support. The brute sweeps in ``oracles`` walk every
@@ -12,6 +12,7 @@ or one coordinate of the other size parity made nonzero.
 import json
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from omatroid import plucker, wick
+from omatroid import plucker
 from omatroid.cli import main
 from omatroid.errors import CapabilityError, MembershipError, RankError
 from omatroid.exactalg import (
@@ -39,6 +40,7 @@ from omatroid.plucker import (
     _neighbourhood,
     check_gp_3term,
     check_gp_full,
+    classify_plucker,
     plucker_from_matrix,
 )
 from omatroid.wick import (
@@ -46,6 +48,7 @@ from omatroid.wick import (
     WickVector,
     check_wick_4term,
     check_wick_full,
+    classify_wick,
     twist_wick,
     wick_from_representation,
 )
@@ -301,8 +304,7 @@ def test_short_checks_sweep_no_pair_when_the_full_family_passes(monkeypatch):
             return value(*args)
         return counted
 
-    monkeypatch.setattr(wick, "_pair_value", counting(wick._pair_value))
-    monkeypatch.setattr(plucker, "_relation_value", counting(plucker._relation_value))
+    monkeypatch.setattr(plucker._Certificate, "value", counting(plucker._Certificate.value))
     w = _dense_wick("gf7", seed=8)
     p = _dense_plucker("gf7")
     assert check_wick_4term(w).ok
@@ -311,6 +313,63 @@ def test_short_checks_sweep_no_pair_when_the_full_family_passes(monkeypatch):
     moved = next(_late_moved(w.pf, w.coords, late=1))
     assert not check_wick_4term(WickVector(w.ground, w.pf, tuple(moved))).ok
     assert calls  # the counters see the pairs a failing vector sweeps
+
+
+# ---------------------------------------------------------------------------
+# the classifiers read both families off one certificate
+
+
+def _same_verdict(v, w):
+    """Two sweep verdicts equal field for field, the value's type included."""
+    return v == w and type(v.value) is type(w.value)
+
+
+def _assert_classify_matches_checks(p):
+    if isinstance(p, WickVector):
+        c, full, short = classify_wick(p), check_wick_full(p), check_wick_4term(p)
+    else:
+        c, full, short = classify_plucker(p), check_gp_full(p), check_gp_3term(p)
+    assert _same_verdict(c.full, full)
+    assert _same_verdict(c.short, short)
+
+
+@pytest.mark.parametrize("name", sorted(PARTIAL_FIELDS))
+@SWEEPS
+@given(data=st.data())
+def test_classify_reads_the_checks_verdicts(name, data):
+    _assert_classify_matches_checks(data.draw(wick_vectors(name)))
+    _assert_classify_matches_checks(data.draw(plucker_vectors(name)))
+
+
+@pytest.mark.parametrize("name", ["gf7", "qq", "regular"])
+def test_classify_reads_the_checks_verdicts_on_late_moved_vectors(name):
+    vectors = [_dense_wick(name, seed=8)]
+    if name != "regular":
+        vectors.append(_dense_plucker(name))
+    for p in vectors:
+        _assert_classify_matches_checks(p)
+        for coords in _late_moved(p.pf, p.coords, late=4):
+            _assert_classify_matches_checks(replace(p, coords=tuple(coords)))
+
+
+def test_classify_builds_one_certificate(monkeypatch):
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return dirty_test(*args)
+
+    dirty_test = plucker._dirty_test
+    monkeypatch.setattr(plucker, "_dirty_test", counted)
+    w = _dense_wick("gf7", seed=8)
+    p = _dense_plucker("gf7")
+    moved_w = WickVector(w.ground, w.pf, tuple(next(_late_moved(w.pf, w.coords, late=1))))
+    moved_p = PluckerVector(p.ground, 3, p.pf, tuple(next(_late_moved(p.pf, p.coords, late=1))))
+    for vector, classify in ((w, classify_wick), (moved_w, classify_wick),
+                             (p, classify_plucker), (moved_p, classify_plucker)):
+        built.clear()
+        classify(vector)
+        assert len(built) == 1
 
 
 # ---------------------------------------------------------------------------
