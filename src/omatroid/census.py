@@ -37,7 +37,6 @@ import os
 import time
 from collections import Counter
 from contextlib import nullcontext
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -45,7 +44,7 @@ from math import comb
 
 from .errors import CapabilityError, InputError
 from .exactalg import GF, SkewMatrix, ZZ, all_principal_pfaffians
-from .groundset import GroundSet, SubsetMask, mask_elements, within_budget
+from .groundset import GroundSet, SubsetMask, mask_elements, record, within_budget
 from .matroid import BasisFamily, is_orthogonal
 from .wick import WickRepresentation
 
@@ -242,7 +241,7 @@ def find_regular_representation(f: BasisFamily) -> WickRepresentation | None:
 # representability census
 
 
-@dataclass(frozen=True)
+@record
 class CensusReport:
     n: int
     field: str
@@ -440,7 +439,7 @@ def representability_census(
 # certified bound chain
 
 
-@dataclass(frozen=True)
+@record
 class BoundCheck:
     """Outcome of the exact bound-chain verification at one n."""
 
@@ -545,7 +544,7 @@ def verify_nelson_chain(
 # realizable zero-pattern demo
 
 
-@dataclass(frozen=True)
+@record
 class RealizableSetsDemo:
     """Exhaustive zero patterns of the principal Pfaffians over a small field."""
 

@@ -20,14 +20,13 @@ O(2**n * n); rational input runs on integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from typing import Sequence
 
 from .errors import InputError, MapUndefinedError
-from .groundset import SubsetMask, mask_elements, within_budget
+from .groundset import SubsetMask, mask_elements, record, within_budget
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +245,7 @@ UNITS_ALL = "all"
 UNITS_PM_ONE = "pm_one"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class PartialField:
     """A ring together with the unit group allowed in representations.
 
@@ -299,7 +298,7 @@ REGULAR = PartialField(ZZ, UNITS_PM_ONE)
 # matrices
 
 
-@dataclass(frozen=True)
+@record
 class Matrix:
     """An immutable rows x cols matrix over one ring, row-major entries.
 
@@ -550,7 +549,7 @@ HOM_INT_TO_GFP = "int_to_gfp"
 HOM_RAT_TO_GFP = "rat_to_gfp"
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Homomorphism:
     """A ring homomorphism carrying units of the source into units of the target."""
 

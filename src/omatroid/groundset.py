@@ -8,8 +8,8 @@ sizes alike. Every value here is immutable and safe to share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 from .errors import CapabilityError, InputError
@@ -37,7 +37,43 @@ def within_budget(steps: int, task: str, unit: str = "candidate pairs") -> None:
         )
 
 
-@dataclass(frozen=True, slots=True)
+def record(cls):
+    """Make ``cls`` a frozen, slotted record of its annotated fields, as a frozen dataclass
+    would be (a class-body value is a default), but with no source compiled at import."""
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    ns = {k: v for k, v in cls.__dict__.items() if k not in ("__dict__", "__weakref__")}
+    defaults = {name: ns.pop(name) for name in names if name in ns}
+    key = attrgetter(*names) if len(names) > 1 else lambda self: (getattr(self, names[0]),)
+    post_init, set_field = hasattr(cls, "__post_init__"), object.__setattr__
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) < len(names):
+            try:
+                args += tuple(kwargs.pop(n) if n in kwargs else defaults[n] for n in names[len(args):])
+            except KeyError as exc:
+                raise TypeError(f"{cls.__name__}() is missing the field {exc}") from None
+        if kwargs or len(args) > len(names):
+            raise TypeError(f"{cls.__name__}() takes the fields {', '.join(names)}, each once")
+        for name, value in zip(names, args):
+            set_field(self, name, value)
+        if post_init:
+            self.__post_init__()
+
+    def __repr__(self):
+        fields = ", ".join(map("%s=%r".__mod__, zip(names, key(self))))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def frozen(self, name, *value):
+        raise AttributeError(f"{self.__class__.__name__} is frozen: {name!r} cannot change")
+
+    ns.setdefault("__repr__", __repr__)
+    ns.update(__slots__=names, __init__=__init__, __setattr__=frozen, __delattr__=frozen,
+              __eq__=lambda a, b: key(a) == key(b) if b.__class__ is a.__class__ else NotImplemented,
+              __hash__=lambda a: hash(key(a)), __reduce__=lambda a: (a.__class__, key(a)))
+    return type(cls.__name__, cls.__bases__, ns)
+
+
+@record
 class GroundSet:
     """The index set {1, ..., n}."""
 
@@ -65,7 +101,7 @@ class GroundSet:
         return SubsetMask(self, bits)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SubsetMask:
     """An immutable subset of a ground set, stored as a bitmask."""
 

@@ -10,6 +10,7 @@ zeros.
 from __future__ import annotations
 
 import json
+import sys
 from typing import Any
 
 from .errors import InputError
@@ -279,15 +280,23 @@ def representation_to_json(rep: WickRepresentation, pf: PartialField) -> dict:
 # io helpers
 
 
+def _unique_keys(pairs: list) -> dict:
+    """The object of ``pairs``; InputError if one key appears twice."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        key = next(k for k, _ in pairs if k in seen or seen.add(k))
+        raise InputError(f"key {key!r} appears twice in one JSON object")
+    return obj
+
+
 def load_json(path: str):
     """Parse a JSON document from a path, or stdin when the path is '-'."""
-    import sys
-
     try:
         if path == "-":
-            return json.load(sys.stdin)
+            return json.load(sys.stdin, object_pairs_hook=_unique_keys)
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
     except OSError as exc:

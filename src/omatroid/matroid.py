@@ -26,15 +26,14 @@ they are stable golden data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import InputError
-from .groundset import GroundSet, SubsetMask, mask_elements, within_budget
+from .groundset import GroundSet, SubsetMask, mask_elements, record, within_budget
 from .verdicts import AxiomVerdict
 
 
-@dataclass(frozen=True)
+@record
 class BasisFamily:
     """A nonempty, deduplicated family of subsets of a common ground set."""
 

@@ -31,7 +31,6 @@ has more than SWEEP_BUDGET pairs in N_S x N_T, whatever the method.
 from __future__ import annotations
 
 from copy import copy
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import chain, compress, tee
 from math import comb, gcd, lcm
@@ -46,6 +45,7 @@ from .groundset import (  # SWEEP_BUDGET stays importable from here, next to the
     SubsetMask,
     mask_elements,
     masks_of_size,
+    record,
     within_budget,
 )
 from .matroid import BasisFamily, is_matroid
@@ -106,7 +106,7 @@ def _neighbourhood(p: _CoordinateVector) -> list[int]:
     return sorted({u ^ b for u in p.support_masks() for b in bits})
 
 
-@dataclass(frozen=True)
+@record
 class PluckerVector(_CoordinateVector):
     """Projective point indexed by the r-subsets of {1..n} in colex order.
 
@@ -154,7 +154,7 @@ class PluckerVector(_CoordinateVector):
         return self.coords[idx]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class GPVerdict:
     """Result of sweeping a family of exchange relations.
 
@@ -171,7 +171,7 @@ class GPVerdict:
         return self.ok
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class PluckerClassification:
     label: Label
     full: GPVerdict

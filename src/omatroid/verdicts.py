@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
-from .groundset import SubsetMask
+from .groundset import SubsetMask, record
 
 
 class Label(enum.Enum):
@@ -19,7 +18,7 @@ class Label(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class AxiomVerdict:
     """Outcome of a basis-family axiom check.
 

@@ -35,13 +35,12 @@ two-element coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Mapping
 
 from .errors import InputError, MembershipError
 from .exactalg import PartialField, SkewMatrix, all_principal_pfaffians
-from .groundset import GroundSet, SubsetMask, masks_of_size, within_budget
+from .groundset import GroundSet, SubsetMask, masks_of_size, record, within_budget
 from .matroid import BasisFamily, is_orthogonal
 from .plucker import (
     _Built,
@@ -55,7 +54,7 @@ from .plucker import (
 from .verdicts import AxiomVerdict, Label
 
 
-@dataclass(frozen=True)
+@record
 class WickVector(_CoordinateVector):
     """Projective point indexed by all 2**n subsets, mask order = colex order.
 
@@ -94,7 +93,7 @@ class WickVector(_CoordinateVector):
         return self.coords[j.bits]
 
 
-@dataclass(frozen=True)
+@record
 class WickRepresentation:
     """A skew matrix plus a twist set over the matrix's index set."""
 
@@ -109,7 +108,7 @@ class WickRepresentation:
             )
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class WickPairVerdict:
     """Sweep outcome; on failure (j1, j2) is the numerically first bad pair."""
 
@@ -122,7 +121,7 @@ class WickPairVerdict:
         return self.ok
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class WickClassification:
     label: Label
     full: WickPairVerdict

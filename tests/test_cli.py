@@ -288,6 +288,25 @@ def test_vector_naming_one_subset_twice_is_refused(tmp_path, capsys, verbs, vect
         assert "'1,2'" in error["message"] and "'2,1'" in error["message"]
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"n":3,"ring":{"kind":"gfp","p":7},"coords":{"":"1","1,2":"3","1,2":"5"}}', "'1,2'"),
+        ('{"n":3,"ring":{"kind":"gfp","p":7},"coords":{"":"1"},"n":4}', "'n'"),
+    ],
+    ids=["coordinate", "top-level"],
+)
+def test_repeated_json_key_is_refused(tmp_path, capsys, text, key):
+    path = tmp_path / "v.json"
+    path.write_text(text)
+    for argv in (["twist", "--by", "1", str(path)], ["check-wick", str(path)]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 2
+        error = report_of(out)["error"]
+        assert error["type"] == "InputError"
+        assert key in error["message"] and "twice" in error["message"]
+
+
 def test_pfaffian_verb(tmp_path, capsys):
     wmat = write(tmp_path, "wm.json", WICK_MATRIX)
     code, out, _ = run(capsys, "pfaffian", wmat)
