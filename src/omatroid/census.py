@@ -18,7 +18,8 @@ Three kinds of work live here:
   support always contains the empty set, so t is then a member of the
   family). The search is sized in table steps against SWEEP_BUDGET, which
   also caps the censuses. Census records are JSON lines assembled from text
-  fragments, and a resumed file is checked against them line by line;
+  fragments a run of candidates at a time, and a resumed file is compared
+  with them byte for byte;
 * an exact verification of the counting-bound chain that caps the number
   of realizable zero patterns of the principal-Pfaffian polynomial family,
   using big integers and certified rational over-approximations only. The
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import os
 import time
+from bisect import bisect_left
 from collections import Counter
 from contextlib import nullcontext
 from fractions import Fraction
@@ -213,13 +215,22 @@ def _representable_families(n: int, field: str) -> frozenset[int]:
     """Every S Δ t, S an achievable support and t ⊆ [n], as a bitmap over all 2**n subsets.
 
     Every Pfaffian support holds the empty set, so t lies in S Δ t: a family
-    F is here exactly when F Δ t is achievable for some member t of F.
+    F is here exactly when F Δ t is achievable for some member t of F. The
+    twists are walked in Gray-code order, one element x per step, and
+    twisting by x swaps each block of 2**x bits whose subsets lack x with the
+    block above it: (v >> 2**x & keep[x]) | (v & keep[x]) << 2**x.
     """
-    return frozenset(
-        sum(1 << (s ^ t) for s in support)
-        for support in _achievable_supports(n, field)
-        for t in range(1 << n)
-    )
+    size = 1 << n
+    keep = [sum(1 << s for s in range(size) if not s >> x & 1) for x in range(n)]
+    steps = [(k & -k).bit_length() - 1 for k in range(1, size)]
+    out = set()
+    for support in _achievable_supports(n, field):
+        v = sum(1 << s for s in support)
+        out.add(v)
+        for x in steps:
+            v = (v >> (1 << x) & keep[x]) | (v & keep[x]) << (1 << x)
+            out.add(v)
+    return frozenset(out)
 
 
 def find_regular_representation(f: BasisFamily) -> WickRepresentation | None:
@@ -268,13 +279,16 @@ class CensusReport:
 # A census record is one JSON line with sorted keys and no spaces:
 #   {"bases":[[],[1,2]],"orthogonal":false}
 #   {"bases":[[],[1,2]],"matroid":true,"orthogonal":true,"representable":{"gf2":true}}
-# It is assembled from text fragments: the member list, then one of five
-# endings, keyed here by the record's (orthogonal, matroid, representable).
+# It is assembled from text fragments: a prefix holding the low members, the
+# high members, then one of five endings, keyed here by the record's
+# (orthogonal, matroid, representable).
+
+_PLAIN = (False, False, False)
 
 
 def _record_endings(field: str) -> dict[tuple[bool, bool, bool], str]:
     word = ("false", "true")
-    out = {(False, False, False): '],"orthogonal":false}\n'}
+    out = {_PLAIN: '],"orthogonal":false}\n'}
     for m in (False, True):
         for r in (False, True):
             out[True, m, r] = (
@@ -284,98 +298,122 @@ def _record_endings(field: str) -> dict[tuple[bool, bool, bool], str]:
 
 
 @lru_cache(maxsize=None)
-def _bases_halves(n: int, parity: int) -> tuple[int, tuple[str, ...], tuple[str, ...]]:
-    """The JSON member lists of every bitmap of a parity class, split at position h.
+def _class_tables(n: int, parity: int) -> tuple:
+    """Tables over the halves lo = F & (2**h - 1) and hi = F >> h of the class bitmaps F.
 
-    The members of bitmap F below class position h read low[F & (2**h - 1)],
-    the rest high[F >> h], so two tables of at most 2**ceil(k/2) strings
-    cover all 2**k bitmaps.
+    The record line of F is pre[lo] + high[hi] + ending, pre being ``plain``
+    when hi == 0 and otherwise ``joined``, which adds a comma after any low
+    member. F's members, as a bitmap over all 2**n subsets, are
+    full_low[lo] | full_high[hi]. Each table has at most 2**ceil(k/2) entries.
     """
-    frags = ["[" + ",".join(map(str, mask_elements(s))) + "]" for s in _parity_subsets(n, parity)]
-    h = len(frags) // 2
+    subsets = _parity_subsets(n, parity)
+    h = len(subsets) // 2
 
-    def table(part: list[str]) -> tuple[str, ...]:
-        return tuple(
-            ",".join(f for i, f in enumerate(part) if bits >> i & 1) for bits in range(1 << len(part))
-        )
+    def half_table(items: list, combine) -> tuple:  # combine(the items picked by b), for every b
+        return tuple(combine(x for i, x in enumerate(items) if b >> i & 1) for b in range(1 << len(items)))
 
-    return h, table(frags[:h]), table(frags[h:])
-
-
-def _candidates(n: int, start: int, stop: int):
-    """(parity, bitmap, JSON member list) of candidates number start .. stop - 1."""
-    offset = 0
-    for parity in (0, 1):
-        count = _class_total(n, parity)
-        h, low, high = _bases_halves(n, parity)
-        low_mask = (1 << h) - 1
-        for bits in range(max(start - offset, 0) + 1, min(stop - offset, count) + 1):
-            lo, hi = low[bits & low_mask], high[bits >> h]
-            yield parity, bits, f"{lo},{hi}" if lo and hi else lo or hi
-        offset += count
+    frags = ["[" + ",".join(map(str, mask_elements(s))) + "]" for s in subsets]
+    low = half_table(frags[:h], ",".join)
+    plain = tuple('{"bases":[' + lo for lo in low)
+    joined = tuple(pre + "," if lo else pre for pre, lo in zip(plain, low))
+    full_low = half_table([1 << s for s in subsets[:h]], sum)
+    full_high = half_table([1 << s for s in subsets[h:]], sum)
+    return h, plain, joined, half_table(frags[h:], ",".join), full_low, full_high
 
 
 @lru_cache(maxsize=None)
-def _size_bitmaps(n: int, parity: int) -> tuple[int, ...]:
-    """For each size k of a parity class, the bitmap of all its k-subsets."""
-    subsets = _parity_subsets(n, parity)
-    return tuple(
-        sum(1 << i for i, s in enumerate(subsets) if s.bit_count() == k)
-        for k in range(parity, n + 1, 2)
-    )
-
-
-def _census_chunk(n: int, field: str, start: int, stop: int) -> tuple[str, Counter]:
-    """Record lines of candidates start .. stop - 1, and a tally of their flags.
+def _orthogonal_flags(n: int, field: str, parity: int) -> tuple[tuple[int, ...], tuple]:
+    """The sorted orthogonal bitmaps of a parity class and the flags of each.
 
     Symmetric exchange on a family of one member size is basis exchange, and
     a matroid's bases share one size, so an orthogonal candidate is a
-    matroid exactly when its bitmap lies inside one size bitmap.
+    matroid exactly when its bitmap lies inside the bitmap of one size.
     """
-    orthogonal = (_orthogonal_bitmaps(n, 0), _orthogonal_bitmaps(n, 1))
-    sizes = (_size_bitmaps(n, 0), _size_bitmaps(n, 1))
-    representable = _representable_families(n, field)
+    h, _, _, _, full_low, full_high = _class_tables(n, parity)
+    subsets = _parity_subsets(n, parity)
+    sizes = [sum(1 << i for i, s in enumerate(subsets) if s.bit_count() == k) for k in range(n + 1)]
+    closure = _representable_families(n, field)
+    bitmaps = tuple(sorted(_orthogonal_bitmaps(n, parity)))
+    return bitmaps, tuple(
+        (True, any(not f & ~s for s in sizes), full_low[f & (1 << h) - 1] | full_high[f >> h] in closure)
+        for f in bitmaps
+    )
+
+
+def _census_chunk(n: int, field: str, start: int, stop: int, write: bool = True) -> tuple[str, Counter]:
+    """Record lines of candidates start .. stop - 1 (none unless ``write``), and a tally of their flags.
+
+    Within a parity class the bitmaps sharing a high half form a run, and the
+    lines of the run's non-orthogonal bitmaps differ only in their prefix,
+    so each stretch of them is one str.join over the prefix table. Only the
+    orthogonal bitmaps, found by bisection, get a line of their own.
+    """
     endings = _record_endings(field)
-    lines = []
-    tally: Counter = Counter()
-    for parity, bits, bases in _candidates(n, start, stop):
-        flags = (False, False, False)
-        if bits in orthogonal[parity]:
-            flags = (
-                True,
-                any(not bits & ~size for size in sizes[parity]),
-                sum(1 << s for s in _members(n, parity, bits)) in representable,
-            )
-        tally[flags] += 1
-        lines.append('{"bases":[' + bases + endings[flags])
+    lines, tally, offset = [], Counter(), 0
+    for parity in (0, 1):
+        count = _class_total(n, parity)
+        first, last = max(start - offset, 0) + 1, min(stop - offset, count) + 1  # bitmaps [first, last)
+        offset += count
+        if first >= last:
+            continue
+        bitmaps, flags = _orthogonal_flags(n, field, parity)
+        i, j = bisect_left(bitmaps, first), bisect_left(bitmaps, last)
+        tally.update(flags[i:j])
+        tally[_PLAIN] += last - first - (j - i)
+        if not write:
+            continue
+        h, plain, joined, high, _, _ = _class_tables(n, parity)
+
+        def stretch(a: int, b: int) -> None:  # the non-orthogonal bitmaps a .. b - 1
+            while a < b:
+                hi = a >> h
+                base, end = hi << h, min(b, hi + 1 << h)
+                suffix = high[hi] + endings[_PLAIN]
+                lines.append(suffix.join((joined if hi else plain)[a - base : end - base]) + suffix)
+                a = end
+
+        for f, flag in zip(bitmaps[i:j], flags[i:j]):
+            stretch(first, f)
+            hi = f >> h
+            lines.append((joined if hi else plain)[f & (1 << h) - 1] + high[hi] + endings[flag])
+            first = f + 1
+        stretch(first, last)
     return "".join(lines), tally
 
 
 def _resume(path: str, n: int, field: str, total: int) -> tuple[int, Counter]:
     """Check the records already in ``path`` and tally their flags.
 
-    Line i must be the record of candidate i with one of the five endings of
-    this field, so a file from another n or another field is refused with
-    InputError. A last line without its newline is cut off the file, to be
-    computed again. Returns the number of records kept.
+    The file must hold exactly the text this census writes, compared byte
+    for byte one CENSUS_CHUNK of records at a time, so a file from another n,
+    another field or with another verdict is refused with InputError and
+    left as it is. A last line without its newline is cut off the file, to
+    be computed again. Returns the number of records kept.
     """
-    flags_of = {text.encode(): flags for flags, text in _record_endings(field).items()}
-    expected = _candidates(n, 0, total)
     tally: Counter = Counter()
     done = size = 0
     with open(path, "rb") as fh:
-        for line in fh:
-            if not line.endswith(b"\n"):
+        for done in range(0, total, CENSUS_CHUNK):
+            text, part = _census_chunk(n, field, done, min(done + CENSUS_CHUNK, total))
+            want = text.encode()
+            got = fh.read(len(want))
+            if got != want:
                 break
-            if done == total:
+            tally.update(part)
+            size += len(got)
+        else:
+            done, got, want = total, fh.readline(), b""
+            if got.endswith(b"\n"):
                 raise InputError(f"{path} holds more than the {total} records of the n = {n} census")
-            head = b'{"bases":[' + next(expected)[2].encode()
-            flags = flags_of.get(line[len(head):]) if line.startswith(head) else None
-            if flags is None:
-                raise InputError(f"{path} line {done + 1} is not record {done} of the n = {n} {field} census")
-            tally[flags] += 1
-            done += 1
-            size += len(line)
+        # the first line of got that is not its record is refused if complete and cut if torn
+        have, want = got.split(b"\n"), want.split(b"\n")
+        k = 0
+        while k < len(have) - 1 and have[k] == want[k]:
+            k += 1
+        done, size = done + k, size + sum(map(len, have[:k])) + k
+        if k < len(have) - 1 or have[k] and (have[k] + fh.readline()).endswith(b"\n"):
+            raise InputError(f"{path} line {done + 1} is not record {done} of the n = {n} {field} census")
+        tally.update(_census_chunk(n, field, done - k, done, False)[1])
     if size < os.path.getsize(path):
         os.truncate(path, size)
     return done, tally
@@ -391,10 +429,10 @@ def representability_census(
 
     Writes one JSON line per candidate family to ``out_path`` when given.
     An existing file resumes the sweep after its last complete record: every
-    record in it must be the one this census would write there, up to its
-    verdicts, or InputError is raised, and a torn last line is cut off and
-    computed again. The sweep runs in chunks of CENSUS_CHUNK candidates,
-    with one progress line after each.
+    record in it must be exactly the one this census would write there, or
+    InputError is raised and the file is left as it is, and a torn last line
+    is cut off and computed again. The sweep runs in chunks of CENSUS_CHUNK
+    candidates, with one progress line after each.
     """
     if field not in CENSUS_FIELDS:
         raise InputError(f"field must be one of {list(CENSUS_FIELDS)}, got {field!r}")
@@ -409,7 +447,7 @@ def representability_census(
     with open(out_path, "a", encoding="utf-8") if out_path else nullcontext() as sink:
         for start in range(reused, total, CENSUS_CHUNK):
             done = min(start + CENSUS_CHUNK, total)
-            text, part = _census_chunk(n, field, start, done)
+            text, part = _census_chunk(n, field, start, done, sink is not None)
             if sink is not None:
                 sink.write(text)
             tally.update(part)

@@ -178,10 +178,10 @@ def masks_of_size(n: int, r: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def parse_subset_key(key: str, ground: GroundSet) -> SubsetMask:
-    """Parse a coordinate key like '1,4' (empty string means the empty set)."""
+def _key_bits(key: str, n: int) -> int:
+    """The mask of a coordinate key like '1,4' on {1..n} (empty string means the empty set)."""
     if key == "":
-        return SubsetMask(ground, 0)
+        return 0
     try:
         elements = [int(part) for part in key.split(",")]
     except ValueError as exc:
@@ -191,7 +191,17 @@ def parse_subset_key(key: str, ground: GroundSet) -> SubsetMask:
         if e in seen:
             raise InputError(f"duplicate element {e} in subset key {key!r}")
         seen.add(e)
-    return ground.subset(elements)
+    bits = 0
+    for e in elements:
+        if not 1 <= e <= n:
+            raise InputError(f"element {e!r} is outside 1..{n}")
+        bits |= 1 << (e - 1)
+    return bits
+
+
+def parse_subset_key(key: str, ground: GroundSet) -> SubsetMask:
+    """Parse a coordinate key like '1,4' (empty string means the empty set)."""
+    return SubsetMask(ground, _key_bits(key, ground.n))
 
 
 def format_subset_key(j: SubsetMask) -> str:

@@ -24,7 +24,7 @@ from .exactalg import (
     Ring,
     ZZ,
 )
-from .groundset import GroundSet, mask_elements, parse_subset_key
+from .groundset import GroundSet, _key_bits, mask_elements
 from .matroid import BasisFamily
 from .plucker import PluckerVector
 from .wick import WickRepresentation, WickVector
@@ -165,7 +165,7 @@ def _parse_coords(obj: Any, ranked: bool):
         raise InputError("'coords' must be an object keyed by subsets")
     mapping, keys = {}, {}
     for key, raw in coords_raw.items():
-        bits = parse_subset_key(key, ground).bits
+        bits = _key_bits(key, n)
         if ranked and bits.bit_count() != r:
             raise InputError(f"coordinate key {key!r} does not name an {r}-subset")
         if bits in keys:

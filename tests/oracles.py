@@ -15,8 +15,14 @@ one-step neighbourhood. They read only a vector's ``coords``, ``ground.n``,
 checkers of ``matroid.py`` ran before they decided every B2 at once with
 member bitsets: it tries every (B1, B2, x) in colex order and tests each
 candidate y.
+
+``census_chunk`` is the per-candidate census writer the library ran before
+it wrote records a run at a time: it walks candidates one by one, builds
+each record with ``json.dumps`` and tallies its flags in a Counter.
 """
 
+import json
+from collections import Counter
 from itertools import permutations
 
 
@@ -216,3 +222,48 @@ def brute_exchange(f, reason, same_size, strong):
                 else:
                     return False, reason, b1, b2, xb.bit_length()
     return True, None, None, None, None
+
+
+def census_candidates(n, start, stop):
+    """(parity, bitmap, members) of census candidates number start .. stop - 1.
+
+    Candidate number i is even bitmap i + 1 while that fits the even class,
+    then odd bitmaps from 1 on.
+    """
+    from omatroid.census import _class_total, _members
+
+    offset = 0
+    for parity in (0, 1):
+        count = _class_total(n, parity)
+        for bits in range(max(start - offset, 0) + 1, min(stop - offset, count) + 1):
+            yield parity, bits, _members(n, parity, bits)
+        offset += count
+
+
+def census_chunk(n, field, start, stop):
+    """Record lines of candidates start .. stop - 1 and a Counter of their
+    (orthogonal, matroid, representable) flags, one candidate at a time.
+
+    A family is representable when its twist by one of its members is an
+    achievable support, and an orthogonal family is a matroid when its
+    members share one size.
+    """
+    from omatroid.census import _achievable_supports, _orthogonal_bitmaps
+    from omatroid.groundset import mask_elements
+
+    supports = _achievable_supports(n, field)
+    lines = []
+    tally = Counter()
+    for parity, bits, members in census_candidates(n, start, stop):
+        rec = {"bases": [list(mask_elements(m)) for m in members], "orthogonal": False}
+        flags = (False, False, False)
+        if bits in _orthogonal_bitmaps(n, parity):
+            flags = (
+                True,
+                len({m.bit_count() for m in members}) == 1,
+                any(frozenset(m ^ t for m in members) in supports for t in members),
+            )
+            rec.update(orthogonal=True, matroid=flags[1], representable={field: flags[2]})
+        tally[flags] += 1
+        lines.append(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+    return "".join(lines), tally

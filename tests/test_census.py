@@ -7,11 +7,13 @@ from fractions import Fraction
 import pytest
 
 from omatroid.census import (
+    CENSUS_CHUNK,
     BoundCheck,
     CensusReport,
     _achievable_supports,
     _candidate_total,
-    _candidates,
+    _census_chunk,
+    _class_total,
     _members,
     _orthogonal_bitmaps,
     _parity_subsets,
@@ -30,7 +32,7 @@ from omatroid.groundset import GroundSet
 from omatroid.matroid import BasisFamily, is_matroid, is_orthogonal
 from omatroid.wick import wick_from_representation
 
-from oracles import brute_exchange
+from oracles import brute_exchange, census_candidates, census_chunk
 
 
 def fam(n, *bases):
@@ -45,12 +47,44 @@ def test_candidate_indexing():
     for n in range(5):
         total = _candidate_total(n)
         seen = set()
-        for parity, bits, _bases in _candidates(n, 0, total):
-            members = _members(n, parity, bits)
+        for parity, bits, members in census_candidates(n, 0, total):
             assert members
             assert len({m.bit_count() & 1 for m in members}) == 1
             seen.add(members)
         assert len(seen) == total
+
+
+def _chunk_ranges(n, rng):
+    """Candidate ranges for the chunk writer: whole classes, the class boundary,
+    the hi == 0 run, run edges, CENSUS_CHUNK edges and random ranges."""
+    total, evens = _candidate_total(n), _class_total(n, 0)
+    ranges = [(0, total), (0, evens), (evens, total), (0, 1), (total - 1, total)]
+    ranges += [(max(evens - a, 0), min(evens + b, total)) for a in (0, 1, 3) for b in (1, 2, 5)]
+    for parity, offset in ((0, 0), (1, evens)):
+        h = len(_parity_subsets(n, parity)) // 2
+        for top in range(1, 1 + (_class_total(n, parity) >> h)):
+            edge = offset + (top << h) - 1  # candidate number of bitmap top << h
+            ranges += [(max(edge - 1, 0), min(edge + 1, total)), (edge, min(edge + 3, total))]
+        ranges.append((offset, min(offset + (1 << h) + 1, total)))
+    ranges += [(k * CENSUS_CHUNK + a, min(k * CENSUS_CHUNK + b, total))
+               for k in range(1, total // CENSUS_CHUNK + 1) for a, b in ((-1, 1), (-2, 0), (0, 3))]
+    for _ in range(12):
+        a = rng.randrange(total)
+        ranges.append((a, min(total, a + rng.randrange(1, 1500))))
+    return ranges
+
+
+@pytest.mark.parametrize("field,top", [("gf2", 5), ("gf3", 4)])
+def test_census_chunk_matches_the_per_candidate_oracle(field, top):
+    rng = random.Random(1501)
+    for n in range(top + 1):
+        ranges = _chunk_ranges(n, rng)
+        if n == 5:  # whole classes take the oracle seconds at n = 5
+            ranges = [(a, b) for a, b in ranges if b - a <= 1500]
+        for start, stop in ranges:
+            text, tally = census_chunk(n, field, start, stop)
+            assert _census_chunk(n, field, start, stop) == (text, tally), (n, start, stop)
+            assert _census_chunk(n, field, start, stop, False) == ("", tally)
 
 
 def test_enumerate_orthogonal_counts():
@@ -227,6 +261,12 @@ def test_one_support_search_for_every_partial_field():
             assert set(a.entries) <= {0, 1, -1}
             assert _support(all_principal_pfaffians(a)) == support
     assert len(_representable_families(4, "gf2")) == 270
+    # the closure's bit swaps against the twist of every subset moved one by one
+    for field, top in (("gf2", 5), ("gf3", 4)):
+        for n in range(top + 1):
+            supports = _achievable_supports(n, field)
+            closure = frozenset(sum(1 << (s ^ t) for s in support) for support in supports for t in range(1 << n))
+            assert closure == _representable_families(n, field), (field, n)
 
 
 # sha256 of the census files as the per-candidate exchange checker wrote them
@@ -286,6 +326,108 @@ def test_census_resume_refuses_other_n(tmp_path):
     with pytest.raises(InputError):
         representability_census(3, "gf2", out_path=str(out))
     assert out.read_bytes() == before
+
+
+def _same_census(report, full):
+    return (report.orthogonal_count, report.matroid_count, report.representable_counts) == (
+        full.orthogonal_count, full.matroid_count, full.representable_counts)
+
+
+def test_census_resumes_from_every_record_cut(tmp_path):
+    out = tmp_path / "census.jsonl"
+    full = representability_census(3, "gf2", out_path=str(out))
+    data = out.read_bytes()
+    lines = data.splitlines(keepends=True)
+    cut = tmp_path / "cut.jsonl"
+    for k in range(len(lines) + 1):
+        cut.write_bytes(b"".join(lines[:k]))
+        messages = []
+        resumed = representability_census(3, "gf2", out_path=str(cut), progress=messages.append)
+        assert cut.read_bytes() == data, k
+        assert _same_census(resumed, full), k
+        assert all(f"{k} reused" in m for m in messages)
+
+
+def test_census_resume_cuts_a_torn_line_at_any_byte(tmp_path):
+    out = tmp_path / "census.jsonl"
+    full = representability_census(4, "gf2", out_path=str(out))
+    data = out.read_bytes()
+    # an orthogonal record and a plain one past the first third of the file
+    for needle in (b'"gf2":true', b'"orthogonal":false'):
+        end = data.index(needle, len(data) // 3)
+        begin = data.rindex(b"\n", 0, end) + 1
+        stop = data.index(b"\n", end) + 1
+        torn = tmp_path / "torn.jsonl"
+        for cut in sorted({begin + 1, begin + 2, end, end + 3, stop - 2, stop - 1}):
+            torn.write_bytes(data[:cut])
+            resumed = representability_census(4, "gf2", out_path=str(torn))
+            assert torn.read_bytes() == data, cut
+            assert _same_census(resumed, full), cut
+
+
+def test_census_resume_at_the_chunk_edges(tmp_path):
+    # the resume compares CENSUS_CHUNK records at a time: cut, tear and break the records
+    # on both sides of the first chunk boundary
+    out = tmp_path / "census.jsonl"
+    full = representability_census(5, "gf2", out_path=str(out))
+    data = out.read_bytes()
+    ends = [0]
+    with open(out, "rb") as fh:
+        for _ in range(CENSUS_CHUNK + 3):
+            ends.append(ends[-1] + len(fh.readline()))
+    cut = tmp_path / "cut.jsonl"
+    for k in (CENSUS_CHUNK - 1, CENSUS_CHUNK, CENSUS_CHUNK + 1):
+        for size in (ends[k], ends[k] + 7, ends[k + 1] - 1):
+            cut.write_bytes(data[:size])
+            assert _same_census(representability_census(5, "gf2", out_path=str(cut)), full), size
+            assert cut.read_bytes() == data, size
+        line = data[ends[k]:ends[k + 1]]
+        for other in (line[:-2] + b" }\n", line[:-3] + b"}\n"):
+            broken = data[:ends[k]] + other + data[ends[k + 1]:ends[k + 2]]
+            cut.write_bytes(broken)
+            with pytest.raises(InputError, match=f"line {k + 1} is not record {k} "):
+                representability_census(5, "gf2", out_path=str(cut))
+            assert cut.read_bytes() == broken
+
+
+def test_census_resume_cuts_a_torn_line_past_the_end(tmp_path):
+    out = tmp_path / "census.jsonl"
+    full = representability_census(3, "gf2", out_path=str(out))
+    data = out.read_bytes()
+    for extra in (b"{", data[:10], data.splitlines()[0]):
+        torn = tmp_path / "torn.jsonl"
+        torn.write_bytes(data + extra)
+        resumed = representability_census(3, "gf2", out_path=str(torn))
+        assert torn.read_bytes() == data
+        assert _same_census(resumed, full)
+
+
+def test_census_resume_refuses_a_complete_line_past_the_end(tmp_path):
+    out = tmp_path / "census.jsonl"
+    representability_census(3, "gf2", out_path=str(out))
+    data = out.read_bytes()
+    over = tmp_path / "over.jsonl"
+    for extra in (b"\n", data.splitlines(keepends=True)[0], b"{}\n{"):
+        over.write_bytes(data + extra)
+        with pytest.raises(InputError, match="holds more than the 30 records of the n = 3 census"):
+            representability_census(3, "gf2", out_path=str(over))
+        assert over.read_bytes() == data + extra
+
+
+def test_census_resume_refuses_a_flipped_verdict(tmp_path):
+    # records are deterministic, so a file with another verdict word was not written by this census
+    out = tmp_path / "census.jsonl"
+    representability_census(4, "gf2", out_path=str(out))
+    data = out.read_bytes()
+    at = data.index(b'"gf2":true', len(data) // 2)
+    line = data.count(b"\n", 0, at) + 1
+    flipped = data[:at] + b'"gf2":false' + data[at + len(b'"gf2":true'):]
+    bad = tmp_path / "bad.jsonl"
+    for tail in (len(flipped), flipped.index(b"\n", at) + 1, flipped.index(b"\n", at) + 5):
+        bad.write_bytes(flipped[:tail])
+        with pytest.raises(InputError, match=f"line {line} is not record {line - 1} of the n = 4 gf2 census"):
+            representability_census(4, "gf2", out_path=str(bad))
+        assert bad.read_bytes() == flipped[:tail]
 
 
 def test_find_regular_representation_roundtrip():

@@ -370,6 +370,17 @@ def test_census_verb_refuses_foreign_file(tmp_path, capsys):
     assert report_of(out)["error"]["type"] == "InputError"
 
 
+def test_census_verb_refuses_a_flipped_verdict(tmp_path, capsys):
+    out_path = tmp_path / "c.jsonl"
+    run(capsys, "census", "--n", "3", "--out", str(out_path))
+    flipped = out_path.read_bytes().replace(b'"gf2":true', b'"gf2":false', 1)
+    out_path.write_bytes(flipped)
+    code, out, _ = run(capsys, "census", "--n", "3", "--out", str(out_path))
+    assert code == 2
+    assert report_of(out)["error"]["type"] == "InputError"
+    assert out_path.read_bytes() == flipped
+
+
 def test_verify_bounds_verb(capsys):
     code, out, _ = run(capsys, "verify-bounds", "--n", "12")
     assert code == 0

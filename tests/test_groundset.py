@@ -1,11 +1,14 @@
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from omatroid.errors import CapabilityError, InputError
 from omatroid.groundset import (
     GroundSet,
     SubsetMask,
+    _key_bits,
     format_subset_key,
     mask_elements,
     mask_of_elements,
@@ -87,3 +90,33 @@ def test_key_roundtrip_everywhere():
     for bits in range(1 << 4):
         s = SubsetMask(g, bits)
         assert parse_subset_key(format_subset_key(s), g) == s
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 24).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))), st.randoms())
+def test_key_bits_roundtrip(n_bits, rng):
+    # bits -> key -> bits on every ground-set size, and a key lists its elements in any order
+    n, bits = n_bits
+    key = format_subset_key(SubsetMask(GroundSet(n), bits))
+    assert _key_bits(key, n) == bits == parse_subset_key(key, GroundSet(n)).bits
+    elements = list(mask_elements(bits))
+    rng.shuffle(elements)
+    assert _key_bits(",".join(map(str, elements)), n) == bits
+
+
+@pytest.mark.parametrize("key,message", [
+    ("a", "bad subset key 'a'"),
+    ("1,,2", "bad subset key '1,,2'"),
+    ("1,a,1", "bad subset key '1,a,1'"),
+    ("1,1", "duplicate element 1 in subset key '1,1'"),
+    ("9,1,1", "duplicate element 1 in subset key '9,1,1'"),
+    ("5", "element 5 is outside 1..4"),
+    ("0,5", "element 0 is outside 1..4"),
+    ("-1", "element -1 is outside 1..4"),
+])
+def test_subset_key_messages(key, message):
+    # a malformed key is refused before a duplicate, and a duplicate before a range error
+    for parse in (lambda: _key_bits(key, 4), lambda: parse_subset_key(key, GroundSet(4))):
+        with pytest.raises(InputError) as info:
+            parse()
+        assert str(info.value) == message
