@@ -13,13 +13,13 @@ Three kinds of work live here:
   such a family is basis exchange; no separate matroid check is run;
 * representability over GF(2), GF(3), and the regular partial field, from
   one search: every skew matrix with entries among the field's values whose
-  whole Pfaffian table stays among them, keeping the first matrix found for
-  each support S. A family is representable when it is a twist S Δ t (a
-  support always contains the empty set, so t is then a member of the
-  family). The search is sized in table steps against SWEEP_BUDGET, which
-  also caps the censuses. Census records are JSON lines assembled from text
-  fragments a run of candidates at a time, and a resumed file is compared
-  with them byte for byte;
+  whole Pfaffian table stays among them, walked along a Gray code one table
+  update per set, keeping the least product-order index for each support S.
+  A family is representable when it is a twist S Δ t (a support always
+  contains the empty set, so t is then a member of the family). The search
+  is sized in table updates against SWEEP_BUDGET. Census records are JSON
+  lines assembled from text fragments a run of candidates at a time, and a
+  resumed file is compared with them byte for byte;
 * an exact verification of the counting-bound chain that caps the number
   of realizable zero patterns of the principal-Pfaffian polynomial family,
   using big integers and certified rational over-approximations only. The
@@ -41,11 +41,10 @@ from collections import Counter
 from contextlib import nullcontext
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from math import comb
 
 from .errors import CapabilityError, InputError
-from .exactalg import GF, SkewMatrix, ZZ, all_principal_pfaffians
+from .exactalg import GF, SkewMatrix, ZZ
 from .groundset import GroundSet, SubsetMask, mask_elements, record, within_budget
 from .matroid import BasisFamily, is_orthogonal
 from .wick import WickRepresentation
@@ -107,6 +106,11 @@ def _members(n: int, parity: int, bits: int) -> tuple[int, ...]:
     return tuple(s for i, s in enumerate(_parity_subsets(n, parity)) if bits >> i & 1)
 
 
+def _refuse_past_enum_cap(n: int, task: str) -> None:
+    if n > ENUM_MAX_N:
+        raise CapabilityError(f"{task} is capped at n = {ENUM_MAX_N}")
+
+
 @lru_cache(maxsize=None)
 def _orthogonal_bitmaps(n: int, parity: int) -> frozenset[int]:
     """The candidate bitmaps of one parity class that pass symmetric exchange.
@@ -122,8 +126,7 @@ def _orthogonal_bitmaps(n: int, parity: int) -> frozenset[int]:
     ``tests/oracles.py`` and to ``matroid.is_orthogonal``. Above ENUM_MAX_N
     it refuses before building any bitmap.
     """
-    if n > ENUM_MAX_N:
-        raise CapabilityError(f"orthogonal enumeration is capped at n = {ENUM_MAX_N}")
+    _refuse_past_enum_cap(n, "orthogonal enumeration")
     subsets = _parity_subsets(n, parity)
     size = 1 << len(subsets)
     everything = (1 << size) - 1
@@ -175,38 +178,61 @@ def enumerate_orthogonal(n: int, parity: str = "both") -> tuple[BasisFamily, ...
 # achievable Pfaffian supports
 
 
-def _skew_matrices(ring, n: int, values):
-    """Every n x n skew matrix over ``ring`` with upper-triangle entries from ``values``.
+def _gray_steps(q: int, m: int) -> list[tuple[int, int]]:
+    """The reflected q-ary Gray code on m digits, digit 0 fastest, as (digit, +1 or -1) moves from
+    0...0: between moves of digit k the lower digits run forward and back in turn (TAOCP 7.2.1.1)."""
+    steps: list[tuple[int, int]] = []
+    for k in range(m):
+        back = [(j, -d) for j, d in reversed(steps)]
+        steps = steps + [s for r in range(1, q) for s in [(k, 1)] + (back if r & 1 else steps)]
+    return steps
 
-    The first upper entry varies fastest, as in a base-len(values) counter.
-    """
-    for entries in product(values, repeat=n * (n - 1) // 2):
-        yield SkewMatrix.from_upper(ring, n, entries[::-1])
 
-
-def _support(table) -> frozenset[int]:
-    return frozenset(mask for mask, v in enumerate(table) if v != 0)
+def _search_matrix(n: int, field: str, index: int) -> SkewMatrix:
+    """Matrix sum(d_k * q**k) of the support search: upper entry k, row by row, is values[d_k]."""
+    ring, values = SEARCH_FIELDS[field]
+    q = len(values)
+    return SkewMatrix.from_upper(ring, n, [values[index // q**k % q] for k in range(n * (n - 1) // 2)])
 
 
 @lru_cache(maxsize=None)
-def _achievable_supports(n: int, field: str) -> dict[frozenset[int], SkewMatrix]:
-    """The first-found skew matrix of each Pfaffian support over a finite partial field.
+def _achievable_supports(n: int, field: str) -> dict[int, int]:
+    """Each Pfaffian support over a finite partial field, with the least index of a matrix having it.
 
-    Entries run over the field's values in SEARCH_FIELDS, and a matrix counts
-    only when its whole principal-Pfaffian table stays inside those values:
-    always over GF(p), and over {0, +1, -1} exactly the valid vectors of the
-    regular partial field, the ones whose support survives every residue map.
-    Refused before it starts if its tables would take more than SWEEP_BUDGET
-    table steps in all, counted as all_principal_pfaffians counts them.
+    A support is a bitmap over the 2**n subsets, bit J set when Pf(A_J) != 0. A
+    matrix counts only when its whole principal-Pfaffian table stays among the
+    field's values in SEARCH_FIELDS: always over GF(p), and over {0, +1, -1}
+    exactly the valid vectors of the regular partial field. A Gray step moves
+    one upper entry a_ij by delta. Pf(A_J) is linear in a_ij with coefficient
+    e * Pf(A_(J-i-j)), e = (-1)**|J ∩ (i, j)|, so the step adds e * delta *
+    T[J-i-j] to the 2**(n-2) entries T[J], J ⊇ {i, j}. Over GF(2) the table
+    is its own support, one 2**n-bit integer. Refused above SWEEP_BUDGET.
     """
     ring, values = SEARCH_FIELDS[field]
-    within_budget(len(values) ** (n * (n - 1) // 2) * (n << n), f"{field} support search", "table steps")
-    allowed = frozenset(values)
-    found: dict[frozenset[int], SkewMatrix] = {}
-    for a in _skew_matrices(ring, n, values):
-        table = all_principal_pfaffians(a)
-        if allowed.issuperset(table):
-            found.setdefault(_support(table), a)
+    q, pairs = len(values), [(i, j) for i in range(n) for j in range(i + 1, n)]
+    within_budget(q ** len(pairs) << n >> 2, f"{field} support search", "table updates")
+    updates = [[(s | 1 << i | 1 << j, s, (-1) ** (s & (1 << j) - (2 << i)).bit_count())  # (J, J-i-j, e)
+                for s in range(1 << n) if not s & (1 << i | 1 << j)] for i, j in pairs]
+    lack = [sum(1 << s for _, s, _ in u) for u in updates]  # over GF(2), J = (J-i-j) << shift
+    shift = [(1 << i) + (1 << j) for i, j in pairs]
+    p, allowed = getattr(ring, "p", 0), frozenset(values)  # p = 0: no modulus over ZZ
+    table, digits, support, outside = [1] + [0] * ((1 << n) - 1), [0] * len(pairs), 1, 0
+    index, found = 0, {1: 0}  # the zero matrix: Pf of the empty set is 1, of every other set 0
+    for k, d in _gray_steps(q, len(pairs)):
+        index += d * q**k
+        if q == 2:
+            support ^= (support & lack[k]) << shift[k]
+        else:
+            delta = values[digits[k] + d] - values[digits[k]]
+            digits[k] += d
+            for big, small, e in updates[k]:
+                old, new = table[big], table[big] + e * delta * table[small]
+                table[big] = new = new % p if p else new
+                if (old == 0) != (new == 0):
+                    support ^= 1 << big
+                outside += (new not in allowed) - (old not in allowed)
+        if not outside and found.setdefault(support, index) > index:
+            found[support] = index
     return found
 
 
@@ -218,14 +244,17 @@ def _representable_families(n: int, field: str) -> frozenset[int]:
     F is here exactly when F Δ t is achievable for some member t of F. The
     twists are walked in Gray-code order, one element x per step, and
     twisting by x swaps each block of 2**x bits whose subsets lack x with the
-    block above it: (v >> 2**x & keep[x]) | (v & keep[x]) << 2**x.
+    block above it: (v >> 2**x & keep[x]) | (v & keep[x]) << 2**x. A support
+    already in the closure brings its whole twist orbit with it, so it is
+    not walked again.
     """
     size = 1 << n
     keep = [sum(1 << s for s in range(size) if not s >> x & 1) for x in range(n)]
     steps = [(k & -k).bit_length() - 1 for k in range(1, size)]
     out = set()
-    for support in _achievable_supports(n, field):
-        v = sum(1 << s for s in support)
+    for v in _achievable_supports(n, field):
+        if v in out:
+            continue
         out.add(v)
         for x in steps:
             v = (v >> (1 << x) & keep[x]) | (v & keep[x]) << (1 << x)
@@ -237,14 +266,14 @@ def find_regular_representation(f: BasisFamily) -> WickRepresentation | None:
     """A representation of f over the regular partial field, or None.
 
     Twists range over the members of f in colex order; the first achievable
-    support wins, so the result is deterministic.
+    support wins, with its least-index matrix, so the result is deterministic.
     """
-    reps = _achievable_supports(f.ground.n, "regular")
+    n = f.ground.n
+    reps = _achievable_supports(n, "regular")
     for t in sorted(f.masks):
-        target = frozenset(b ^ t for b in f.masks)
-        a = reps.get(target)
-        if a is not None:
-            return WickRepresentation(a, SubsetMask(f.ground, t))
+        index = reps.get(sum(1 << (b ^ t) for b in f.masks))
+        if index is not None:
+            return WickRepresentation(_search_matrix(n, "regular", index), SubsetMask(f.ground, t))
     return None
 
 
@@ -264,16 +293,13 @@ class CensusReport:
     notes: tuple[str, ...]
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "field": self.field,
-            "total_families_checked": self.total_families_checked,
-            "orthogonal_count": self.orthogonal_count,
-            "matroid_count": self.matroid_count,
-            "representable_counts": dict(self.representable_counts),
-            "runtime_seconds": self.runtime_seconds,
-            "notes": list(self.notes),
-        }
+        counts = dict(self.representable_counts)
+        return _json_fields(self, representable_counts=counts, notes=list(self.notes))
+
+
+def _json_fields(rec, **converted) -> dict:
+    """A record's fields by name, in their order, with ``converted`` in place of some."""
+    return dict({name: getattr(rec, name) for name in rec.__slots__}, **converted)
 
 
 # A census record is one JSON line with sorted keys and no spaces:
@@ -437,8 +463,9 @@ def representability_census(
     if field not in CENSUS_FIELDS:
         raise InputError(f"field must be one of {list(CENSUS_FIELDS)}, got {field!r}")
     GroundSet(n)  # InputError unless a nonnegative integer
+    _refuse_past_enum_cap(n, "census")  # before --out is opened: a refusal leaves no file
     t0 = time.perf_counter()
-    _representable_families(n, field)  # searched before --out is opened: a refusal leaves no file
+    _representable_families(n, field)  # so is a support search over the budget
     total = _candidate_total(n)
     reused, tally = 0, Counter()
     if out_path and os.path.exists(out_path):
@@ -493,18 +520,8 @@ class BoundCheck:
     context: dict
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "c": self.c,
-            "d": self.d,
-            "N": self.N,
-            "m": self.m,
-            "r": str(self.r),
-            "lhs_upper_bound": str(self.lhs_upper_bound),
-            "verdict": self.verdict,
-            "steps": [[name, ok] for name, ok in self.steps],
-            "context": self.context,
-        }
+        steps = [[name, ok] for name, ok in self.steps]
+        return _json_fields(self, r=str(self.r), lhs_upper_bound=str(self.lhs_upper_bound), steps=steps)
 
 
 def verify_nelson_chain(
@@ -595,17 +612,8 @@ class RealizableSetsDemo:
     supports: tuple[tuple[int, ...], ...]
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "field": self.field,
-            "count": self.count,
-            "bound": str(self.bound),
-            "within_bound": self.within_bound,
-            "all_orthogonal": self.all_orthogonal,
-            "supports": [
-                [list(mask_elements(m)) for m in support] for support in self.supports
-            ],
-        }
+        supports = [[list(mask_elements(m)) for m in support] for support in self.supports]
+        return _json_fields(self, bound=str(self.bound), supports=supports)
 
 
 def realizable_sets_demo(n: int, field: str = "gf2") -> RealizableSetsDemo:
@@ -615,23 +623,15 @@ def realizable_sets_demo(n: int, field: str = "gf2") -> RealizableSetsDemo:
     pattern of subsets with nonvanishing Pfaffian. The distinct patterns
     are counted against the cap r = 2**(n**3) from the bound chain, and
     each pattern is checked to satisfy symmetric exchange. The patterns are
-    the GF(2) support search's, so n = 5 is the largest that runs.
+    the GF(2) support search's, and n is capped at ENUM_MAX_N like the census.
     """
     if field != "gf2":
         raise InputError("the zero-pattern demo runs over gf2")
     ground = GroundSet(n)
+    _refuse_past_enum_cap(n, "zero-pattern demo")
     raw = _achievable_supports(n, "gf2")
-    supports = tuple(sorted((tuple(sorted(s)) for s in raw)))
-    all_orth = all(
-        is_orthogonal(BasisFamily(ground, frozenset(s))).ok for s in supports
-    )
+    supports = tuple(sorted(tuple(s for s in range(1 << n) if v >> s & 1) for v in raw))
+    all_orthogonal = all(is_orthogonal(BasisFamily(ground, frozenset(s))).ok for s in supports)
     bound = 1 << n**3
-    return RealizableSetsDemo(
-        n=n,
-        field=field,
-        count=len(supports),
-        bound=bound,
-        within_bound=len(supports) <= bound,
-        all_orthogonal=all_orth,
-        supports=supports,
-    )
+    count = len(supports)
+    return RealizableSetsDemo(n, field, count, bound, count <= bound, all_orthogonal, supports)

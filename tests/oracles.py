@@ -16,6 +16,11 @@ checkers of ``matroid.py`` ran before they decided every B2 at once with
 member bitsets: it tries every (B1, B2, x) in colex order and tests each
 candidate y.
 
+``achievable_supports`` is the support search the census ran before it
+walked the matrices along a Gray code: every skew matrix in product order,
+each with its full principal-Pfaffian table, keeping the first matrix found
+for each support.
+
 ``census_chunk`` is the per-candidate census writer the library ran before
 it wrote records a run at a time: it walks candidates one by one, builds
 each record with ``json.dumps`` and tallies its flags in a Counter.
@@ -23,7 +28,8 @@ each record with ``json.dumps`` and tallies its flags in a Counter.
 
 import json
 from collections import Counter
-from itertools import permutations
+from functools import lru_cache
+from itertools import permutations, product
 
 
 def perm_sign(seq) -> int:
@@ -224,6 +230,40 @@ def brute_exchange(f, reason, same_size, strong):
     return True, None, None, None, None
 
 
+def skew_matrices(ring, n, values):
+    """Every n x n skew matrix over ``ring`` with upper-triangle entries from ``values``.
+
+    The first upper entry varies fastest, as in a base-len(values) counter.
+    """
+    from omatroid.exactalg import SkewMatrix
+
+    for entries in product(values, repeat=n * (n - 1) // 2):
+        yield SkewMatrix.from_upper(ring, n, entries[::-1])
+
+
+@lru_cache(maxsize=None)
+def achievable_supports(n, field):
+    """{support as a frozenset of masks: first-found skew matrix} over one partial field.
+
+    A matrix counts only when its whole principal-Pfaffian table stays among
+    the field's entry values. Sized as the product-order search was, in
+    q**C(n,2) * 2**n * n table steps against SWEEP_BUDGET.
+    """
+    from omatroid.census import SEARCH_FIELDS
+    from omatroid.exactalg import all_principal_pfaffians
+    from omatroid.groundset import within_budget
+
+    ring, values = SEARCH_FIELDS[field]
+    within_budget(len(values) ** (n * (n - 1) // 2) * (n << n), f"{field} support search", "table steps")
+    allowed = frozenset(values)
+    found = {}
+    for a in skew_matrices(ring, n, values):
+        table = all_principal_pfaffians(a)
+        if allowed.issuperset(table):
+            found.setdefault(frozenset(mask for mask, v in enumerate(table) if v != 0), a)
+    return found
+
+
 def census_candidates(n, start, stop):
     """(parity, bitmap, members) of census candidates number start .. stop - 1.
 
@@ -248,10 +288,10 @@ def census_chunk(n, field, start, stop):
     achievable support, and an orthogonal family is a matroid when its
     members share one size.
     """
-    from omatroid.census import _achievable_supports, _orthogonal_bitmaps
+    from omatroid.census import _orthogonal_bitmaps
     from omatroid.groundset import mask_elements
 
-    supports = _achievable_supports(n, field)
+    supports = achievable_supports(n, field)
     lines = []
     tally = Counter()
     for parity, bits, members in census_candidates(n, start, stop):

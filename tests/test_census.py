@@ -8,18 +8,19 @@ import pytest
 
 from omatroid.census import (
     CENSUS_CHUNK,
+    SEARCH_FIELDS,
     BoundCheck,
     CensusReport,
     _achievable_supports,
     _candidate_total,
     _census_chunk,
     _class_total,
+    _gray_steps,
     _members,
     _orthogonal_bitmaps,
     _parity_subsets,
     _representable_families,
-    _skew_matrices,
-    _support,
+    _search_matrix,
     enumerate_orthogonal,
     find_regular_representation,
     realizable_sets_demo,
@@ -28,11 +29,12 @@ from omatroid.census import (
 )
 from omatroid.errors import CapabilityError, InputError
 from omatroid.exactalg import GF, PartialField, REGULAR, ZZ, all_principal_pfaffians
+from omatroid import groundset
 from omatroid.groundset import GroundSet
 from omatroid.matroid import BasisFamily, is_matroid, is_orthogonal
 from omatroid.wick import wick_from_representation
 
-from oracles import brute_exchange, census_candidates, census_chunk
+from oracles import achievable_supports, brute_exchange, census_candidates, census_chunk, skew_matrices
 
 
 def fam(n, *bases):
@@ -136,11 +138,50 @@ def test_orthogonal_kernel_refuses_above_the_cap_at_once():
 
 
 def test_skew_matrices_count_in_code_order():
-    mats = list(_skew_matrices(GF(3), 3, range(3)))
+    mats = list(skew_matrices(GF(3), 3, range(3)))
     assert len(mats) == 27 == len({m.entries for m in mats})
     # the first upper entry varies fastest
     assert [m.entries[1] for m in mats[:4]] == [0, 1, 2, 0]
     assert [m.entries[2] for m in mats[:4]] == [0, 0, 0, 1]
+    # _search_matrix numbers the matrices in the same product order
+    for field in ("gf3", "regular"):
+        ring, values = SEARCH_FIELDS[field]
+        assert [_search_matrix(3, field, i) for i in range(27)] == list(skew_matrices(ring, 3, values))
+
+
+@pytest.mark.parametrize("q,m", [(2, 0), (2, 1), (2, 6), (3, 1), (3, 4), (4, 3)])
+def test_gray_steps_visit_every_digit_tuple_once(q, m):
+    digits, seen = [0] * m, {(0,) * m}
+    for k, d in _gray_steps(q, m):
+        digits[k] += d
+        assert 0 <= digits[k] < q
+        seen.add(tuple(digits))
+    assert len(seen) == q**m == len(_gray_steps(q, m)) + 1
+
+
+def _product_order_maps(n, field):
+    """The support -> least-index matrix maps of the kernel and of the product-order oracle."""
+    kernel = {v: _search_matrix(n, field, index).entries for v, index in _achievable_supports(n, field).items()}
+    oracle = {sum(1 << s for s in support): a.entries for support, a in achievable_supports(n, field).items()}
+    return kernel, oracle
+
+
+def test_support_search_matches_the_product_order_oracle():
+    # the walk keeps, for each support, the least product-order index: the oracle's first-found matrix
+    for field, top in (("gf2", 5), ("gf3", 4), ("regular", 4)):
+        for n in range(top + 1):
+            kernel, oracle = _product_order_maps(n, field)
+            assert kernel == oracle, (field, n)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("field", ["gf3", "regular"])
+def test_support_search_matches_the_product_order_oracle_at_n5(monkeypatch, field):
+    # the oracle's n * 2**n steps a table put it over SWEEP_BUDGET at n = 5; the walk is not
+    monkeypatch.setattr(groundset, "SWEEP_BUDGET", 1 << 24)
+    kernel, oracle = _product_order_maps(5, field)
+    assert kernel == oracle
+    assert len(kernel) == {"gf3": 2029, "regular": 1024}[field]
 
 
 # ---------------------------------------------------------------------------
@@ -177,18 +218,20 @@ def test_census_caps_and_validation():
     with pytest.raises(CapabilityError):
         representability_census(6, "gf2")
     with pytest.raises(CapabilityError):
-        representability_census(5, "gf3")
+        representability_census(6, "gf3")
     with pytest.raises(InputError):
         representability_census(3, "gf5")
 
 
 def test_census_refusal_creates_no_file(tmp_path):
-    # the support search is sized before --out is opened
+    # the enumeration cap is checked before the support search and before --out is opened
     out = tmp_path / "census.jsonl"
-    for n, field in ((6, "gf2"), (5, "gf3")):
-        with pytest.raises(CapabilityError):
+    searched = _achievable_supports.cache_info().misses
+    for n, field in ((6, "gf2"), (6, "gf3")):
+        with pytest.raises(CapabilityError, match="census is capped at n = 5"):
             representability_census(n, field, out_path=str(out))
         assert not out.exists()
+    assert _achievable_supports.cache_info().misses == searched
 
 
 def test_uniform_two_four_is_not_binary():
@@ -197,9 +240,9 @@ def test_uniform_two_four_is_not_binary():
     u24 = fam(4, [1, 2], [1, 3], [2, 3], [1, 4], [2, 4], [3, 4])
     assert is_matroid(u24).ok and is_orthogonal(u24).ok
     sup2 = _achievable_supports(4, "gf2")
-    assert not any(frozenset(b ^ t for b in u24.masks) in sup2 for t in u24.masks)
+    assert not any(sum(1 << (b ^ t) for b in u24.masks) in sup2 for t in u24.masks)
     sup3 = _achievable_supports(4, "gf3")
-    assert any(frozenset(b ^ t for b in u24.masks) in sup3 for t in u24.masks)
+    assert any(sum(1 << (b ^ t) for b in u24.masks) in sup3 for t in u24.masks)
     assert find_regular_representation(u24) is None
 
 
@@ -243,9 +286,9 @@ def test_supports_hold_the_empty_set():
     # the twist set behind the census is sound only because Pf of the empty matrix is 1
     for field, top in (("gf2", 5), ("gf3", 4)):
         for n in range(top + 1):
-            assert all(0 in s for s in _achievable_supports(n, field))
+            assert all(s & 1 for s in _achievable_supports(n, field))
             rep = _representable_families(n, field)
-            assert all(sum(1 << m for m in s) in rep for s in _achievable_supports(n, field))
+            assert all(s in rep for s in _achievable_supports(n, field))
 
 
 def test_one_support_search_for_every_partial_field():
@@ -255,18 +298,22 @@ def test_one_support_search_for_every_partial_field():
         regular = _achievable_supports(n, "regular")
         assert set(regular) == set(_achievable_supports(n, "gf2"))
         assert set(regular) <= set(_achievable_supports(n, "gf3"))
-        closure = frozenset(sum(1 << (s ^ t) for s in support) for support in regular for t in range(1 << n))
-        assert closure == _representable_families(n, "gf2")
-        for support, a in regular.items():
+        assert _twist_closure(n, regular) == _representable_families(n, "gf2")
+        for support, index in regular.items():
+            a = _search_matrix(n, "regular", index)
             assert set(a.entries) <= {0, 1, -1}
-            assert _support(all_principal_pfaffians(a)) == support
+            assert sum(1 << mask for mask, v in enumerate(all_principal_pfaffians(a)) if v) == support
     assert len(_representable_families(4, "gf2")) == 270
     # the closure's bit swaps against the twist of every subset moved one by one
     for field, top in (("gf2", 5), ("gf3", 4)):
         for n in range(top + 1):
-            supports = _achievable_supports(n, field)
-            closure = frozenset(sum(1 << (s ^ t) for s in support) for support in supports for t in range(1 << n))
-            assert closure == _representable_families(n, field), (field, n)
+            assert _twist_closure(n, _achievable_supports(n, field)) == _representable_families(n, field), (field, n)
+
+
+def _twist_closure(n, supports):
+    return frozenset(
+        sum(1 << (s ^ t) for s in range(1 << n) if v >> s & 1) for v in supports for t in range(1 << n)
+    )
 
 
 # sha256 of the census files as the per-candidate exchange checker wrote them
@@ -287,6 +334,13 @@ def test_census_file_digests(tmp_path, n, field):
         assert r.orthogonal_count == 7966
         assert r.matroid_count == 406
         assert r.representable_counts == {"gf2": 4590}
+
+
+def test_census_gf3_at_n5():
+    # the GF(3) support search fits the budget at n = 5 since it walks one table update per set
+    r = representability_census(5, "gf3")
+    assert (r.total_families_checked, r.orthogonal_count, r.matroid_count) == (131070, 7966, 406)
+    assert r.representable_counts == {"gf3": 7470}
 
 
 def test_census_resume_torn_tail(tmp_path):
@@ -437,8 +491,13 @@ def test_find_regular_representation_roundtrip():
     assert rep.matrix.ring == ZZ
     v = wick_from_representation(rep, REGULAR)
     assert frozenset(v.support_masks()) == f.masks
+    # the walk brings the regular search to n = 5; n = 6 is over the budget
+    f5 = fam(5, [1, 2])
+    rep5 = find_regular_representation(f5)
+    assert rep5 is not None and rep5.matrix.ring == ZZ
+    assert frozenset(wick_from_representation(rep5, REGULAR).support_masks()) == f5.masks
     with pytest.raises(CapabilityError):
-        find_regular_representation(fam(5, [1, 2]))
+        find_regular_representation(fam(6, [1, 2]))
 
 
 # sha256 over find_regular_representation of every orthogonal matroid on [n],
@@ -541,8 +600,10 @@ def test_realizable_demo_at_n5():
 
 
 def test_realizable_demo_validation():
-    with pytest.raises(CapabilityError):
+    searched = _achievable_supports.cache_info().misses
+    with pytest.raises(CapabilityError, match="zero-pattern demo is capped at n = 5"):
         realizable_sets_demo(6)
+    assert _achievable_supports.cache_info().misses == searched
     with pytest.raises(InputError):
         realizable_sets_demo(3, field="gf3")
 

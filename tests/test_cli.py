@@ -362,6 +362,16 @@ def test_census_verb(tmp_path, capsys):
     assert report_of(out)["error"]["type"] == "CapabilityError"
 
 
+def test_census_verb_refuses_n6_before_out(tmp_path, capsys):
+    # the GF(2) support search fits the budget at n = 6; the enumeration cap does not
+    out_path = tmp_path / "c.jsonl"
+    for field in ("gf2", "gf3"):
+        code, out, _ = run(capsys, "census", "--n", "6", "--field", field, "--out", str(out_path))
+        assert code == 3
+        assert report_of(out)["error"]["type"] == "CapabilityError"
+        assert not out_path.exists()
+
+
 def test_census_verb_refuses_foreign_file(tmp_path, capsys):
     out_path = tmp_path / "c.jsonl"
     run(capsys, "census", "--n", "2", "--out", str(out_path))
