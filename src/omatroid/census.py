@@ -215,7 +215,7 @@ def _achievable_supports(n: int, field: str) -> dict[int, int]:
                 for s in range(1 << n) if not s & (1 << i | 1 << j)] for i, j in pairs]
     lack = [sum(1 << s for _, s, _ in u) for u in updates]  # over GF(2), J = (J-i-j) << shift
     shift = [(1 << i) + (1 << j) for i, j in pairs]
-    p, allowed = getattr(ring, "p", 0), frozenset(values)  # p = 0: no modulus over ZZ
+    p, allowed = ring.p, frozenset(values)
     table, digits, support, outside = [1] + [0] * ((1 << n) - 1), [0] * len(pairs), 1, 0
     index, found = 0, {1: 0}  # the zero matrix: Pf of the empty set is 1, of every other set 0
     for k, d in _gray_steps(q, len(pairs)):
@@ -468,10 +468,14 @@ def representability_census(
     _representable_families(n, field)  # so is a support search over the budget
     total = _candidate_total(n)
     reused, tally = 0, Counter()
-    if out_path and os.path.exists(out_path):
-        reused, tally = _resume(out_path, n, field, total)
+    try:
+        if out_path and os.path.exists(out_path):
+            reused, tally = _resume(out_path, n, field, total)
+        opened = open(out_path, "a", encoding="utf-8") if out_path else nullcontext()
+    except OSError as exc:
+        raise InputError(f"cannot use {out_path} as the census file: {exc}") from exc
     sweep_start = time.perf_counter()
-    with open(out_path, "a", encoding="utf-8") if out_path else nullcontext() as sink:
+    with opened as sink:
         for start in range(reused, total, CENSUS_CHUNK):
             done = min(start + CENSUS_CHUNK, total)
             text, part = _census_chunk(n, field, start, done, sink is not None)

@@ -15,7 +15,8 @@ here and the maximal minors of a wide matrix in ``plucker``. There is no
 cofactor path. A single Pfaffian uses skew elimination, O(n**3), run over
 the rationals for integer input. The table of all principal Pfaffians
 expands along the lowest index over every mask in increasing order,
-O(2**n * n); rational input runs on integers.
+O(2**n * n), on plain integers for every ring: residues reduced mod p over
+GF(p), and over QQ the matrix with its denominators cleared.
 """
 
 from __future__ import annotations
@@ -49,25 +50,30 @@ def _is_prime(p: int) -> bool:
 
 
 class Ring:
-    """Common interface of the supported coefficient rings."""
+    """Common interface of the supported coefficient rings.
+
+    The arithmetic here is Python's own operators, as over ZZ and QQ;
+    GF(p) sets its modulus ``p`` and reduces by it.
+    """
 
     kind: str = "?"
     is_field: bool = False
+    p: int = 0  # the modulus; 0 for none
 
     zero = 0
     one = 1
 
     def add(self, a, b):
-        raise NotImplementedError
+        return a + b
 
     def sub(self, a, b):
-        raise NotImplementedError
+        return a - b
 
     def mul(self, a, b):
-        raise NotImplementedError
+        return a * b
 
     def neg(self, a):
-        raise NotImplementedError
+        return -a
 
     def is_zero(self, a) -> bool:
         return a == self.zero
@@ -85,14 +91,11 @@ class Ring:
     def fmt(self, v) -> str:
         return str(v)
 
-    def _key(self):
-        return (self.kind,)
-
     def __eq__(self, other) -> bool:
-        return isinstance(other, Ring) and self._key() == other._key()
+        return isinstance(other, Ring) and (self.kind, self.p) == (other.kind, other.p)
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash((self.kind, self.p))
 
     def __repr__(self) -> str:
         return self.kind
@@ -100,18 +103,6 @@ class Ring:
 
 class IntegerRing(Ring):
     kind = "z"
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
 
     def inv(self, a):
         if a in (1, -1):
@@ -143,18 +134,6 @@ class RationalField(Ring):
     zero = Fraction(0)
     one = Fraction(1)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
         if a == 0:
             raise InputError("division by zero")
@@ -179,13 +158,13 @@ class RationalField(Ring):
 class PrimeField(Ring):
     """GF(p), residues kept canonical in [0, p)."""
 
+    kind = "gfp"
     is_field = True
 
     def __init__(self, p: int):
         if not _is_prime(p):
             raise InputError(f"{p!r} is not prime")
         self.p = p
-        self.kind = "gfp"
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -221,9 +200,6 @@ class PrimeField(Ring):
             return int(s) % self.p
         except ValueError as exc:
             raise InputError(f"bad residue literal {s!r}") from exc
-
-    def _key(self):
-        return (self.kind, self.p)
 
     def __repr__(self) -> str:
         return f"gf({self.p})"
@@ -281,9 +257,9 @@ class PartialField:
     def json_decl(self) -> dict:
         if self.units == UNITS_PM_ONE:
             return {"kind": "regular"}
-        if self.ring == QQ:
-            return {"kind": "q"}
-        return {"kind": "gfp", "p": self.ring.p}
+        if self.ring.p:
+            return {"kind": "gfp", "p": self.ring.p}
+        return {"kind": "q"}
 
     def __repr__(self) -> str:
         if self.units == UNITS_PM_ONE:
@@ -454,31 +430,6 @@ def determinant(m: Matrix):
 # pfaffians
 
 
-def _expand(ring: Ring, entry, mask: int, known):
-    """Pfaffian of the principal submatrix on an even-size ``mask``.
-
-    Expands along the lowest index i: the alternating sum over the other
-    indices j of a_ij * Pf(mask minus {i, j}), reading each smaller
-    Pfaffian from ``known[submask]``.
-    """
-    lowbit = mask & -mask
-    i1 = lowbit.bit_length() - 1
-    acc = ring.zero
-    t = 1
-    r = mask ^ lowbit
-    while r:
-        b = r & -r
-        r ^= b
-        t += 1
-        a = entry(i1, b.bit_length() - 1)
-        if not ring.is_zero(a):
-            sub = known[mask ^ lowbit ^ b]
-            if not ring.is_zero(sub):
-                term = ring.mul(a, sub)
-                acc = ring.add(acc, term) if t % 2 == 0 else ring.sub(acc, term)
-    return acc
-
-
 def _pf_eliminate(field: Ring, a: list[list]):
     """Pfaffian of a skew matrix over a field, by Parlett-Reid pivoting.
 
@@ -520,23 +471,37 @@ def pfaffian(m: SkewMatrix):
 def all_principal_pfaffians(m: SkewMatrix) -> list:
     """Pfaffians of every principal submatrix, indexed by subset mask.
 
-    Expansions over masks in increasing order, O(2**n * n) ring operations,
-    refused above SWEEP_BUDGET. Over QQ it runs on the integer matrix cA, c
-    the lcm of the denominators: entry J is Pf((cA)_J) / c**(|J|/2).
+    One integer expansion for every ring, over masks in increasing order:
+    Pf(A_J) is the alternating sum, over the j in J after its lowest index
+    i, of a_ij * Pf(A_(J-i-j)) read from the table. O(2**n * n) steps,
+    refused above SWEEP_BUDGET. ZZ and the regular partial field expand
+    their entries as they are, and GF(p) its residues, each new entry taken
+    mod p. QQ expands the integer matrix cA, c the lcm of the denominators,
+    and divides entry J by c**(|J|/2) at the end.
     """
     if not isinstance(m, SkewMatrix):
         raise InputError("pfaffian table needs a skew-symmetric matrix")
-    n, ring, entry = m.size, m.ring, m.entry
+    n, p, a, rational = m.size, m.ring.p, m.entries, m.ring == QQ
     within_budget(n << n, "Pfaffian table", "expansion steps")
-    if ring == QQ:
-        c = lcm(*(v.denominator for v in m.entries))
-        ints = [v.numerator * (c // v.denominator) for v in m.entries]
-        ring, entry = ZZ, lambda i, j: ints[i * n + j]
-    table = [ring.one] + [ring.zero] * ((1 << n) - 1)
+    if rational:
+        c = lcm(*(v.denominator for v in a))
+        a = [v.numerator * (c // v.denominator) for v in a]
+    table = [1] + [0] * ((1 << n) - 1)
     for mask in range(1, len(table)):
-        if not mask.bit_count() % 2:
-            table[mask] = _expand(ring, entry, mask, table)
-    if ring == m.ring:
+        if mask.bit_count() % 2:
+            continue
+        low = mask & -mask
+        row, rest = (low.bit_length() - 1) * n - 1, mask ^ low  # a[row + b.bit_length()] is a_ij
+        acc, r, sign = 0, rest, 1
+        while r:
+            b = r & -r
+            r ^= b
+            x = a[row + b.bit_length()]
+            if x:
+                acc += sign * x * table[rest ^ b]
+            sign = -sign
+        table[mask] = acc % p if p else acc
+    if not rational:
         return table
     scale = [c ** (k // 2) for k in range(n + 1)]
     return [Fraction(v, scale[mask.bit_count()]) if v else QQ.zero for mask, v in enumerate(table)]
@@ -557,18 +522,20 @@ class Homomorphism:
     target: PartialField
     kind: str
 
+    def __post_init__(self) -> None:
+        # the one kind each source ring takes, and GF(p) as the target
+        kind = {ZZ: HOM_INT_TO_GFP, QQ: HOM_RAT_TO_GFP}.get(self.source.ring)
+        if self.kind != kind or not self.target.ring.p:
+            raise InputError(f"no {self.kind!r} homomorphism from {self.source!r} to {self.target!r}")
+
     def apply(self, v):
         p = self.target.ring.p
         if self.kind == HOM_INT_TO_GFP:
             return v % p
-        if self.kind == HOM_RAT_TO_GFP:
-            den = v.denominator % p
-            if den == 0:
-                raise MapUndefinedError(
-                    f"denominator of {v} is divisible by {p}; residue map undefined"
-                )
-            return v.numerator % p * pow(den, -1, p) % p
-        raise InputError(f"unknown homomorphism kind {self.kind!r}")
+        den = v.denominator % p
+        if den == 0:
+            raise MapUndefinedError(f"denominator of {v} is divisible by {p}; residue map undefined")
+        return v.numerator % p * pow(den, -1, p) % p
 
 
 def residue_hom(p: int) -> Homomorphism:

@@ -18,7 +18,6 @@ from .exactalg import (
     GF,
     Matrix,
     PartialField,
-    PrimeField,
     QQ,
     REGULAR,
     Ring,
@@ -83,7 +82,7 @@ def parse_ring_decl(obj: Any) -> tuple[Ring, PartialField | None]:
 def ring_decl_to_json(ring: Ring, pf: PartialField | None = None) -> dict:
     if pf is not None:
         return pf.json_decl()
-    if isinstance(ring, PrimeField):
+    if ring.p:
         return {"kind": "gfp", "p": ring.p}
     return {"kind": ring.kind}
 

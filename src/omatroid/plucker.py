@@ -38,7 +38,7 @@ from operator import mul
 from typing import Callable, Mapping
 
 from .errors import ClassificationError, InputError, MembershipError, RankError
-from .exactalg import Matrix, PartialField, PrimeField, _field_rows, _reduce
+from .exactalg import Matrix, PartialField, _field_rows, _reduce
 from .groundset import (  # SWEEP_BUDGET stays importable from here, next to the sweeps
     SWEEP_BUDGET,
     GroundSet,
@@ -243,7 +243,7 @@ def _dirty_test(ring, rows) -> Callable[[list], bool]:
     once, only while a tested row is orthogonal to all of it: a dirty row
     met early costs a few rows, a clean one completes the basis.
     """
-    p = ring.p if isinstance(ring, PrimeField) else None
+    p = ring.p
     pivots, basis = [], []  # basis[i] is 0 at pivots[:i] and not at pivots[i]
 
     def whole(row: list) -> list:

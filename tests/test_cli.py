@@ -391,6 +391,19 @@ def test_census_verb_refuses_a_flipped_verdict(tmp_path, capsys):
     assert out_path.read_bytes() == flipped
 
 
+@pytest.mark.parametrize("where", ["missing_dir", "directory"])
+def test_census_verb_refuses_an_unusable_out_path(tmp_path, capsys, where):
+    # an I/O failure is bad input (exit 2, one error line), not a false verdict
+    out_path = tmp_path / "no" / "c.jsonl" if where == "missing_dir" else tmp_path
+    code, out, err = run(capsys, "census", "--n", "2", "--out", str(out_path))
+    assert code == 2
+    assert len(out.splitlines()) == 1
+    error = report_of(out)["error"]
+    assert error["type"] == "InputError"
+    assert str(out_path) in error["message"]
+    assert "Traceback" not in err
+
+
 def test_verify_bounds_verb(capsys):
     code, out, _ = run(capsys, "verify-bounds", "--n", "12")
     assert code == 0

@@ -6,6 +6,9 @@ import pytest
 from omatroid.errors import CapabilityError, InputError, MapUndefinedError
 from omatroid.exactalg import (
     GF,
+    HOM_INT_TO_GFP,
+    HOM_RAT_TO_GFP,
+    Homomorphism,
     Matrix,
     PartialField,
     QQ,
@@ -278,6 +281,19 @@ def test_rational_residue_hom_partiality():
     assert h.apply(Fraction(1, 3)) == 2  # 3*2 = 6 = 1 mod 5
     with pytest.raises(MapUndefinedError):
         h.apply(Fraction(1, 5))
+
+
+@pytest.mark.parametrize("source, target, kind", [
+    (PartialField.for_field(QQ), REGULAR, HOM_INT_TO_GFP),  # a target that is not GF(p)
+    (REGULAR, PartialField.for_field(QQ), HOM_INT_TO_GFP),
+    (PartialField.for_field(QQ), PartialField.for_field(GF(7)), HOM_INT_TO_GFP),  # the wrong kind
+    (REGULAR, PartialField.for_field(GF(7)), HOM_RAT_TO_GFP),
+    (PartialField.for_field(GF(5)), PartialField.for_field(GF(7)), HOM_INT_TO_GFP),  # no kind
+    (REGULAR, PartialField.for_field(GF(7)), "made_up"),
+], ids=["qq-to-regular", "regular-to-qq", "qq-int", "regular-rat", "gf5-source", "made-up"])
+def test_homomorphism_refuses_a_triple_it_cannot_apply(source, target, kind):
+    with pytest.raises(InputError):
+        Homomorphism(source, target, kind)
 
 
 def test_hom_commutes_with_pfaffian():

@@ -30,6 +30,11 @@ def test_removed_aliases_are_gone():
     for name in ("_det_gauss", "_det_bareiss", "identity_hom", "HOM_IDENTITY"):
         assert not hasattr(exactalg, name)
     assert not hasattr(exactalg.IntegerRing, "divexact")
+    # one integer Pfaffian table for every ring; the plain arithmetic and the modulus live on Ring
+    assert not hasattr(exactalg, "_expand")
+    for cls in (exactalg.IntegerRing, exactalg.RationalField):
+        assert not {"add", "sub", "mul", "neg"} & set(vars(cls))
+    assert exactalg.ZZ.p == exactalg.QQ.p == 0
     assert not hasattr(exactalg.Matrix, "column_submatrix")
     assert not hasattr(plucker._CoordinateVector, "items")
     # helpers that only their own tests called

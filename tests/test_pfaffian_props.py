@@ -4,10 +4,11 @@ On random skew matrices of size 0 to 8 over the integers, the rationals
 and GF(7), the eliminated Pfaffian, the last entry of the principal-Pfaffian
 table and the perfect-matching sum of the oracle (reduced mod 7 over GF(7))
 must agree, and Pf(A)**2 must equal det(A). Elimination and table must also
-agree at sizes 9 to 12, every entry of a rational table must be the
-matching sum of its principal submatrix, and reduction mod p must commute
-with the Pfaffian. Half the drawn entries are zero, so singular matrices
-and pivot swaps come up often.
+agree at sizes 9 to 12. Over ZZ, QQ, GF(2), GF(7) and the regular partial
+field, every entry of the table must be the matching sum of its principal
+submatrix (mod p over GF(p)) and a canonical ring value. Reduction mod p
+must commute with the Pfaffian. Half the drawn entries are zero, so
+singular matrices and pivot swaps come up often.
 """
 
 from fractions import Fraction
@@ -86,14 +87,26 @@ def test_residue_maps_commute_with_pfaffians(name, data):
     assert pfaffian(apply_hom(h, m)) == h.apply(pfaffian(m))
 
 
+TABLE_RINGS = {  # every ring the table runs on; with the zeros _skew adds, regular is {0, +1, -1}
+    "zz": (ZZ, ENTRIES["zz"]),
+    "qq": (QQ, st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))),
+    "gf2": (GF(2), st.integers(0, 1)),
+    "gf7": (GF(7), ENTRIES["gf7"]),
+    "regular": (ZZ, st.sampled_from([1, -1])),
+}
+
+
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_rational_table_is_the_matching_sum_on_every_mask(data):
+    # one matrix over each ring of TABLE_RINGS, all of the same size
     n = data.draw(st.integers(0, 8), label="n")
-    mixed = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
-    m = _skew(data, QQ, n, mixed)
-    rows = m.row_lists()
-    for mask, v in enumerate(all_principal_pfaffians(m)):
-        idx = [i for i in range(n) if mask >> i & 1]
-        assert type(v) is Fraction
-        assert v == matching_pfaffian([[rows[i][j] for j in idx] for i in idx])
+    for ring, entries in TABLE_RINGS.values():
+        m = _skew(data, ring, n, entries)
+        rows, p = m.row_lists(), ring.p
+        for mask, v in enumerate(all_principal_pfaffians(m)):
+            idx = [i for i in range(n) if mask >> i & 1]
+            want = matching_pfaffian([[rows[i][j] for j in idx] for i in idx])
+            assert v == (want % p if p else want)
+            assert type(v) is (Fraction if ring == QQ else int)
+            assert 0 <= v < p or not p
