@@ -9,24 +9,24 @@ ring together with a unit group containing -1. Two unit groups are
 supported, all nonzero elements (the field case) and {+1, -1} over the
 integers (the regular partial field).
 
-One row reduction to reduced echelon form, over the ring's field of
-fractions (integers run through the rationals), serves the determinant
-here and the maximal minors of a wide matrix in ``plucker``. There is no
-cofactor path. A single Pfaffian uses skew elimination, O(n**3), run over
-the rationals for integer input. The table of all principal Pfaffians
-expands along the lowest index over every mask in increasing order,
-O(2**n * n), on plain integers for every ring: residues reduced mod p over
-GF(p), and over QQ the matrix with its denominators cleared.
+Every kernel runs on plain integers for every ring: residues mod p over
+GF(p), and over QQ the values with their denominators cleared by one
+helper, ``_integers``. One fraction-free row reduction serves the
+determinant here and the maximal minors of a wide matrix in ``plucker``; a
+single Pfaffian is fraction-free skew elimination, O(n**3); the table of
+all principal Pfaffians expands along the lowest index over every mask in
+increasing order, O(2**n * n).
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from typing import Sequence
 
-from .errors import InputError, MapUndefinedError
+from .errors import CapabilityError, InputError, MapUndefinedError
 from .groundset import SubsetMask, mask_elements, record, within_budget
 
 
@@ -34,18 +34,30 @@ from .groundset import SubsetMask, mask_elements, record, within_budget
 # rings
 
 
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(p: int) -> bool:
+    """Miller-Rabin on the first twelve prime bases.
+
+    Exact below 3.18e23 (Sorenson and Webster, Math. Comp. 86, 2017), so
+    for every modulus GF(p) takes: it refuses p >= 2**64.
+    """
     if not isinstance(p, int) or isinstance(p, bool) or p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    if any(p % b == 0 for b in _PRIME_BASES):
+        return p in _PRIME_BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2**s with d odd
+    for b in _PRIME_BASES:
+        x = pow(b, (p - 1) >> s, p)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == p - 1:
+                break
+            x = x * x % p
+        else:
             return False
-        f += 2
     return True
 
 
@@ -89,7 +101,12 @@ class Ring:
         raise NotImplementedError
 
     def fmt(self, v) -> str:
-        return str(v)
+        try:
+            return str(v)
+        except ValueError as exc:  # an int past sys.get_int_max_str_digits()
+            limit = sys.get_int_max_str_digits()
+            message = f"a value has more than {limit} digits, Python's int-to-string limit"
+            raise CapabilityError(message) from exc
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Ring) and (self.kind, self.p) == (other.kind, other.p)
@@ -162,6 +179,8 @@ class PrimeField(Ring):
     is_field = True
 
     def __init__(self, p: int):
+        if isinstance(p, int) and p >= 1 << 64:
+            raise CapabilityError(f"GF(p) is capped at p < 2**64, got a {p.bit_length()}-bit p")
         if not _is_prime(p):
             raise InputError(f"{p!r} is not prime")
         self.p = p
@@ -381,91 +400,98 @@ class SkewMatrix(Matrix):
 # determinants
 
 
-def _field_rows(m: Matrix):
-    """The field of fractions of m's ring, and m's rows over it: integers become rationals."""
-    if m.ring.is_field:
-        return m.ring, m.row_lists()
-    return QQ, [[Fraction(v) for v in r] for r in m.row_lists()]
+def _integers(values, ring: Ring):
+    """``values`` times c, as integers, and c: over QQ the lcm of the denominators;
+    over every other ring 1, with the values returned as they are, not copied."""
+    if not isinstance(ring, RationalField):
+        return values, 1
+    c = lcm(*(v.denominator for v in values))
+    return [v.numerator * (c // v.denominator) for v in values], c
 
 
-def _reduce(field: Ring, rows: list[list]):
-    """Bring ``rows`` to reduced echelon form over ``field``, in place.
+def _reduce(rows: list, p: int):
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of integer ``rows``, mod p if p.
 
-    Returns the pivot columns and the sign of the row swaps times the
-    product of the pivots: at full row rank, the determinant of the input's
-    columns at the pivots, since the rows then read A_P^-1 A.
+    Each step keeps its pivot row y and sets every other row, f = 0 or not,
+    to (piv * x - f * y) / prev, prev the last pivot (1 at first): an exact
+    division over ZZ, a product with prev**-1 mod p. A swap negates the row
+    moved down, so no determinant changes sign. Returns the pivot columns
+    and d: at full row rank the last pivot, d = det(A_P) with the rows
+    reading d * A_P^-1 A; below it 0.
     """
-    pivots, det = [], field.one
+    pivots, prev = [], 1
     width = len(rows[0]) if rows else 0
     for c in range(width):
         k = len(pivots)
-        i = next((i for i in range(k, len(rows)) if not field.is_zero(rows[i][c])), None)
+        i = next((i for i in range(k, len(rows)) if rows[i][c]), None)
         if i is None:
             continue
         if i != k:
-            rows[k], rows[i] = rows[i], rows[k]
-            det = field.neg(det)
-        det, inv = field.mul(det, rows[k][c]), field.inv(rows[k][c])
-        row = rows[k] = [field.mul(inv, v) for v in rows[k]]
-        for other in rows:
-            f = other[c]
-            if other is not row and not field.is_zero(f):
-                for j in range(c, width):
-                    other[j] = field.sub(other[j], field.mul(f, row[j]))
+            rows[k], rows[i] = rows[i], [-x for x in rows[k]]
+        y = rows[k]
+        piv, inv = y[c], pow(prev, -1, p) if p else 0
+        for o, x in enumerate(rows):
+            if o != k:
+                f = x[c]
+                if p:
+                    rows[o] = [(piv * u - f * v) * inv % p for u, v in zip(x, y)]
+                else:
+                    rows[o] = [(piv * u - f * v) // prev for u, v in zip(x, y)]
+        prev = piv
         pivots.append(c)
-        if len(pivots) == len(rows):
-            break
-    return pivots, det
+    return pivots, prev if len(pivots) == len(rows) else 0
 
 
 def determinant(m: Matrix):
-    """Exact determinant of a square matrix, by one row reduction."""
+    """Exact determinant of a square matrix, by one fraction-free row reduction."""
     if m.rows != m.cols:
         raise InputError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
-    pivots, det = _reduce(*_field_rows(m))
-    return m.ring.coerce(det) if len(pivots) == m.rows else m.ring.zero
+    n = m.rows
+    ints, c = _integers(m.entries, m.ring)
+    d = _reduce([ints[i * n : (i + 1) * n] for i in range(n)], m.ring.p)[1]
+    return m.ring.coerce(d if c == 1 else Fraction(d, c**n))
 
 
 # ---------------------------------------------------------------------------
 # pfaffians
 
 
-def _pf_eliminate(field: Ring, a: list[list]):
-    """Pfaffian of a skew matrix over a field, by Parlett-Reid pivoting.
-
-    Step k swaps index k+1 with the first j > k where a_kj != 0 (a sign flip;
-    none, as at the end of an odd size, gives 0), multiplies in p = a_k,k+1
-    and keeps the skew Schur complement a_il + (a_k+1,i a_kl - a_ki a_k+1,l) / p.
-    """
-    n, pf = len(a), field.one
-    for k in range(0, n, 2):
-        row = a[k]
-        j = next((j for j in range(k + 1, n) if not field.is_zero(row[j])), None)
-        if j is None:
-            return field.zero
-        if j != k + 1:
-            a[k + 1], a[j] = a[j], a[k + 1]
-            for r in a[k:]:
-                r[k + 1], r[j] = r[j], r[k + 1]
-            pf = field.neg(pf)
-        pf, inv = field.mul(pf, row[k + 1]), field.inv(row[k + 1])
-        x, w = [field.mul(v, inv) for v in row], a[k + 1]
-        for i in range(k + 2, n):
-            for l in range(i + 1, n):
-                v = field.add(a[i][l], field.sub(field.mul(w[i], x[l]), field.mul(x[i], w[l])))
-                a[i][l], a[l][i] = v, field.neg(v)
-    return pf
-
-
 def pfaffian(m: SkewMatrix):
-    """Pfaffian by skew elimination, run in QQ over the integers.
+    """Pfaffian by fraction-free skew elimination (Parlett-Reid) on integers.
 
-    The empty matrix has Pfaffian 1, odd sizes give 0 and [[0, a], [-a, 0]]
-    gives a; the square of the result is always the determinant.
+    A step swaps index 1 with the first j where a_0j != 0 (a sign flip;
+    none, as at the end of an odd size, gives 0), then drops indices 0 and
+    1, with piv = a_01 and prev the last piv (1 at first), keeping
+    a_il <- (piv a_il + a_1i a_0l - a_0i a_1l) / prev: exact by Knuth's
+    overlapping-Pfaffian identity, a product with prev**-1 over GF(p). The
+    last piv is the Pfaffian up to the swaps' sign, of cA over QQ. The empty
+    matrix has Pfaffian 1, and the square of the result is the determinant.
     """
     if not isinstance(m, SkewMatrix):
         raise InputError("pfaffian needs a skew-symmetric matrix")
-    return m.ring.coerce(_pf_eliminate(*_field_rows(m)))
+    n, p = m.size, m.ring.p
+    ints, c = _integers(m.entries, m.ring)
+    a, sign, prev = [list(ints[i * n : (i + 1) * n]) for i in range(n)], 1, 1
+    while a:
+        x = a[0]
+        j = next((j for j in range(1, len(a)) if x[j]), None)
+        if j is None:
+            return m.ring.zero
+        if j != 1:
+            a[1], a[j] = a[j], a[1]
+            for r in a:
+                r[1], r[j] = r[j], r[1]
+            sign = -sign
+        piv, xs, ws = x[1], x[2:], a[1][2:]
+        if p:
+            inv = pow(prev, -1, p)
+            a = [[(piv * y + wi * u - xi * v) * inv % p for y, u, v in zip(r[2:], xs, ws)]
+                 for r, wi, xi in zip(a[2:], ws, xs)]
+        else:
+            a = [[(piv * y + wi * u - xi * v) // prev for y, u, v in zip(r[2:], xs, ws)]
+                 for r, wi, xi in zip(a[2:], ws, xs)]
+        prev = piv
+    return m.ring.coerce(sign * prev if c == 1 else Fraction(sign * prev, c ** (n // 2)))
 
 
 def all_principal_pfaffians(m: SkewMatrix) -> list:
@@ -481,11 +507,9 @@ def all_principal_pfaffians(m: SkewMatrix) -> list:
     """
     if not isinstance(m, SkewMatrix):
         raise InputError("pfaffian table needs a skew-symmetric matrix")
-    n, p, a, rational = m.size, m.ring.p, m.entries, m.ring == QQ
+    n, p = m.size, m.ring.p
     within_budget(n << n, "Pfaffian table", "expansion steps")
-    if rational:
-        c = lcm(*(v.denominator for v in a))
-        a = [v.numerator * (c // v.denominator) for v in a]
+    a, c = _integers(m.entries, m.ring)
     table = [1] + [0] * ((1 << n) - 1)
     for mask in range(1, len(table)):
         if mask.bit_count() % 2:
@@ -501,7 +525,7 @@ def all_principal_pfaffians(m: SkewMatrix) -> list:
                 acc += sign * x * table[rest ^ b]
             sign = -sign
         table[mask] = acc % p if p else acc
-    if not rational:
+    if m.ring != QQ:
         return table
     scale = [c ** (k // 2) for k in range(n + 1)]
     return [Fraction(v, scale[mask.bit_count()]) if v else QQ.zero for mask, v in enumerate(table)]

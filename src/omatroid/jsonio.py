@@ -296,7 +296,9 @@ def load_json(path: str):
             return json.load(sys.stdin, object_pairs_hook=_unique_keys)
         with open(path, encoding="utf-8") as fh:
             return json.load(fh, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
+    except InputError:  # a repeated key, raised by _unique_keys
+        raise
+    except ValueError as exc:  # JSONDecodeError, or a number past the int-to-string limit
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc

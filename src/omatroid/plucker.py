@@ -33,12 +33,12 @@ from __future__ import annotations
 from copy import copy
 from functools import lru_cache, partial
 from itertools import chain, compress, tee
-from math import comb, gcd, lcm
+from math import comb, gcd
 from operator import mul
 from typing import Callable, Mapping
 
 from .errors import ClassificationError, InputError, MembershipError, RankError
-from .exactalg import Matrix, PartialField, _field_rows, _reduce
+from .exactalg import Matrix, PartialField, _integers, _reduce
 from .groundset import (  # SWEEP_BUDGET stays importable from here, next to the sweeps
     SWEEP_BUDGET,
     GroundSet,
@@ -187,74 +187,70 @@ def plucker_support(p: PluckerVector) -> BasisFamily:
 def plucker_from_matrix(a: Matrix, pf: PartialField) -> PluckerVector:
     """Maximal minors of a full-row-rank r x n matrix, column labels 1..n.
 
-    One row reduction over the ring's field of fractions gives the first
-    pivot basis P, p_P = det(A_P) and E = A_P^-1 A. Every other r-set S
-    then follows from sets one step nearer P by one column exchange: with
-    j the lowest element of S - P,
+    One fraction-free row reduction of the integer rows gives the first
+    pivot basis P, d = p_P = det(A_P) and rows d * E, E = A_P^-1 A. Every
+    other r-set S then follows from sets one step nearer P by one column
+    exchange: with j the lowest element of S - P,
 
         p_S = sum over i in P - S of  (-1)**k * E[row of i][j] * p_{S - j + i}
 
-    where k counts the elements of S - j strictly between i and j. That is
-    at most C(n, r) * min(r, n - r) exchange steps, refused above
-    SWEEP_BUDGET. Raises RankError when every minor vanishes and
-    MembershipError when a minor falls outside the partial field.
+    where k counts the elements of S - j strictly between i and j, summed on
+    d * E and divided by d once. Over QQ the minors are those of cA, c**r
+    times: the same point. At most C(n, r) * min(r, n - r) exchange steps,
+    refused above SWEEP_BUDGET. Raises RankError when every minor vanishes
+    and MembershipError when a minor falls outside the partial field.
     """
     if a.ring != pf.ring:
         raise InputError(f"matrix ring {a.ring!r} does not match partial field {pf!r}")
-    r, n = a.rows, a.cols
+    r, n, p = a.rows, a.cols, a.ring.p
     if r > n:
         raise RankError(f"a {r}x{n} matrix cannot have row rank {r}")
     ground = GroundSet(n)
     within_budget(comb(n, r) * min(r, n - r), "minor table", "exchange steps")
-    field, rows = _field_rows(a)  # integer minors are whole Fractions, coerced back by PluckerVector
-    pivots, det = _reduce(field, rows)
-    if len(pivots) < r:
+    ints, _ = _integers(a.entries, a.ring)
+    rows = [ints[i * n : (i + 1) * n] for i in range(r)]
+    pivots, d = _reduce(rows, p)
+    if not d:
         raise RankError(f"matrix has row rank below {r}; every maximal minor vanishes")
+    inv = pow(d, -1, p) if p else 0
     base = sum(1 << c for c in pivots)
     row_of = {1 << c: row for c, row in zip(pivots, rows)}
-    minors = {base: det}
+    minors = {base: d}
     for s in sorted(masks_of_size(n, r), key=lambda m: (m & ~base).bit_count()):
         if s == base:
             continue
         rest = s & ~base
         jb = rest & -rest
         j = jb.bit_length() - 1
-        acc = field.zero
+        acc = 0
         missing = base & ~s
         while missing:
             ib = missing & -missing
             missing ^= ib
             e, v = row_of[ib][j], minors[s ^ jb | ib]
-            if e and v:  # zero is falsy in every ring
-                term = field.mul(e, v)
+            if e and v:
                 lo, hi = min(ib, jb), max(ib, jb)
                 between = s & (hi - 1) & ~(2 * lo - 1)
-                acc = field.sub(acc, term) if between.bit_count() & 1 else field.add(acc, term)
-        minors[s] = acc
+                acc += -e * v if between.bit_count() & 1 else e * v
+        minors[s] = acc * inv % p if p else acc // d
     return PluckerVector(ground, r, pf, tuple(minors[s] for s in masks_of_size(n, r)))
 
 
 def _dirty_test(ring, rows) -> Callable[[list], bool]:
     """A test for whether a row is dirty: not orthogonal to the span of ``rows``.
 
-    Rows are equal-length lists of ring values; over QQ and ZZ each is scaled
-    to integers, which keeps span and orthogonality, so no Fraction is made.
-    The echelon basis that decides the test is grown from ``rows``, read
-    once, only while a tested row is orthogonal to all of it: a dirty row
-    met early costs a few rows, a clean one completes the basis.
+    Rows are equal-length lists of ring values; over QQ each is scaled to
+    integers by _integers, which keeps span and orthogonality, so no
+    Fraction is made. The echelon basis that decides the test is grown from
+    ``rows``, read once, only while a tested row is orthogonal to all of it:
+    a dirty row met early costs a few rows, a clean one completes the basis.
     """
     p = ring.p
     pivots, basis = [], []  # basis[i] is 0 at pivots[:i] and not at pivots[i]
 
-    def whole(row: list) -> list:
-        if p:
-            return row
-        scale = lcm(*(x.denominator for x in row))
-        return [x.numerator * (scale // x.denominator) for x in row]
-
     def grow():  # the basis rows still to come, each appended to ``basis`` when found
-        for row in map(whole, rows):
-            w = row
+        for row in rows:
+            w = row = row if p else _integers(row, ring)[0]
             for k, b in zip(pivots, basis):
                 c, f = b[k], w[k]
                 if f:
@@ -272,7 +268,7 @@ def _dirty_test(ring, rows) -> Callable[[list], bool]:
     growth = grow()
 
     def dirty(u: list) -> bool:
-        u = whole(u)
+        u = u if p else _integers(u, ring)[0]  # residues are integers: no call on the GF(p) hot path
         if not any(u):
             return False
         spanning = chain(basis, growth)

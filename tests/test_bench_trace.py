@@ -3,8 +3,9 @@
 bench/traced.py replaces omatroid's public functions by name, so renaming
 one breaks the benchmark's layer metrics. One small traced from-matrix run
 must exit 0 and count at least one principal-Pfaffian table, a traced
-maximal-minor run must count its minors without one determinant call, and
-each basis-family verb must count one call of its checker.
+maximal-minor run must count its minors without one determinant call, a
+traced pfaffian run must count one pfaffian call and no determinant call,
+and each basis-family verb must count one call of its checker.
 """
 
 import json
@@ -49,6 +50,18 @@ def test_traced_plucker_minors_make_no_determinant_call(tmp_path):
     proc, layers = traced(tmp_path, "from-matrix", "--kind", "plucker", str(matrix))
     assert json.loads(proc.stdout)["data"]["kind"] == "plucker"
     assert layers["plucker.minors"] == 6
+    assert layers["exactalg.determinant_calls"] == 0
+
+
+def test_traced_pfaffian_is_one_pfaffian_call(tmp_path):
+    # the elimination runs inside pfaffian, so its whole time is in exactalg.pfaffian_s
+    matrix = tmp_path / "skew.json"
+    rows = [["0", "1", "2", "3"], ["-1", "0", "4", "5"],
+            ["-2", "-4", "0", "6"], ["-3", "-5", "-6", "0"]]
+    matrix.write_text(json.dumps({"ring": {"kind": "q"}, "matrix": rows}))
+    proc, layers = traced(tmp_path, "pfaffian", str(matrix))
+    assert json.loads(proc.stdout)["data"]["pfaffian"] == "8"
+    assert layers["exactalg.pfaffian_calls"] == 1
     assert layers["exactalg.determinant_calls"] == 0
 
 

@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 import time
 from fractions import Fraction
 
@@ -446,11 +447,30 @@ def test_malformed_input_exit_codes(tmp_path, capsys):
     zvec = write(tmp_path, "z.json", {**PLUCKER_VECTOR, "ring": {"kind": "z"}})
     code, out, _ = run(capsys, "check-plucker", zvec)
     assert code == 2
+    # a JSON number past the int-to-string limit: a ValueError that is not a JSONDecodeError
+    long_number = tmp_path / "long.json"
+    long_number.write_text('{"n": ' + "1" * (sys.get_int_max_str_digits() + 1) + ', "bases": []}')
+    code, out, _ = run(capsys, "check-matroid", str(long_number))
+    assert code == 2
+    assert report_of(out)["error"]["type"] == "InputError"
 
 
 def test_capability_exit_code(tmp_path, capsys):
     big = write(tmp_path, "big.json", {"n": 30, "bases": [[1]]})
     code, out, _ = run(capsys, "check-matroid", big)
+    assert code == 3
+    # a Pfaffian of six 801-digit entries has more digits than Python will print
+    n, x = 12, "1" + "0" * 800
+    rows = [["0" if i == j else x if i < j else "-" + x for j in range(n)] for i in range(n)]
+    path = write(tmp_path, "long.json", {"ring": {"kind": "z"}, "matrix": rows})
+    code, out, _ = run(capsys, "pfaffian", path)
+    assert code == 3
+    error = report_of(out)["error"]
+    assert error["type"] == "CapabilityError"
+    assert str(sys.get_int_max_str_digits()) in error["message"]
+    path = write(tmp_path, "bigp.json", {"ring": {"kind": "gfp", "p": 2**64 + 13},
+                                         "matrix": [["0", "1"], ["-1", "0"]]})
+    code, out, _ = run(capsys, "pfaffian", path)
     assert code == 3
 
 

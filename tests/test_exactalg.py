@@ -50,6 +50,13 @@ def test_ring_identities():
         f7.parse("1/2")
     with pytest.raises(InputError):
         GF(6)
+    # Miller-Rabin: a 61-bit prime at once; Carmichael 561 and strong pseudoprime 2047 refused
+    assert GF(2**61 - 1).p == 2**61 - 1
+    for composite in (561, 2047):
+        with pytest.raises(InputError):
+            GF(composite)
+    with pytest.raises(CapabilityError):  # exit 3: past the range where the test is exact
+        GF(2**64 + 13)
     assert GF(7) == GF(7)
     assert GF(5) != GF(7)
     assert QQ != ZZ

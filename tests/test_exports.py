@@ -32,6 +32,10 @@ def test_removed_aliases_are_gone():
     assert not hasattr(exactalg.IntegerRing, "divexact")
     # one integer Pfaffian table for every ring; the plain arithmetic and the modulus live on Ring
     assert not hasattr(exactalg, "_expand")
+    # every elimination runs on integers: no rows over the field of fractions, no separate
+    # Pfaffian eliminator
+    for name in ("_field_rows", "_pf_eliminate"):
+        assert not hasattr(exactalg, name)
     for cls in (exactalg.IntegerRing, exactalg.RationalField):
         assert not {"add", "sub", "mul", "neg"} & set(vars(cls))
     assert exactalg.ZZ.p == exactalg.QQ.p == 0

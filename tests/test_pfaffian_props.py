@@ -1,9 +1,10 @@
 """Property tests: one Pfaffian by three routes, its square, and residue maps.
 
 On random skew matrices of size 0 to 8 over the integers, the rationals
-and GF(7), the eliminated Pfaffian, the last entry of the principal-Pfaffian
-table and the perfect-matching sum of the oracle (reduced mod 7 over GF(7))
-must agree, and Pf(A)**2 must equal det(A). Elimination and table must also
+(each also with entries up to 10**12, denominators up to 97) and GF(7), the
+eliminated Pfaffian, the last entry of the principal-Pfaffian table and the
+perfect-matching sum of the oracle (reduced mod 7 over GF(7)) must agree,
+and Pf(A)**2 must equal det(A). Elimination and table must also
 agree at sizes 9 to 12. Over ZZ, QQ, GF(2), GF(7) and the regular partial
 field, every entry of the table must be the matching sum of its principal
 submatrix (mod p over GF(p)) and a canonical ring value. Reduction mod p
@@ -32,12 +33,15 @@ from omatroid.exactalg import (
 
 from oracles import matching_pfaffian
 
-RINGS = {"zz": ZZ, "qq": QQ, "gf7": GF(7)}
+RINGS = {"zz": ZZ, "qq": QQ, "gf7": GF(7), "zz_big": ZZ, "qq_big": QQ}
 
 ENTRIES = {
     "zz": st.integers(-5, 5),
     "qq": st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
     "gf7": st.integers(0, 6),
+    # large cofactors for the fraction-free eliminations' exact divisions
+    "zz_big": st.integers(-10**12, 10**12),
+    "qq_big": st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(1, 97)),
 }
 
 

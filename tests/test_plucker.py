@@ -87,6 +87,8 @@ MINOR_ENTRIES = {
     "qq": (QF, st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))),
     "gf7": (PartialField.for_field(GF(7)), st.integers(0, 6)),
     "regular": (REGULAR, st.sampled_from([0, 1, -1, 2])),
+    # large cofactors for the fraction-free elimination's exact divisions
+    "qq_big": (QF, st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(1, 97))),
 }
 
 
