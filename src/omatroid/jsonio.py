@@ -23,7 +23,7 @@ from .exactalg import (
     Ring,
     ZZ,
 )
-from .groundset import GroundSet, _key_bits, mask_elements
+from .groundset import GroundSet, _key_bits
 from .matroid import BasisFamily
 from .plucker import PluckerVector
 from .wick import WickRepresentation, WickVector
@@ -174,26 +174,25 @@ def _parse_coords(obj: Any, ranked: bool):
     return ground, r, pf, mapping
 
 
+class _Keys(dict):
+    """Subset keys by mask; a missing one extends the key of its mask without the top element."""
+
+    def __missing__(self, mask: int) -> str:
+        top = mask.bit_length()
+        head = self[mask ^ (1 << top >> 1)]
+        key = self[mask] = f"{head},{top}" if head else str(top)
+        return key
+
+
 def _vector_to_json(p, **rank) -> dict:
     """The shared vector schema, nonzero coordinates only; ``rank`` adds 'r'.
 
     Zero is falsy in every ring, so zeros are dropped before a key is built.
-    A key extends the key of its mask without the top element, which is
-    joined at most once and then shared; over all subsets, colex order has
-    usually built that shorter key already.
+    Each key, and each shorter key it extends, is built once by ``_Keys``.
     """
     fmt = p.pf.ring.fmt
-    keys = {0: ""}
-    coords = {}
-    for mask, v in zip(p.masks(), p.coords):
-        if v:
-            top = mask.bit_length()
-            rest = mask ^ (1 << top >> 1)
-            head = keys.get(rest)
-            if head is None:
-                head = keys[rest] = ",".join(map(str, mask_elements(rest)))
-            key = keys[mask] = f"{head},{top}" if head else (str(top) if mask else "")
-            coords[key] = fmt(v)
+    keys = _Keys({0: ""})
+    coords = {keys[mask]: fmt(v) for mask, v in zip(p.masks(), p.coords) if v}
     return {"n": p.ground.n, **rank, "ring": p.pf.json_decl(), "coords": coords}
 
 

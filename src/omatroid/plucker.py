@@ -61,21 +61,22 @@ def _canonical_coords(pf: PartialField, masks, coords) -> tuple:
     """Validate coordinates listed in the order of ``masks`` and scale them.
 
     There must be one coordinate per mask. Each value is coerced into the
-    ring and must lie in the partial field (MembershipError names the first
-    subset that does not). The vector is then scaled so its first nonzero
-    coordinate is 1. Over the regular partial field that coordinate is
-    already +1 or -1, its own inverse.
+    ring. Over a field every nonzero value is a unit, so membership is
+    checked only over the regular partial field: MembershipError names the
+    first subset outside {0, +1, -1}. The vector is then scaled so its first
+    nonzero coordinate is 1, over the regular partial field by that +1 or -1.
     """
     if len(coords) != len(masks):
         raise InputError(f"expected {len(masks)} coordinates, got {len(coords)}")
     ring = pf.ring
     coords = [ring.coerce(v) for v in coords]
-    for mask, v in zip(masks, coords):
-        if not pf.is_element(v):
-            key = ",".join(map(str, mask_elements(mask)))
-            raise MembershipError(
-                f"coordinate {key!r} has value {ring.fmt(v)} outside the partial field"
-            )
+    if not ring.is_field:
+        for mask, v in zip(masks, coords):
+            if not pf.is_element(v):
+                key = ",".join(map(str, mask_elements(mask)))
+                raise MembershipError(
+                    f"coordinate {key!r} has value {ring.fmt(v)} outside the partial field"
+                )
     first = next((v for v in coords if not ring.is_zero(v)), None)
     if first is None:
         raise InputError("all coordinates are zero")

@@ -21,6 +21,10 @@ walked the matrices along a Gray code: every skew matrix in product order,
 each with its full principal-Pfaffian table, keeping the first matrix found
 for each support.
 
+``subset_key`` is the per-mask coordinate key the JSON writer built before
+it extended each key from the key of a shorter mask: the mask's elements,
+listed and joined one by one.
+
 ``census_chunk`` is the per-candidate census writer the library ran before
 it wrote records a run at a time: it walks candidates one by one, builds
 each record with ``json.dumps`` and tallies its flags in a Counter.
@@ -98,6 +102,11 @@ def random_skew_int(rng, n, lo=-5, hi=5):
 
 def random_int_matrix(rng, rows, cols, lo=-5, hi=5):
     return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
+
+
+def subset_key(mask):
+    """The coordinate key of a mask: its 1-based elements, increasing, comma-joined."""
+    return ",".join(str(i + 1) for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 def _colex(n, r):

@@ -468,6 +468,13 @@ def test_capability_exit_code(tmp_path, capsys):
     error = report_of(out)["error"]
     assert error["type"] == "CapabilityError"
     assert str(sys.get_int_max_str_digits()) in error["message"]
+    # the same matrix over the rationals: its Pfaffian is the vector's {1..12} coordinate
+    path = write(tmp_path, "longq.json", {"ring": {"kind": "q"}, "matrix": rows})
+    code, out, _ = run(capsys, "from-matrix", "--kind", "wick", path)
+    assert code == 3
+    error = report_of(out)["error"]
+    assert error["type"] == "CapabilityError"
+    assert str(sys.get_int_max_str_digits()) in error["message"]
     path = write(tmp_path, "bigp.json", {"ring": {"kind": "gfp", "p": 2**64 + 13},
                                          "matrix": [["0", "1"], ["-1", "0"]]})
     code, out, _ = run(capsys, "pfaffian", path)

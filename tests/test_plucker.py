@@ -59,8 +59,13 @@ def test_vector_validation():
         PluckerVector.from_coords(G4, 2, QF, [0] * 6)  # all zero
     with pytest.raises(InputError):
         PluckerVector.from_coords(G4, 2, QF, {0b111: 1})  # not a 2-subset
-    with pytest.raises(MembershipError):
-        PluckerVector.from_coords(G4, 2, REGULAR, [1, 2, 0, 0, 0, 1])
+    with pytest.raises(MembershipError,
+                       match=r"^coordinate '2,4' has value 2 outside the partial field$"):
+        PluckerVector.from_coords(G4, 2, REGULAR, [1, 0, 0, 0, 2, 1])
+    # over a field every nonzero value is a member: 5/2 over GF(7) is 6
+    f7 = PartialField.for_field(GF(7))
+    assert PluckerVector.from_coords(G4, 2, f7, [2, 0, 0, 0, 5, 1]).coords[4] == 6
+    assert PluckerVector.from_coords(G4, 2, QF, [2, 0, 0, 0, 10, 1]).coords[4] == 5
 
 
 def test_canonical_scaling():

@@ -71,8 +71,13 @@ def test_vector_validation():
         WickVector.from_coords(G4, QF, [1] * 15)  # wrong length
     with pytest.raises(InputError):
         WickVector.from_coords(G4, QF, {1 << 4: 1})  # mask out of range
-    with pytest.raises(MembershipError):
-        WickVector.from_coords(G4, REGULAR, {0: 1, 0b11: 2})
+    with pytest.raises(MembershipError,
+                       match=r"^coordinate '2,4' has value 2 outside the partial field$"):
+        WickVector.from_coords(G4, REGULAR, {0: 1, 0b1010: 2})
+    # over a field every nonzero value is a member: 5/2 over GF(7) is 6
+    f7 = PartialField.for_field(GF(7))
+    assert WickVector.from_coords(G4, f7, {0: 2, 0b1010: 5}).coords[10] == 6
+    assert WickVector.from_coords(G4, QF, {0: 2, 0b1010: 10}).coords[10] == 5
 
 
 def test_canonical_scaling():
@@ -210,7 +215,7 @@ def test_representation_membership_over_regular():
     table = all_principal_pfaffians(m)
     assert table[0b1111] == 2
     rep = WickRepresentation(m, SubsetMask(G4, 0))
-    with pytest.raises(MembershipError):
+    with pytest.raises(MembershipError, match="coordinate '1,2,3,4' has value 2 "):
         wick_from_representation(rep, REGULAR)
     # the same entries are fine over the rationals
     mq = SkewMatrix.from_upper(QQ, 4, [1, 1, 0, 0, -1, 1])
