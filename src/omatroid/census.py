@@ -46,7 +46,7 @@ from math import comb
 from .errors import CapabilityError, InputError
 from .exactalg import GF, SkewMatrix, ZZ
 from .groundset import GroundSet, SubsetMask, mask_elements, record, within_budget
-from .matroid import BasisFamily, is_orthogonal
+from .matroid import BasisFamily
 from .wick import WickRepresentation
 
 #: Enumeration cap: 2**16 families per parity class at n = 5 is the desk limit.
@@ -597,45 +597,3 @@ def verify_nelson_chain(
         "log2e_upper": str(log2e_up),
     }
     return BoundCheck(n, c, d, N, m, r, lhs, verdict, tuple(steps), context)
-
-
-# ---------------------------------------------------------------------------
-# realizable zero-pattern demo
-
-
-@record
-class RealizableSetsDemo:
-    """Exhaustive zero patterns of the principal Pfaffians over a small field."""
-
-    n: int
-    field: str
-    count: int
-    bound: int
-    within_bound: bool
-    all_orthogonal: bool
-    supports: tuple[tuple[int, ...], ...]
-
-    def to_json(self) -> dict:
-        supports = [[list(mask_elements(m)) for m in support] for support in self.supports]
-        return _json_fields(self, bound=str(self.bound), supports=supports)
-
-
-def realizable_sets_demo(n: int, field: str = "gf2") -> RealizableSetsDemo:
-    """Realized zero patterns of the n x n principal Pfaffians over GF(2).
-
-    Every assignment of the m = n(n-1)/2 matrix variables realizes the
-    pattern of subsets with nonvanishing Pfaffian. The distinct patterns
-    are counted against the cap r = 2**(n**3) from the bound chain, and
-    each pattern is checked to satisfy symmetric exchange. The patterns are
-    the GF(2) support search's, and n is capped at ENUM_MAX_N like the census.
-    """
-    if field != "gf2":
-        raise InputError("the zero-pattern demo runs over gf2")
-    ground = GroundSet(n)
-    _refuse_past_enum_cap(n, "zero-pattern demo")
-    raw = _achievable_supports(n, "gf2")
-    supports = tuple(sorted(tuple(s for s in range(1 << n) if v >> s & 1) for v in raw))
-    all_orthogonal = all(is_orthogonal(BasisFamily(ground, frozenset(s))).ok for s in supports)
-    bound = 1 << n**3
-    count = len(supports)
-    return RealizableSetsDemo(n, field, count, bound, count <= bound, all_orthogonal, supports)

@@ -5,9 +5,10 @@ are plain Python ints, ``fractions.Fraction``, or residues in [0, p). All
 arithmetic is exact, there is no floating point anywhere in this package.
 
 A partial field restricts which scalars may appear in a representation: a
-ring together with a unit group containing -1. Two unit groups are
-supported, all nonzero elements (the field case) and {+1, -1} over the
-integers (the regular partial field).
+ring together with a unit group containing -1. Each supported ring takes
+its whole unit group, so the ring names the partial field: every nonzero
+element over a field, and {+1, -1} over the integers (the regular partial
+field).
 
 Every kernel runs on plain integers for every ring: residues mod p over
 GF(p), and over QQ the values with their denominators cleared by one
@@ -236,57 +237,26 @@ def GF(p: int) -> PrimeField:
 # ---------------------------------------------------------------------------
 # partial fields
 
-UNITS_ALL = "all"
-UNITS_PM_ONE = "pm_one"
-
-
 @record
 class PartialField:
-    """A ring together with the unit group allowed in representations.
-
-    ``units`` is either ``"all"`` (every nonzero element; requires a field)
-    or ``"pm_one"`` ({+1, -1} over the integers, the regular partial field).
-    """
+    """A ring together with its unit group: all nonzero elements over a field, and
+    {+1, -1} over the integers (the regular partial field)."""
 
     ring: Ring
-    units: str
 
     def __post_init__(self) -> None:
-        if self.units == UNITS_ALL:
-            if not self.ring.is_field:
-                raise InputError("the all-nonzero unit group requires a field")
-        elif self.units == UNITS_PM_ONE:
-            if self.ring != ZZ:
-                raise InputError("the {+1,-1} unit group is supported over the integers only")
-        else:
-            raise InputError(f"unknown unit group {self.units!r}")
-
-    @classmethod
-    def for_field(cls, ring: Ring) -> PartialField:
-        return cls(ring, UNITS_ALL)
+        if not isinstance(self.ring, Ring):
+            raise InputError(f"a partial field is built on a ring, got {self.ring!r}")
 
     def is_element(self, v) -> bool:
         """Whether v lies in the unit group or is zero."""
-        if self.ring.is_zero(v):
-            return True
-        if self.units == UNITS_ALL:
-            return True
-        return v == 1 or v == -1
-
-    def json_decl(self) -> dict:
-        if self.units == UNITS_PM_ONE:
-            return {"kind": "regular"}
-        if self.ring.p:
-            return {"kind": "gfp", "p": self.ring.p}
-        return {"kind": "q"}
+        return self.ring.is_field or v in (0, 1, -1)
 
     def __repr__(self) -> str:
-        if self.units == UNITS_PM_ONE:
-            return "regular"
-        return repr(self.ring)
+        return repr(self.ring) if self.ring.is_field else "regular"
 
 
-REGULAR = PartialField(ZZ, UNITS_PM_ONE)
+REGULAR = PartialField(ZZ)
 
 
 # ---------------------------------------------------------------------------
@@ -534,27 +504,21 @@ def all_principal_pfaffians(m: SkewMatrix) -> list:
 # ---------------------------------------------------------------------------
 # homomorphisms
 
-HOM_INT_TO_GFP = "int_to_gfp"
-HOM_RAT_TO_GFP = "rat_to_gfp"
-
-
 @record
 class Homomorphism:
-    """A ring homomorphism carrying units of the source into units of the target."""
+    """Reduction mod p onto GF(p), fixed by the source ring: of each integer over the
+    regular partial field, and of numerator and denominator over the rationals."""
 
     source: PartialField
     target: PartialField
-    kind: str
 
     def __post_init__(self) -> None:
-        # the one kind each source ring takes, and GF(p) as the target
-        kind = {ZZ: HOM_INT_TO_GFP, QQ: HOM_RAT_TO_GFP}.get(self.source.ring)
-        if self.kind != kind or not self.target.ring.p:
-            raise InputError(f"no {self.kind!r} homomorphism from {self.source!r} to {self.target!r}")
+        if self.source.ring not in (ZZ, QQ) or not self.target.ring.p:
+            raise InputError(f"no homomorphism from {self.source!r} to {self.target!r}")
 
     def apply(self, v):
         p = self.target.ring.p
-        if self.kind == HOM_INT_TO_GFP:
+        if self.source.ring == ZZ:
             return v % p
         den = v.denominator % p
         if den == 0:
@@ -564,12 +528,12 @@ class Homomorphism:
 
 def residue_hom(p: int) -> Homomorphism:
     """Reduction mod p, from the regular partial field (and the integers) onto GF(p)."""
-    return Homomorphism(REGULAR, PartialField.for_field(GF(p)), HOM_INT_TO_GFP)
+    return Homomorphism(REGULAR, PartialField(GF(p)))
 
 
 def rational_residue_hom(p: int) -> Homomorphism:
     """The partial map from the rationals onto GF(p); fails on denominators divisible by p."""
-    return Homomorphism(PartialField.for_field(QQ), PartialField.for_field(GF(p)), HOM_RAT_TO_GFP)
+    return Homomorphism(PartialField(QQ), PartialField(GF(p)))
 
 
 def apply_hom(h: Homomorphism, m: Matrix) -> Matrix:

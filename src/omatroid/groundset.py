@@ -127,10 +127,6 @@ class SubsetMask:
     def __len__(self) -> int:
         return self.bits.bit_count()
 
-    @property
-    def size(self) -> int:
-        return self.bits.bit_count()
-
     def to_json(self) -> list[int]:
         return list(self.elements())
 

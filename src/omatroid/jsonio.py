@@ -67,7 +67,7 @@ def parse_ring_decl(obj: Any) -> tuple[Ring, PartialField | None]:
     obj = _expect_dict(obj, "ring declaration")
     kind = obj.get("kind")
     if kind == "q":
-        return QQ, PartialField.for_field(QQ)
+        return QQ, PartialField(QQ)
     if kind == "z":
         return ZZ, None
     if kind == "regular":
@@ -75,13 +75,14 @@ def parse_ring_decl(obj: Any) -> tuple[Ring, PartialField | None]:
     if kind == "gfp":
         p = _expect_int(obj.get("p"), "'p' in a gfp declaration")
         field = GF(p)
-        return field, PartialField.for_field(field)
+        return field, PartialField(field)
     raise InputError(f"unknown ring kind {kind!r}")
 
 
 def ring_decl_to_json(ring: Ring, pf: PartialField | None = None) -> dict:
-    if pf is not None:
-        return pf.json_decl()
+    """The declaration that ``parse_ring_decl`` reads back as (ring, pf)."""
+    if pf == REGULAR:
+        return {"kind": "regular"}
     if ring.p:
         return {"kind": "gfp", "p": ring.p}
     return {"kind": ring.kind}
@@ -193,7 +194,8 @@ def _vector_to_json(p, **rank) -> dict:
     fmt = p.pf.ring.fmt
     keys = _Keys({0: ""})
     coords = {keys[mask]: fmt(v) for mask, v in zip(p.masks(), p.coords) if v}
-    return {"n": p.ground.n, **rank, "ring": p.pf.json_decl(), "coords": coords}
+    ring = ring_decl_to_json(p.pf.ring, p.pf)
+    return {"n": p.ground.n, **rank, "ring": ring, "coords": coords}
 
 
 def parse_plucker_vector(obj: Any) -> PluckerVector:
@@ -268,7 +270,7 @@ def matrix_to_json(m: Matrix, pf: PartialField | None = None) -> dict:
 def representation_to_json(rep: WickRepresentation, pf: PartialField) -> dict:
     return {
         "n": rep.matrix.size,
-        "ring": pf.json_decl(),
+        "ring": ring_decl_to_json(pf.ring, pf),
         "matrix": rep.matrix.to_json_rows(),
         "twist": rep.twist.to_json(),
     }
@@ -297,6 +299,8 @@ def load_json(path: str):
             return json.load(fh, object_pairs_hook=_unique_keys)
     except InputError:  # a repeated key, raised by _unique_keys
         raise
+    except RecursionError as exc:  # arrays or objects nested past the interpreter's stack
+        raise InputError(f"JSON in {path} is nested too deeply to parse") from exc
     except ValueError as exc:  # JSONDecodeError, or a number past the int-to-string limit
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
     except OSError as exc:

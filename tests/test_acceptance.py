@@ -43,7 +43,6 @@ from omatroid import (
     pfaffian,
     plucker_from_matrix,
     plucker_support,
-    realizable_sets_demo,
     reconstruct_plucker,
     reconstruct_wick,
     representability_census,
@@ -54,11 +53,12 @@ from omatroid import (
     wick_from_representation,
     wick_support,
 )
+from omatroid.census import _achievable_supports
 from omatroid.errors import RankError
 
-PF_Q = PartialField.for_field(QQ)
-PF2 = PartialField.for_field(GF(2))
-PF3 = PartialField.for_field(GF(3))
+PF_Q = PartialField(QQ)
+PF2 = PartialField(GF(2))
+PF3 = PartialField(GF(3))
 
 
 def _report(capsys, num, name, ok, elapsed, budget):
@@ -133,7 +133,7 @@ def test_plucker_checks_agree_with_matrices(capsys):
     t0 = time.perf_counter()
     ok = True
     gf7 = GF(7)
-    pf7 = PartialField.for_field(gf7)
+    pf7 = PartialField(gf7)
     rng = random.Random(73)
 
     done = 0
@@ -343,9 +343,15 @@ def test_reports_label_finite_scale(capsys):
     ok = ASYMPTOTIC_GAP_NOTE in rpt.notes and LABELED_COUNT_NOTE in rpt.notes
     ok = ok and "not reproducible at desk scale" in ASYMPTOTIC_GAP_NOTE
 
-    demo = realizable_sets_demo(3, "gf2")
-    ok = ok and demo.within_bound and demo.all_orthogonal
-    ok = ok and demo.bound == 1 << 27 and demo.count == 8
+    # the GF(2) Pfaffian supports at n = 3: one per skew matrix, each orthogonal, and
+    # far below the chain's pattern cap r = 2**(n**3)
+    supports = _achievable_supports(3, "gf2")
+    ok = ok and len(supports) == 8 and len(supports) <= 1 << 27
+    g3 = GroundSet(3)
+    ok = ok and all(
+        is_orthogonal(BasisFamily(g3, frozenset(s for s in range(8) if v >> s & 1))).ok
+        for v in supports
+    )
 
     chk = verify_nelson_chain(12)
     ok = ok and "total_patterns_bound" in chk.context

@@ -23,7 +23,6 @@ from omatroid.census import (
     _search_matrix,
     enumerate_orthogonal,
     find_regular_representation,
-    realizable_sets_demo,
     representability_census,
     verify_nelson_chain,
 )
@@ -289,6 +288,22 @@ def test_supports_hold_the_empty_set():
             assert all(s & 1 for s in _achievable_supports(n, field))
             rep = _representable_families(n, field)
             assert all(s in rep for s in _achievable_supports(n, field))
+
+
+def test_gf2_supports_are_one_per_skew_matrix():
+    # over GF(2) a_ij = 1 exactly when {i, j} is in the support, so each of the
+    # 2**C(n,2) skew matrices has a support of its own
+    for n in range(6):
+        assert len(_achievable_supports(n, "gf2")) == 1 << n * (n - 1) // 2
+
+
+def test_every_support_is_orthogonal():
+    for field, top in (("gf2", 5), ("gf3", 4), ("regular", 4)):
+        for n in range(top + 1):
+            ground = GroundSet(n)
+            for v in _achievable_supports(n, field):
+                members = frozenset(s for s in range(1 << n) if v >> s & 1)
+                assert is_orthogonal(BasisFamily(ground, members)).ok, (field, n, members)
 
 
 def test_one_support_search_for_every_partial_field():
@@ -576,40 +591,3 @@ def test_bound_chain_json():
     assert isinstance(data["r"], str)
     assert isinstance(data["lhs_upper_bound"], str)
     assert data["steps"][0] == ["top_argument_dominates", True]
-
-
-# ---------------------------------------------------------------------------
-# realizable zero patterns
-
-
-def test_realizable_demo_counts():
-    assert realizable_sets_demo(2).count == 2
-    assert realizable_sets_demo(3).count == 8
-    d4 = realizable_sets_demo(4)
-    assert d4.count == 64
-    assert d4.within_bound
-    assert d4.all_orthogonal
-    assert d4.bound == 1 << 64
-    assert d4.supports[0] == (0,)
-
-
-def test_realizable_demo_at_n5():
-    d5 = realizable_sets_demo(5)
-    assert d5.count == 1024
-    assert d5.all_orthogonal
-
-
-def test_realizable_demo_validation():
-    searched = _achievable_supports.cache_info().misses
-    with pytest.raises(CapabilityError, match="zero-pattern demo is capped at n = 5"):
-        realizable_sets_demo(6)
-    assert _achievable_supports.cache_info().misses == searched
-    with pytest.raises(InputError):
-        realizable_sets_demo(3, field="gf3")
-
-
-def test_realizable_demo_json():
-    d = realizable_sets_demo(2)
-    data = d.to_json()
-    assert data["count"] == 2
-    assert data["supports"] == [[[]], [[], [1, 2]]]

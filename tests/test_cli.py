@@ -17,6 +17,7 @@ from omatroid.jsonio import (
     parse_vector_file,
     parse_wick_vector,
     plucker_vector_to_json,
+    ring_decl_to_json,
     wick_vector_to_json,
 )
 
@@ -69,7 +70,7 @@ def report_of(out):
 
 def test_parse_ring_decl():
     ring, pf = parse_ring_decl({"kind": "q"})
-    assert ring == QQ and pf.json_decl() == {"kind": "q"}
+    assert ring == QQ and ring_decl_to_json(ring, pf) == {"kind": "q"}
     ring, pf = parse_ring_decl({"kind": "z"})
     assert ring == ZZ and pf is None
     ring, pf = parse_ring_decl({"kind": "regular"})
@@ -82,6 +83,8 @@ def test_parse_ring_decl():
         parse_ring_decl({"kind": "gfp", "p": "7"})
     with pytest.raises(InputError):
         parse_ring_decl(["q"])
+    for decl in ({"kind": "q"}, {"kind": "z"}, {"kind": "regular"}, {"kind": "gfp", "p": 7}):
+        assert ring_decl_to_json(*parse_ring_decl(decl)) == decl
 
 
 def test_parse_basis_family_errors():
@@ -125,7 +128,7 @@ def test_parse_matrix_file():
     m, twist, ring, pf = parse_matrix_file(WICK_MATRIX)
     assert (m.rows, m.cols) == (4, 4)
     assert twist == 0b0100
-    assert pf.json_decl() == {"kind": "q"}
+    assert ring_decl_to_json(ring, pf) == {"kind": "q"}
     m2, twist2, _, _ = parse_matrix_file(PLUCKER_MATRIX)
     assert twist2 is None
     with pytest.raises(InputError):
@@ -306,6 +309,18 @@ def test_repeated_json_key_is_refused(tmp_path, capsys, text, key):
         error = report_of(out)["error"]
         assert error["type"] == "InputError"
         assert key in error["message"] and "twice" in error["message"]
+
+
+@pytest.mark.parametrize("open_, close", [("[", "]"), ('{"a":', "}")], ids=["arrays", "objects"])
+def test_deeply_nested_json_is_refused(tmp_path, capsys, open_, close):
+    # json.load recurses once per level: past the recursion limit it raises RecursionError
+    path = tmp_path / "deep.json"
+    path.write_text(open_ * 200_000 + "0" + close * 200_000)
+    code, out, _ = run(capsys, "check-matroid", str(path))
+    assert code == 2
+    assert out.count("\n") == 1
+    error = report_of(out)["error"]
+    assert error == {"message": f"JSON in {path} is nested too deeply to parse", "type": "InputError"}
 
 
 def test_pfaffian_verb(tmp_path, capsys):

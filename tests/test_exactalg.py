@@ -6,8 +6,6 @@ import pytest
 from omatroid.errors import CapabilityError, InputError, MapUndefinedError
 from omatroid.exactalg import (
     GF,
-    HOM_INT_TO_GFP,
-    HOM_RAT_TO_GFP,
     Homomorphism,
     Matrix,
     PartialField,
@@ -75,15 +73,14 @@ def test_ring_parse_fmt_roundtrip():
 def test_partial_fields():
     assert REGULAR.is_element(1) and REGULAR.is_element(-1) and REGULAR.is_element(0)
     assert not REGULAR.is_element(2)
-    qf = PartialField.for_field(QQ)
-    assert qf.is_element(Fraction(5, 3))
-    assert qf.json_decl() == {"kind": "q"}
-    assert REGULAR.json_decl() == {"kind": "regular"}
-    assert PartialField.for_field(GF(3)).json_decl() == {"kind": "gfp", "p": 3}
-    with pytest.raises(InputError):
-        PartialField(ZZ, "all")
-    with pytest.raises(InputError):
-        PartialField(QQ, "pm_one")
+    qf = PartialField(QQ)
+    assert qf.is_element(Fraction(5, 3)) and PartialField(GF(3)).is_element(2)
+    # the ring names the partial field: its whole unit group, {+1, -1} over the integers
+    assert PartialField(ZZ) == REGULAR and qf != REGULAR
+    assert (repr(REGULAR), repr(qf), repr(PartialField(GF(3)))) == ("regular", "q", "gf(3)")
+    for bad in ("q", None, 7):
+        with pytest.raises(InputError):
+            PartialField(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -290,17 +287,14 @@ def test_rational_residue_hom_partiality():
         h.apply(Fraction(1, 5))
 
 
-@pytest.mark.parametrize("source, target, kind", [
-    (PartialField.for_field(QQ), REGULAR, HOM_INT_TO_GFP),  # a target that is not GF(p)
-    (REGULAR, PartialField.for_field(QQ), HOM_INT_TO_GFP),
-    (PartialField.for_field(QQ), PartialField.for_field(GF(7)), HOM_INT_TO_GFP),  # the wrong kind
-    (REGULAR, PartialField.for_field(GF(7)), HOM_RAT_TO_GFP),
-    (PartialField.for_field(GF(5)), PartialField.for_field(GF(7)), HOM_INT_TO_GFP),  # no kind
-    (REGULAR, PartialField.for_field(GF(7)), "made_up"),
-], ids=["qq-to-regular", "regular-to-qq", "qq-int", "regular-rat", "gf5-source", "made-up"])
-def test_homomorphism_refuses_a_triple_it_cannot_apply(source, target, kind):
+@pytest.mark.parametrize("source, target", [
+    (PartialField(QQ), REGULAR),  # a target that is not GF(p)
+    (REGULAR, PartialField(QQ)),
+    (PartialField(GF(5)), PartialField(GF(7))),  # a source that is neither ZZ nor QQ
+], ids=["qq-to-regular", "regular-to-qq", "gf5-source"])
+def test_homomorphism_refuses_a_triple_it_cannot_apply(source, target):
     with pytest.raises(InputError):
-        Homomorphism(source, target, kind)
+        Homomorphism(source, target)
 
 
 def test_hom_commutes_with_pfaffian():

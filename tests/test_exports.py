@@ -50,3 +50,17 @@ def test_removed_aliases_are_gone():
                  "HOM_IDENTITY"):
         assert not hasattr(omatroid, name)
         assert name not in omatroid.__all__
+    # the ring names the partial field and the homomorphism: no unit-group or map-kind tags
+    for name in ("UNITS_ALL", "UNITS_PM_ONE", "HOM_INT_TO_GFP", "HOM_RAT_TO_GFP"):
+        assert not hasattr(exactalg, name)
+        assert not hasattr(omatroid, name)
+    for name in ("for_field", "json_decl", "units"):
+        assert not hasattr(exactalg.PartialField, name)
+    assert exactalg.PartialField.__slots__ == ("ring",)
+    assert exactalg.Homomorphism.__slots__ == ("source", "target")
+    # the zero-pattern demo counted 2**C(n,2) supports by construction; len() is a subset's size
+    for name in ("realizable_sets_demo", "RealizableSetsDemo"):
+        assert not hasattr(census, name)
+        assert not hasattr(omatroid, name)
+        assert name not in omatroid.__all__
+    assert not hasattr(groundset.SubsetMask, "size")

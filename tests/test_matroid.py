@@ -226,7 +226,7 @@ def test_checkers_match_the_brute_exchange_on_dense_supports_less_one_member():
     skew = SkewMatrix.from_upper(f7, 10, [rng.randrange(7) for _ in range(45)])
     wick = BasisFamily(GroundSet(10), frozenset(m for m, v in enumerate(all_principal_pfaffians(skew)) if v))
     rows = Matrix(f7, 6, 12, tuple(rng.randrange(7) for _ in range(72)))
-    gp = plucker_support(plucker_from_matrix(rows, PartialField.for_field(f7)))
+    gp = plucker_support(plucker_from_matrix(rows, PartialField(f7)))
     assert len(wick) > 400 and len(gp) > 700
     for f in (wick, gp):
         _matches_brute(_drop_one(f, rng))

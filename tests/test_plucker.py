@@ -21,7 +21,7 @@ from omatroid.verdicts import Label
 
 from oracles import leibniz_det
 
-QF = PartialField.for_field(QQ)
+QF = PartialField(QQ)
 G4 = GroundSet(4)
 
 # the running 2x4 example over the rationals
@@ -63,7 +63,7 @@ def test_vector_validation():
                        match=r"^coordinate '2,4' has value 2 outside the partial field$"):
         PluckerVector.from_coords(G4, 2, REGULAR, [1, 0, 0, 0, 2, 1])
     # over a field every nonzero value is a member: 5/2 over GF(7) is 6
-    f7 = PartialField.for_field(GF(7))
+    f7 = PartialField(GF(7))
     assert PluckerVector.from_coords(G4, 2, f7, [2, 0, 0, 0, 5, 1]).coords[4] == 6
     assert PluckerVector.from_coords(G4, 2, QF, [2, 0, 0, 0, 10, 1]).coords[4] == 5
 
@@ -90,7 +90,7 @@ def test_from_matrix_golden():
 # entries per partial field: small enough that rank drops and minors outside {0, +1, -1} both occur
 MINOR_ENTRIES = {
     "qq": (QF, st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))),
-    "gf7": (PartialField.for_field(GF(7)), st.integers(0, 6)),
+    "gf7": (PartialField(GF(7)), st.integers(0, 6)),
     "regular": (REGULAR, st.sampled_from([0, 1, -1, 2])),
     # large cofactors for the fraction-free elimination's exact divisions
     "qq_big": (QF, st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(1, 97))),
@@ -163,7 +163,7 @@ def test_gp_witness_on_corruption():
 def test_gp_random_matrices_always_pass():
     rng = random.Random(10)
     f7 = GF(7)
-    pf7 = PartialField.for_field(f7)
+    pf7 = PartialField(f7)
     for _ in range(60):
         r = rng.randint(1, 3)
         n = rng.randint(r, 6)
@@ -207,7 +207,7 @@ def test_weak_equals_strong_exhaustively_r2_n4():
     # over GF(2) at rank 2 on 4 elements the short sweep plus support check
     # already forces the full sweep
     f2 = GF(2)
-    pf2 = PartialField.for_field(f2)
+    pf2 = PartialField(f2)
     weak = strong = 0
     for bits in range(1, 1 << 6):
         coords = [(bits >> i) & 1 for i in range(6)]
@@ -240,7 +240,7 @@ def test_reconstruct_rejects_neither():
 def test_reconstruct_roundtrip_random_gf7():
     rng = random.Random(11)
     f7 = GF(7)
-    pf7 = PartialField.for_field(f7)
+    pf7 = PartialField(f7)
     done = 0
     while done < 40:
         r = rng.randint(1, 3)

@@ -20,8 +20,8 @@ from omatroid.plucker import plucker_from_matrix, reconstruct_plucker
 from omatroid.wick import WickRepresentation, reconstruct_wick, wick_from_representation
 
 PARTIAL_FIELDS = {
-    "gf7": PartialField.for_field(GF(7)),
-    "qq": PartialField.for_field(QQ),
+    "gf7": PartialField(GF(7)),
+    "qq": PartialField(QQ),
     "regular": REGULAR,
 }
 

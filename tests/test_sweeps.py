@@ -55,10 +55,10 @@ from omatroid.wick import (
 from oracles import brute_gp_sweep, brute_wick_4term, brute_wick_full
 
 PARTIAL_FIELDS = {
-    "gf2": PartialField.for_field(GF(2)),
-    "gf3": PartialField.for_field(GF(3)),
-    "gf7": PartialField.for_field(GF(7)),
-    "qq": PartialField.for_field(QQ),
+    "gf2": PartialField(GF(2)),
+    "gf3": PartialField(GF(3)),
+    "gf7": PartialField(GF(7)),
+    "qq": PartialField(QQ),
     "regular": REGULAR,
 }
 

@@ -26,8 +26,8 @@ from omatroid.wick import WickVector
 from oracles import subset_key
 
 PARTIAL_FIELDS = {
-    "gf7": PartialField.for_field(GF(7)),
-    "qq": PartialField.for_field(QQ),
+    "gf7": PartialField(GF(7)),
+    "qq": PartialField(QQ),
     "regular": REGULAR,
 }
 
