@@ -138,7 +138,7 @@ def _check_vector(args, p, data, sweeps, pair, xkey):
     the witness key of the exchange element.
     """
     full_sweep, short_sweep, support_check = sweeps
-    ring = p.pf.ring
+    ring = p.ring
     if args.mode == "full":
         v = full_sweep(p)
         data["mode"] = "full"
@@ -161,35 +161,39 @@ def _check_vector(args, p, data, sweeps, pair, xkey):
 def _cmd_reconstruct_plucker(args):
     p = parse_plucker_vector(load_json(args.input))
     a = reconstruct_plucker(p)
-    data = {"n": p.ground.n, "r": p.r, **matrix_to_json(a, p.pf)}
+    data = {"n": p.ground.n, "r": p.r, **matrix_to_json(a)}
     return _report("reconstruct-plucker", True, None, data), EXIT_TRUE
 
 
 def _cmd_reconstruct_wick(args):
     p = parse_wick_vector(load_json(args.input))
     rep = reconstruct_wick(p)
-    data = representation_to_json(rep, p.pf)
+    data = representation_to_json(rep)
     return _report("reconstruct-wick", True, None, data), EXIT_TRUE
 
 
 def _cmd_pfaffian(args):
-    m, _twist, ring, pf = parse_matrix_file(load_json(args.input))
+    obj = load_json(args.input)
+    m, _twist = parse_matrix_file(obj)
     if m.rows != m.cols:
         raise InputError(f"pfaffian needs a square matrix, got {m.rows}x{m.cols}")
-    sk = SkewMatrix.from_rows(ring, m.row_lists())
+    sk = SkewMatrix.from_rows(m.ring, m.row_lists())
     val = pfaffian(sk)
-    data = {"n": sk.size, "ring": ring_decl_to_json(ring, pf), "pfaffian": ring.fmt(val)}
+    # a bare "z" is echoed as given, since no vector is built from it
+    decl = {"kind": "z"} if obj["ring"]["kind"] == "z" else ring_decl_to_json(m.ring)
+    data = {"n": sk.size, "ring": decl, "pfaffian": m.ring.fmt(val)}
     return _report("pfaffian", True, None, data), EXIT_TRUE
 
 
 def _cmd_from_matrix(args):
-    m, twist_bits, ring, pf_opt = parse_matrix_file(load_json(args.input))
-    pf = require_partial_field(pf_opt)
+    obj = load_json(args.input)
+    m, twist_bits = parse_matrix_file(obj)
+    require_partial_field(obj["ring"])
     # auto reads a square skew matrix as a representation; a twist demands one
     sk = None
     if args.kind != "plucker" and m.rows == m.cols:
         try:
-            sk = SkewMatrix.from_rows(ring, m.row_lists())
+            sk = SkewMatrix.from_rows(m.ring, m.row_lists())
         except InputError:
             if args.kind == "wick" or twist_bits is not None:
                 raise
@@ -197,12 +201,12 @@ def _cmd_from_matrix(args):
         raise InputError(f"a skew representation must be square, got {m.rows}x{m.cols}")
     if sk is not None:
         t = SubsetMask(GroundSet(sk.size), twist_bits or 0)
-        v = wick_from_representation(WickRepresentation(sk, t), pf)
+        v = wick_from_representation(WickRepresentation(sk, t))
         data = {"kind": "wick", "vector": wick_vector_to_json(v)}
     else:
         if twist_bits is not None:
             raise InputError("'twist' does not apply to a rank representation")
-        v = plucker_from_matrix(m, pf)
+        v = plucker_from_matrix(m)
         data = {"kind": "plucker", "vector": plucker_vector_to_json(v)}
     return _report("from-matrix", True, None, data), EXIT_TRUE
 

@@ -6,9 +6,9 @@ arithmetic is exact, there is no floating point anywhere in this package.
 
 A partial field restricts which scalars may appear in a representation: a
 ring together with a unit group containing -1. Each supported ring takes
-its whole unit group, so the ring names the partial field: every nonzero
+its whole unit group, so the ring is the partial field: every nonzero
 element over a field, and {+1, -1} over the integers (the regular partial
-field).
+field). ``Ring.is_element`` decides membership.
 
 Every kernel runs on plain integers for every ring: residues mod p over
 GF(p), and over QQ the values with their denominators cleared by one
@@ -76,12 +76,6 @@ class Ring:
     zero = 0
     one = 1
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
     def mul(self, a, b):
         return a * b
 
@@ -90,6 +84,10 @@ class Ring:
 
     def is_zero(self, a) -> bool:
         return a == self.zero
+
+    def is_element(self, v) -> bool:
+        """Whether v lies in the partial field: any value over a field, 0 or a unit +1/-1 over ZZ."""
+        return self.is_field or v in (0, 1, -1)
 
     def inv(self, a):
         raise InputError(f"{self!r} has no general inverses")
@@ -186,12 +184,6 @@ class PrimeField(Ring):
             raise InputError(f"{p!r} is not prime")
         self.p = p
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
     def mul(self, a, b):
         return a * b % self.p
 
@@ -232,31 +224,6 @@ QQ = RationalField()
 @lru_cache(maxsize=None)
 def GF(p: int) -> PrimeField:
     return PrimeField(p)
-
-
-# ---------------------------------------------------------------------------
-# partial fields
-
-@record
-class PartialField:
-    """A ring together with its unit group: all nonzero elements over a field, and
-    {+1, -1} over the integers (the regular partial field)."""
-
-    ring: Ring
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.ring, Ring):
-            raise InputError(f"a partial field is built on a ring, got {self.ring!r}")
-
-    def is_element(self, v) -> bool:
-        """Whether v lies in the unit group or is zero."""
-        return self.ring.is_field or v in (0, 1, -1)
-
-    def __repr__(self) -> str:
-        return repr(self.ring) if self.ring.is_field else "regular"
-
-
-REGULAR = PartialField(ZZ)
 
 
 # ---------------------------------------------------------------------------
@@ -470,10 +437,10 @@ def all_principal_pfaffians(m: SkewMatrix) -> list:
     One integer expansion for every ring, over masks in increasing order:
     Pf(A_J) is the alternating sum, over the j in J after its lowest index
     i, of a_ij * Pf(A_(J-i-j)) read from the table. O(2**n * n) steps,
-    refused above SWEEP_BUDGET. ZZ and the regular partial field expand
-    their entries as they are, and GF(p) its residues, each new entry taken
-    mod p. QQ expands the integer matrix cA, c the lcm of the denominators,
-    and divides entry J by c**(|J|/2) at the end.
+    refused above SWEEP_BUDGET. ZZ expands its entries as they are, and
+    GF(p) its residues, each new entry taken mod p. QQ expands the integer
+    matrix cA, c the lcm of the denominators, and divides entry J by
+    c**(|J|/2) at the end.
     """
     if not isinstance(m, SkewMatrix):
         raise InputError("pfaffian table needs a skew-symmetric matrix")
@@ -507,18 +474,18 @@ def all_principal_pfaffians(m: SkewMatrix) -> list:
 @record
 class Homomorphism:
     """Reduction mod p onto GF(p), fixed by the source ring: of each integer over the
-    regular partial field, and of numerator and denominator over the rationals."""
+    integers, and of numerator and denominator over the rationals."""
 
-    source: PartialField
-    target: PartialField
+    source: Ring
+    target: Ring
 
     def __post_init__(self) -> None:
-        if self.source.ring not in (ZZ, QQ) or not self.target.ring.p:
+        if self.source not in (ZZ, QQ) or not isinstance(self.target, PrimeField):
             raise InputError(f"no homomorphism from {self.source!r} to {self.target!r}")
 
     def apply(self, v):
-        p = self.target.ring.p
-        if self.source.ring == ZZ:
+        p = self.target.p
+        if self.source == ZZ:
             return v % p
         den = v.denominator % p
         if den == 0:
@@ -527,13 +494,13 @@ class Homomorphism:
 
 
 def residue_hom(p: int) -> Homomorphism:
-    """Reduction mod p, from the regular partial field (and the integers) onto GF(p)."""
-    return Homomorphism(REGULAR, PartialField(GF(p)))
+    """Reduction mod p, from the integers (the regular partial field) onto GF(p)."""
+    return Homomorphism(ZZ, GF(p))
 
 
 def rational_residue_hom(p: int) -> Homomorphism:
     """The partial map from the rationals onto GF(p); fails on denominators divisible by p."""
-    return Homomorphism(PartialField(QQ), PartialField(GF(p)))
+    return Homomorphism(QQ, GF(p))
 
 
 def apply_hom(h: Homomorphism, m: Matrix) -> Matrix:
@@ -541,9 +508,8 @@ def apply_hom(h: Homomorphism, m: Matrix) -> Matrix:
 
     The matrix must be over the homomorphism's source ring.
     """
-    if m.ring != h.source.ring:
-        raise InputError(f"matrix ring {m.ring!r} is not the source ring {h.source.ring!r}")
-    target = h.target.ring
+    if m.ring != h.source:
+        raise InputError(f"matrix ring {m.ring!r} is not the source ring {h.source!r}")
     ents = tuple(h.apply(v) for v in m.entries)
     cls = SkewMatrix if isinstance(m, SkewMatrix) else Matrix
-    return cls(target, m.rows, m.cols, ents)
+    return cls(h.target, m.rows, m.cols, ents)

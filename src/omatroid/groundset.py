@@ -137,6 +137,8 @@ class SubsetMask:
 
 def mask_elements(bits: int) -> tuple[int, ...]:
     """1-based elements of a bare bitmask, increasing."""
+    if not isinstance(bits, int) or bits < 0:
+        raise InputError(f"a mask is a nonnegative integer, got {bits!r}")
     out = []
     while bits:
         b = bits & -bits
@@ -146,8 +148,11 @@ def mask_elements(bits: int) -> tuple[int, ...]:
 
 
 def mask_of_elements(elements: Iterable[int]) -> int:
+    """The bitmask of 1-based element labels."""
     bits = 0
     for e in elements:
+        if not isinstance(e, int) or isinstance(e, bool) or e < 1:
+            raise InputError(f"element {e!r} is not a label 1, 2, ...")
         bits |= 1 << (e - 1)
     return bits
 

@@ -14,15 +14,7 @@ import sys
 from typing import Any
 
 from .errors import InputError
-from .exactalg import (
-    GF,
-    Matrix,
-    PartialField,
-    QQ,
-    REGULAR,
-    Ring,
-    ZZ,
-)
+from .exactalg import GF, QQ, ZZ, Matrix, Ring
 from .groundset import GroundSet, _key_bits
 from .matroid import BasisFamily
 from .plucker import PluckerVector
@@ -57,43 +49,37 @@ def _expect_int(value: Any, what: str) -> int:
     return value
 
 
-def parse_ring_decl(obj: Any) -> tuple[Ring, PartialField | None]:
-    """Decode a ring declaration into (ring, partial field or None).
+def parse_ring_decl(obj: Any) -> Ring:
+    """Decode a ring declaration into its ring.
 
-    The bare integers ("z") have no unit structure attached, so they come
-    back without a partial field; "regular" is the integers with units
-    restricted to +1/-1.
+    "regular" and "z" both name the integers, the regular partial field;
+    "z" is a spelling that ``require_partial_field`` refuses where a vector
+    is built.
     """
     obj = _expect_dict(obj, "ring declaration")
     kind = obj.get("kind")
     if kind == "q":
-        return QQ, PartialField(QQ)
-    if kind == "z":
-        return ZZ, None
-    if kind == "regular":
-        return ZZ, REGULAR
+        return QQ
+    if kind in ("z", "regular"):
+        return ZZ
     if kind == "gfp":
-        p = _expect_int(obj.get("p"), "'p' in a gfp declaration")
-        field = GF(p)
-        return field, PartialField(field)
+        return GF(_expect_int(obj.get("p"), "'p' in a gfp declaration"))
     raise InputError(f"unknown ring kind {kind!r}")
 
 
-def ring_decl_to_json(ring: Ring, pf: PartialField | None = None) -> dict:
-    """The declaration that ``parse_ring_decl`` reads back as (ring, pf)."""
-    if pf == REGULAR:
-        return {"kind": "regular"}
+def ring_decl_to_json(ring: Ring) -> dict:
+    """The declaration that ``parse_ring_decl`` reads back as ``ring``: ZZ as "regular"."""
     if ring.p:
         return {"kind": "gfp", "p": ring.p}
-    return {"kind": ring.kind}
+    return {"kind": "regular" if ring == ZZ else ring.kind}
 
 
-def require_partial_field(pf: PartialField | None) -> PartialField:
-    if pf is None:
+def require_partial_field(decl: dict) -> None:
+    """Refuse a declaration, already parsed, that spells the integers "z"."""
+    if decl["kind"] == "z":
         raise InputError(
             "ring kind 'z' carries no unit structure; use 'regular', 'q', or 'gfp'"
         )
-    return pf
 
 
 def _parse_value(ring: Ring, raw: Any, what: str):
@@ -140,7 +126,7 @@ def parse_basis_family(obj: Any) -> BasisFamily:
 
 
 def _parse_coords(obj: Any, ranked: bool):
-    """(ground, r, partial field, {mask: value}) of either vector schema.
+    """(ground, r, ring, {mask: value}) of either vector schema.
 
     The rank field decides the schema: a ranked vector must have 'r' and
     key every coordinate by an r-subset; a full vector must not have 'r',
@@ -158,8 +144,8 @@ def _parse_coords(obj: Any, ranked: bool):
     n = _expect_int(obj.get("n"), "'n'")
     r = _expect_int(obj.get("r"), "'r'") if ranked else None
     ground = GroundSet(n)
-    ring, pf = parse_ring_decl(obj.get("ring"))
-    pf = require_partial_field(pf)
+    ring = parse_ring_decl(obj.get("ring"))
+    require_partial_field(obj["ring"])
     coords_raw = obj.get("coords")
     if not isinstance(coords_raw, dict):
         raise InputError("'coords' must be an object keyed by subsets")
@@ -172,7 +158,7 @@ def _parse_coords(obj: Any, ranked: bool):
             raise InputError(f"coordinate keys {keys[bits]!r} and {key!r} name the same subset")
         keys[bits] = key
         mapping[bits] = _parse_value(ring, raw, f"coordinate {key!r}")
-    return ground, r, pf, mapping
+    return ground, r, ring, mapping
 
 
 class _Keys(dict):
@@ -191,16 +177,15 @@ def _vector_to_json(p, **rank) -> dict:
     Zero is falsy in every ring, so zeros are dropped before a key is built.
     Each key, and each shorter key it extends, is built once by ``_Keys``.
     """
-    fmt = p.pf.ring.fmt
+    fmt = p.ring.fmt
     keys = _Keys({0: ""})
     coords = {keys[mask]: fmt(v) for mask, v in zip(p.masks(), p.coords) if v}
-    ring = ring_decl_to_json(p.pf.ring, p.pf)
-    return {"n": p.ground.n, **rank, "ring": ring, "coords": coords}
+    return {"n": p.ground.n, **rank, "ring": ring_decl_to_json(p.ring), "coords": coords}
 
 
 def parse_plucker_vector(obj: Any) -> PluckerVector:
-    ground, r, pf, mapping = _parse_coords(obj, ranked=True)
-    return PluckerVector.from_coords(ground, r, pf, mapping)
+    ground, r, ring, mapping = _parse_coords(obj, ranked=True)
+    return PluckerVector.from_coords(ground, r, ring, mapping)
 
 
 def plucker_vector_to_json(p: PluckerVector) -> dict:
@@ -208,8 +193,8 @@ def plucker_vector_to_json(p: PluckerVector) -> dict:
 
 
 def parse_wick_vector(obj: Any) -> WickVector:
-    ground, _, pf, mapping = _parse_coords(obj, ranked=False)
-    return WickVector.from_coords(ground, pf, mapping)
+    ground, _, ring, mapping = _parse_coords(obj, ranked=False)
+    return WickVector.from_coords(ground, ring, mapping)
 
 
 def wick_vector_to_json(p: WickVector) -> dict:
@@ -231,11 +216,11 @@ def parse_vector_file(obj: Any):
 def parse_matrix_file(obj: Any):
     """Decode {"ring", "matrix", optional "n"/"twist"}.
 
-    Returns (matrix, twist_mask_or_None, ring, pf). The matrix comes back as
-    a plain rectangular matrix; callers wanting skew structure rebuild it.
+    Returns (matrix, twist_mask_or_None). The matrix comes back as a plain
+    rectangular matrix; callers wanting skew structure rebuild it.
     """
     obj = _expect_dict(obj, "matrix file")
-    ring, pf = parse_ring_decl(obj.get("ring"))
+    ring = parse_ring_decl(obj.get("ring"))
     rows_raw = obj.get("matrix")
     if not isinstance(rows_raw, list) or not rows_raw:
         raise InputError("'matrix' must be a nonempty array of rows")
@@ -257,20 +242,20 @@ def parse_matrix_file(obj: Any):
         if len(rows) != width:
             raise InputError("'twist' only applies to square matrices")
         twist = _parse_elements(GroundSet(width), obj["twist"], "'twist'")
-    return m, twist, ring, pf
+    return m, twist
 
 
-def matrix_to_json(m: Matrix, pf: PartialField | None = None) -> dict:
+def matrix_to_json(m: Matrix) -> dict:
     return {
-        "ring": ring_decl_to_json(m.ring, pf),
+        "ring": ring_decl_to_json(m.ring),
         "matrix": m.to_json_rows(),
     }
 
 
-def representation_to_json(rep: WickRepresentation, pf: PartialField) -> dict:
+def representation_to_json(rep: WickRepresentation) -> dict:
     return {
         "n": rep.matrix.size,
-        "ring": ring_decl_to_json(pf.ring, pf),
+        "ring": ring_decl_to_json(rep.matrix.ring),
         "matrix": rep.matrix.to_json_rows(),
         "twist": rep.twist.to_json(),
     }

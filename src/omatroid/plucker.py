@@ -38,7 +38,7 @@ from operator import mul
 from typing import Callable, Mapping
 
 from .errors import ClassificationError, InputError, MembershipError, RankError
-from .exactalg import Matrix, PartialField, _integers, _reduce
+from .exactalg import Matrix, Ring, _integers, _reduce
 from .groundset import (  # SWEEP_BUDGET stays importable from here, next to the sweeps
     SWEEP_BUDGET,
     GroundSet,
@@ -57,7 +57,7 @@ def _index_of(n: int, r: int) -> dict[int, int]:
     return {m: i for i, m in enumerate(masks_of_size(n, r))}
 
 
-def _canonical_coords(pf: PartialField, masks, coords) -> tuple:
+def _canonical_coords(ring: Ring, masks, coords) -> tuple:
     """Validate coordinates listed in the order of ``masks`` and scale them.
 
     There must be one coordinate per mask. Each value is coerced into the
@@ -68,11 +68,10 @@ def _canonical_coords(pf: PartialField, masks, coords) -> tuple:
     """
     if len(coords) != len(masks):
         raise InputError(f"expected {len(masks)} coordinates, got {len(coords)}")
-    ring = pf.ring
     coords = [ring.coerce(v) for v in coords]
     if not ring.is_field:
         for mask, v in zip(masks, coords):
-            if not pf.is_element(v):
+            if not ring.is_element(v):
                 key = ",".join(map(str, mask_elements(mask)))
                 raise MembershipError(
                     f"coordinate {key!r} has value {ring.fmt(v)} outside the partial field"
@@ -118,30 +117,29 @@ class PluckerVector(_CoordinateVector):
 
     ground: GroundSet
     r: int
-    pf: PartialField
+    ring: Ring
     coords: tuple
 
     def __post_init__(self) -> None:
         n = self.ground.n
         if not 0 <= self.r <= n:
             raise InputError(f"rank {self.r} is outside 0..{n}")
-        object.__setattr__(self, "coords", _canonical_coords(self.pf, self.masks(), self.coords))
+        object.__setattr__(self, "coords", _canonical_coords(self.ring, self.masks(), self.coords))
 
     @classmethod
     def from_coords(
-        cls, ground: GroundSet, r: int, pf: PartialField, coords: Mapping[int, object] | list
+        cls, ground: GroundSet, r: int, ring: Ring, coords: Mapping[int, object] | list
     ) -> "PluckerVector":
         """Build from a dense sequence or a sparse {mask: value} mapping."""
         subsets = masks_of_size(ground.n, r)
         if isinstance(coords, Mapping):
-            ring = pf.ring
             dense = [coords.get(m, ring.zero) for m in subsets]
             extra = set(coords) - set(subsets)
             if extra:
                 raise InputError(f"coordinate mask {min(extra)!r} is not an {r}-subset")
         else:
             dense = list(coords)
-        return cls(ground, r, pf, tuple(dense))
+        return cls(ground, r, ring, tuple(dense))
 
     def masks(self) -> tuple[int, ...]:
         return masks_of_size(self.ground.n, self.r)
@@ -185,7 +183,7 @@ def plucker_support(p: PluckerVector) -> BasisFamily:
     return BasisFamily(p.ground, frozenset(p.support_masks()))
 
 
-def plucker_from_matrix(a: Matrix, pf: PartialField) -> PluckerVector:
+def plucker_from_matrix(a: Matrix) -> PluckerVector:
     """Maximal minors of a full-row-rank r x n matrix, column labels 1..n.
 
     One fraction-free row reduction of the integer rows gives the first
@@ -201,8 +199,6 @@ def plucker_from_matrix(a: Matrix, pf: PartialField) -> PluckerVector:
     refused above SWEEP_BUDGET. Raises RankError when every minor vanishes
     and MembershipError when a minor falls outside the partial field.
     """
-    if a.ring != pf.ring:
-        raise InputError(f"matrix ring {a.ring!r} does not match partial field {pf!r}")
     r, n, p = a.rows, a.cols, a.ring.p
     if r > n:
         raise RankError(f"a {r}x{n} matrix cannot have row rank {r}")
@@ -234,7 +230,7 @@ def plucker_from_matrix(a: Matrix, pf: PartialField) -> PluckerVector:
                 between = s & (hi - 1) & ~(2 * lo - 1)
                 acc += -e * v if between.bit_count() & 1 else e * v
         minors[s] = acc * inv % p if p else acc // d
-    return PluckerVector(ground, r, pf, tuple(minors[s] for s in masks_of_size(n, r)))
+    return PluckerVector(ground, r, a.ring, tuple(minors[s] for s in masks_of_size(n, r)))
 
 
 def _dirty_test(ring, rows) -> Callable[[list], bool]:
@@ -301,7 +297,7 @@ class _Certificate:
     """
 
     def __init__(self, p: _CoordinateVector, rows, cols, u, w, sign: int, verdict):
-        self.ground, self.ring, self.rows, self.cols = p.ground, p.pf.ring, rows, cols
+        self.ground, self.ring, self.rows, self.cols = p.ground, p.ring, rows, cols
         self.u, self.w, self.sign, self.verdict = u, w, sign, verdict
         test = _dirty_test(self.ring, map(w.__getitem__, cols))
         self.verdicts = tee(map(test, map(u.__getitem__, rows)), 1)[0]
@@ -347,7 +343,7 @@ def _signed_row(ring, coords, idx, n: int, flip: int, mask: int) -> list:
 def _gp_certificate(p: PluckerVector) -> _Certificate:
     """N_S as rows u_S, _signed_row on the x in S, and N_T as columns w_T, on the x not in T."""
     near, n, r = _neighbourhood(p), p.ground.n, p.r
-    row = partial(_signed_row, p.pf.ring, p.coords, _index_of(n, r), n)
+    row = partial(_signed_row, p.ring, p.coords, _index_of(n, r), n)
     u, w = _Built(partial(row, 0)), _Built(partial(row, (1 << n) - 1))
     s_masks = [m for m in near if m.bit_count() == r + 1]
     t_masks = [m for m in near if m.bit_count() == r - 1]
@@ -404,7 +400,7 @@ def reconstruct_plucker(p: PluckerVector) -> Matrix:
     row/position sign that makes the corresponding minor come out right.
     """
     _weak_gate(is_matroid(plucker_support(p)), check_gp_3term(p), "matroid support")
-    ring, n, r = p.pf.ring, p.ground.n, p.r
+    ring, n, r = p.ring, p.ground.n, p.r
     idx = _index_of(n, r)
     b_mask = min(p.support_masks())  # the first nonzero coordinate, which scaling made 1
     b_elems = SubsetMask(p.ground, b_mask).elements()

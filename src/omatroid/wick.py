@@ -39,7 +39,7 @@ from functools import partial
 from typing import Mapping
 
 from .errors import InputError, MembershipError
-from .exactalg import PartialField, SkewMatrix, all_principal_pfaffians
+from .exactalg import Ring, SkewMatrix, all_principal_pfaffians
 from .groundset import GroundSet, SubsetMask, masks_of_size, record, within_budget
 from .matroid import BasisFamily, is_orthogonal
 from .plucker import (
@@ -63,18 +63,17 @@ class WickVector(_CoordinateVector):
     """
 
     ground: GroundSet
-    pf: PartialField
+    ring: Ring
     coords: tuple
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", _canonical_coords(self.pf, self.masks(), self.coords))
+        object.__setattr__(self, "coords", _canonical_coords(self.ring, self.masks(), self.coords))
 
     @classmethod
     def from_coords(
-        cls, ground: GroundSet, pf: PartialField, coords: Mapping[int, object] | list
+        cls, ground: GroundSet, ring: Ring, coords: Mapping[int, object] | list
     ) -> "WickVector":
         if isinstance(coords, Mapping):
-            ring = pf.ring
             size = 1 << ground.n
             bad = [m for m in coords if not 0 <= m < size]
             if bad:
@@ -82,7 +81,7 @@ class WickVector(_CoordinateVector):
             dense = [coords.get(m, ring.zero) for m in range(size)]
         else:
             dense = list(coords)
-        return cls(ground, pf, tuple(dense))
+        return cls(ground, ring, tuple(dense))
 
     def masks(self) -> range:
         return range(1 << self.ground.n)
@@ -133,7 +132,7 @@ def wick_support(p: WickVector) -> BasisFamily:
     return BasisFamily(p.ground, frozenset(p.support_masks()))
 
 
-def wick_from_representation(rep: WickRepresentation, pf: PartialField) -> WickVector:
+def wick_from_representation(rep: WickRepresentation) -> WickVector:
     """Principal Pfaffians of the matrix, reindexed through the twist.
 
     Every entry of the matrix and every resulting Pfaffian must be a
@@ -141,11 +140,9 @@ def wick_from_representation(rep: WickRepresentation, pf: PartialField) -> WickV
     MembershipError from WickVector, naming the offending subset.
     """
     a = rep.matrix
-    if a.ring != pf.ring:
-        raise InputError(f"matrix ring {a.ring!r} does not match partial field {pf!r}")
     for i in range(a.size):
         for j in range(i + 1, a.size):
-            if not pf.is_element(a.entry(i, j)):
+            if not a.ring.is_element(a.entry(i, j)):
                 raise MembershipError(
                     f"matrix entry ({i + 1},{j + 1}) = {a.ring.fmt(a.entry(i, j))} "
                     f"is outside the partial field"
@@ -153,7 +150,7 @@ def wick_from_representation(rep: WickRepresentation, pf: PartialField) -> WickV
     ground = GroundSet(a.size)
     table = all_principal_pfaffians(a)
     tb = rep.twist.bits
-    return WickVector(ground, pf, tuple(table[m ^ tb] for m in range(1 << a.size)))
+    return WickVector(ground, a.ring, tuple(table[m ^ tb] for m in range(1 << a.size)))
 
 
 def _wick_row(ring, coords, n: int, mask: int) -> list:
@@ -173,7 +170,7 @@ def _wick_certificate(p: WickVector) -> _Certificate:
     Their slots meet at the i in J1 delta J2, and the signs multiply to minus the relation's.
     """
     near, n = _neighbourhood(p), p.ground.n
-    u = _Built(partial(_wick_row, p.pf.ring, p.coords, n))
+    u = _Built(partial(_wick_row, p.ring, p.coords, n))
     w = _Built(lambda j: (row := u[j])[n:] + row[:n])
     return _Certificate(p, near, near, u, w, -1, WickPairVerdict)
 
@@ -209,7 +206,7 @@ def twist_wick(p: WickVector, t: SubsetMask) -> WickVector:
         raise InputError("twist set lives on a different ground set")
     tb = t.bits
     coords = tuple(p.coords[m ^ tb] for m in range(len(p.coords)))
-    return WickVector(p.ground, p.pf, coords)
+    return WickVector(p.ground, p.ring, coords)
 
 
 def classify_wick(p: WickVector) -> WickClassification:
@@ -231,5 +228,5 @@ def reconstruct_wick(p: WickVector) -> WickRepresentation:
     n = p.ground.n
     t_mask = min(p.support_masks())  # the first nonzero coordinate, which scaling made 1
     upper = [p.coords[((1 << i) | (1 << j)) ^ t_mask] for i in range(n) for j in range(i + 1, n)]
-    a = SkewMatrix.from_upper(p.pf.ring, n, upper)
+    a = SkewMatrix.from_upper(p.ring, n, upper)
     return WickRepresentation(a, SubsetMask(p.ground, t_mask))

@@ -8,8 +8,9 @@ share no code with the implementations under test.
 The brute relation sweeps walk every pair of their family in colex order,
 as the library did before it restricted the sweeps to the support's
 one-step neighbourhood. They read only a vector's ``coords``, ``ground.n``,
-``r`` and the ring arithmetic of ``pf.ring``, and return a plain tuple
-(ok, first failing pair as two masks, its value).
+``r`` and the modulus ``ring.p``, sum the terms with plain ``+ - *``,
+reduce mod ``ring.p`` when it is nonzero, and return a plain tuple (ok,
+first failing pair as two masks, its value).
 
 ``brute_exchange`` is the pair-by-pair search the four exchange-axiom
 checkers of ``matroid.py`` ran before they decided every B2 at once with
@@ -113,8 +114,8 @@ def _colex(n, r):
     return [m for m in range(1 << n) if m.bit_count() == r]
 
 
-def _wick_pair_value(ring, coords, j1, j2):
-    acc = ring.zero
+def _wick_pair_value(mod, coords, j1, j2):
+    acc = 0
     pos = 0
     m = j1 ^ j2
     while m:
@@ -122,32 +123,31 @@ def _wick_pair_value(ring, coords, j1, j2):
         m ^= b
         pos += 1
         v1 = coords[j1 ^ b]
-        if ring.is_zero(v1):
+        if not v1:
             continue
         v2 = coords[j2 ^ b]
-        if ring.is_zero(v2):
+        if not v2:
             continue
-        term = ring.mul(v1, v2)
-        acc = ring.sub(acc, term) if pos & 1 else ring.add(acc, term)
-    return acc
+        acc += -v1 * v2 if pos & 1 else v1 * v2
+    return acc % mod if mod else acc
 
 
 def brute_wick_full(p):
     """Every unordered pair {J1, J2} of the 2**n subsets, odd distances included."""
-    ring = p.pf.ring
+    mod = p.ring.p
     coords = p.coords
     size = 1 << p.ground.n
     for j1 in range(size):
         for j2 in range(j1 + 1, size):
-            val = _wick_pair_value(ring, coords, j1, j2)
-            if not ring.is_zero(val):
+            val = _wick_pair_value(mod, coords, j1, j2)
+            if val:
                 return False, j1, j2, val
     return True, None, None, None
 
 
 def brute_wick_4term(p):
     """Every pair at symmetric-difference distance four."""
-    ring = p.pf.ring
+    mod = p.ring.p
     coords = p.coords
     n = p.ground.n
     if n < 4:
@@ -157,16 +157,15 @@ def brute_wick_4term(p):
     for j1 in range(size):
         partners = sorted(j1 ^ d for d in diffs if (j1 ^ d) > j1)
         for j2 in partners:
-            val = _wick_pair_value(ring, coords, j1, j2)
-            if not ring.is_zero(val):
+            val = _wick_pair_value(mod, coords, j1, j2)
+            if val:
                 return False, j1, j2, val
     return True, None, None, None
 
 
 def _gp_relation_value(p, s_mask, t_mask, idx):
-    ring = p.pf.ring
-    coords = p.coords
-    acc = ring.zero
+    coords, mod = p.coords, p.ring.p
+    acc = 0
     m = s_mask
     while m:
         b = m & -m
@@ -175,15 +174,14 @@ def _gp_relation_value(p, s_mask, t_mask, idx):
             continue  # T + x collapses to a set of size r-1, the term is zero
         x = b.bit_length()  # element label
         v1 = coords[idx[s_mask ^ b]]
-        if ring.is_zero(v1):
+        if not v1:
             continue
         v2 = coords[idx[t_mask | b]]
-        if ring.is_zero(v2):
+        if not v2:
             continue
-        term = ring.mul(v1, v2)
         parity = (s_mask >> x).bit_count() + (t_mask >> x).bit_count()
-        acc = ring.sub(acc, term) if parity & 1 else ring.add(acc, term)
-    return acc
+        acc += -v1 * v2 if parity & 1 else v1 * v2
+    return acc % mod if mod else acc
 
 
 def brute_gp_sweep(p, three_term_only):
@@ -191,14 +189,13 @@ def brute_gp_sweep(p, three_term_only):
     n, r = p.ground.n, p.r
     if r + 1 > n or r - 1 < 0:
         return True, None, None, None  # degenerate ranks have an empty relation family
-    ring = p.pf.ring
     idx = {m: i for i, m in enumerate(_colex(n, r))}
     for s_mask in _colex(n, r + 1):
         for t_mask in _colex(n, r - 1):
             if three_term_only and (s_mask & ~t_mask).bit_count() != 3:
                 continue
             val = _gp_relation_value(p, s_mask, t_mask, idx)
-            if not ring.is_zero(val):
+            if val:
                 return False, s_mask, t_mask, val
     return True, None, None, None
 

@@ -19,7 +19,6 @@ from omatroid import (
     GroundSet,
     Label,
     Matrix,
-    PartialField,
     PluckerVector,
     SkewMatrix,
     SubsetMask,
@@ -56,9 +55,6 @@ from omatroid import (
 from omatroid.census import _achievable_supports
 from omatroid.errors import RankError
 
-PF_Q = PartialField(QQ)
-PF2 = PartialField(GF(2))
-PF3 = PartialField(GF(3))
 
 
 def _report(capsys, num, name, ok, elapsed, budget):
@@ -84,7 +80,7 @@ def test_worked_example_supports(capsys):
     g = GroundSet(4)
     a = SkewMatrix.from_rows(QQ, EXAMPLE_ROWS)
     rep = WickRepresentation(a, g.subset([]))
-    w = wick_from_representation(rep, PF_Q)
+    w = wick_from_representation(rep)
 
     want = {g.subset(s).bits for s in ([], [1, 2], [1, 4], [2, 4])}
     ok = wick_support(w).masks == frozenset(want)
@@ -133,7 +129,6 @@ def test_plucker_checks_agree_with_matrices(capsys):
     t0 = time.perf_counter()
     ok = True
     gf7 = GF(7)
-    pf7 = PartialField(gf7)
     rng = random.Random(73)
 
     done = 0
@@ -142,14 +137,14 @@ def test_plucker_checks_agree_with_matrices(capsys):
         r = rng.randint(1, min(3, n))
         rows = [[rng.randrange(7) for _ in range(n)] for _ in range(r)]
         try:
-            p = plucker_from_matrix(Matrix.from_rows(gf7, rows), pf7)
+            p = plucker_from_matrix(Matrix.from_rows(gf7, rows))
         except RankError:
             continue
         done += 1
         ok = ok and check_gp_full(p).ok
         ok = ok and classify_plucker(p).label is Label.STRONG
         b = reconstruct_plucker(p)
-        ok = ok and plucker_from_matrix(b, pf7).coords == p.coords
+        ok = ok and plucker_from_matrix(b).coords == p.coords
 
     # exhaustive rank-2 vectors on 4 elements over GF(2): the short form
     # plus a matroid support is never weaker than the full equation sweep
@@ -157,7 +152,7 @@ def test_plucker_checks_agree_with_matrices(capsys):
     full_passers = 0
     for bits in range(1, 1 << 6):
         coords = tuple((bits >> i) & 1 for i in range(6))
-        p = PluckerVector(g, 2, PF2, coords)
+        p = PluckerVector(g, 2, GF(2), coords)
         short_ok = check_gp_3term(p).ok
         support_ok = is_matroid(plucker_support(p)).ok
         full_ok = check_gp_full(p).ok
@@ -198,7 +193,7 @@ def _wick_sweep(n, parity_blocks):
             for i, m in enumerate(block):
                 if (bits >> i) & 1:
                     coords[m] = 1
-            p = WickVector(g, PF2, tuple(coords))
+            p = WickVector(g, GF(2), tuple(coords))
             if not check_wick_4term(p).ok:
                 continue
             support_ok = is_orthogonal(wick_support(p)).ok
@@ -208,7 +203,7 @@ def _wick_sweep(n, parity_blocks):
             if support_ok and full_ok:
                 weak += 1
                 rep = reconstruct_wick(p)
-                q = wick_from_representation(rep, PF2)
+                q = wick_from_representation(rep)
                 ok = ok and q.coords == p.coords
     return ok, weak
 
@@ -230,7 +225,7 @@ def test_wick_checks_agree_exhaustively(capsys):
         for m in range(32):
             if rng.random() < 0.3:
                 coords[m] = 1
-        p = WickVector(g5, PF2, tuple(coords))
+        p = WickVector(g5, GF(2), tuple(coords))
         ok = ok and not check_wick_full(p).ok
         ok = ok and classify_wick(p).label is Label.NEITHER
 
@@ -279,11 +274,11 @@ def test_twist_preserves_structure(capsys):
 
     # twisting a coordinate vector never changes the equation verdict
     a = SkewMatrix.from_rows(QQ, EXAMPLE_ROWS)
-    passing = wick_from_representation(WickRepresentation(a, g.subset([])), PF_Q)
+    passing = wick_from_representation(WickRepresentation(a, g.subset([])))
     failing_coords = [0] * 16
     for s in ([], [1, 2], [3, 4]):
         failing_coords[g.subset(s).bits] = 1
-    failing = WickVector(g, PF_Q, tuple(failing_coords))
+    failing = WickVector(g, QQ, tuple(failing_coords))
     ok = ok and check_wick_full(passing).ok and not check_wick_full(failing).ok
     for base, verdict in ((passing, True), (failing, False)):
         for tbits in range(16):
@@ -321,9 +316,9 @@ def test_regular_reps_transport_to_primes(capsys):
         regular += 1
         table = all_principal_pfaffians(rep.matrix)
         ok = ok and all(v in (-1, 0, 1) for v in table)
-        for p, pf in ((2, PF2), (3, PF3)):
+        for p in (2, 3):
             mat_p = apply_hom(residue_hom(p), rep.matrix)
-            w = wick_from_representation(WickRepresentation(mat_p, rep.twist), pf)
+            w = wick_from_representation(WickRepresentation(mat_p, rep.twist))
             ok = ok and wick_support(w).masks == f.masks
             ok = ok and check_wick_full(w).ok
 

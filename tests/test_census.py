@@ -27,7 +27,7 @@ from omatroid.census import (
     verify_nelson_chain,
 )
 from omatroid.errors import CapabilityError, InputError
-from omatroid.exactalg import GF, PartialField, REGULAR, ZZ, all_principal_pfaffians
+from omatroid.exactalg import GF, ZZ, all_principal_pfaffians
 from omatroid import groundset
 from omatroid.groundset import GroundSet
 from omatroid.matroid import BasisFamily, is_matroid, is_orthogonal
@@ -504,13 +504,13 @@ def test_find_regular_representation_roundtrip():
     rep = find_regular_representation(f)
     assert rep is not None
     assert rep.matrix.ring == ZZ
-    v = wick_from_representation(rep, REGULAR)
+    v = wick_from_representation(rep)
     assert frozenset(v.support_masks()) == f.masks
     # the walk brings the regular search to n = 5; n = 6 is over the budget
     f5 = fam(5, [1, 2])
     rep5 = find_regular_representation(f5)
     assert rep5 is not None and rep5.matrix.ring == ZZ
-    assert frozenset(wick_from_representation(rep5, REGULAR).support_masks()) == f5.masks
+    assert frozenset(wick_from_representation(rep5).support_masks()) == f5.masks
     with pytest.raises(CapabilityError):
         find_regular_representation(fam(6, [1, 2]))
 

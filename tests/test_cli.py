@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import sys
@@ -8,7 +9,7 @@ import pytest
 
 from omatroid.cli import main
 from omatroid.errors import InputError
-from omatroid.exactalg import QQ, REGULAR, ZZ, Matrix, determinant
+from omatroid.exactalg import QQ, ZZ, Matrix, determinant
 from omatroid.jsonio import (
     parse_basis_family,
     parse_matrix_file,
@@ -69,22 +70,19 @@ def report_of(out):
 
 
 def test_parse_ring_decl():
-    ring, pf = parse_ring_decl({"kind": "q"})
-    assert ring == QQ and ring_decl_to_json(ring, pf) == {"kind": "q"}
-    ring, pf = parse_ring_decl({"kind": "z"})
-    assert ring == ZZ and pf is None
-    ring, pf = parse_ring_decl({"kind": "regular"})
-    assert pf == REGULAR
-    ring, pf = parse_ring_decl({"kind": "gfp", "p": 7})
-    assert ring.p == 7
+    assert parse_ring_decl({"kind": "q"}) == QQ
+    # "z" and "regular" both name the integers, which are written back as "regular"
+    assert parse_ring_decl({"kind": "z"}) == parse_ring_decl({"kind": "regular"}) == ZZ
+    assert ring_decl_to_json(ZZ) == {"kind": "regular"}
+    assert parse_ring_decl({"kind": "gfp", "p": 7}).p == 7
     with pytest.raises(InputError):
         parse_ring_decl({"kind": "gf"})
     with pytest.raises(InputError):
         parse_ring_decl({"kind": "gfp", "p": "7"})
     with pytest.raises(InputError):
         parse_ring_decl(["q"])
-    for decl in ({"kind": "q"}, {"kind": "z"}, {"kind": "regular"}, {"kind": "gfp", "p": 7}):
-        assert ring_decl_to_json(*parse_ring_decl(decl)) == decl
+    for decl in ({"kind": "q"}, {"kind": "regular"}, {"kind": "gfp", "p": 7}):
+        assert ring_decl_to_json(parse_ring_decl(decl)) == decl
 
 
 def test_parse_basis_family_errors():
@@ -125,11 +123,11 @@ def test_empty_set_key_means_empty_subset():
 
 
 def test_parse_matrix_file():
-    m, twist, ring, pf = parse_matrix_file(WICK_MATRIX)
+    m, twist = parse_matrix_file(WICK_MATRIX)
     assert (m.rows, m.cols) == (4, 4)
     assert twist == 0b0100
-    assert ring_decl_to_json(ring, pf) == {"kind": "q"}
-    m2, twist2, _, _ = parse_matrix_file(PLUCKER_MATRIX)
+    assert ring_decl_to_json(m.ring) == {"kind": "q"}
+    m2, twist2 = parse_matrix_file(PLUCKER_MATRIX)
     assert twist2 is None
     with pytest.raises(InputError):
         parse_matrix_file({**WICK_MATRIX, "n": 3})
@@ -336,11 +334,62 @@ def test_pfaffian_verb(tmp_path, capsys):
     code, out, _ = run(capsys, "pfaffian", zmat)
     assert code == 0
     assert report_of(out)["data"]["pfaffian"] == "5"
+    assert report_of(out)["data"]["ring"] == {"kind": "z"}
     notskew = write(
         tmp_path, "ns.json", {"ring": {"kind": "z"}, "matrix": [["0", "1"], ["1", "0"]]}
     )
     code, out, _ = run(capsys, "pfaffian", notskew)
     assert code == 2
+
+
+SIGNED_SKEW = [["0", "1", "2", "0"], ["-1", "0", "1", "1"], ["-2", "-1", "0", "1"],
+               ["0", "-1", "-1", "0"]]
+REGULAR_SKEW = [["0", "1", "0", "-1"], ["-1", "0", "0", "1"], ["0", "0", "0", "0"],
+                ["1", "-1", "0", "0"]]
+REGULAR_RECT = [["1", "0", "1", "1"], ["0", "1", "1", "0"]]
+REGULAR_WICK = {"n": 4, "coords": {"": "1", "1,2": "1", "1,4": "-1", "2,4": "1"}}
+REGULAR_PLUCKER = {"n": 4, "r": 2,
+                   "coords": {"1,2": "1", "1,3": "1", "2,3": "-1", "2,4": "-1", "3,4": "-1"}}
+Z, REG = {"kind": "z"}, {"kind": "regular"}
+# (argv before the input path, input) of each call whose output echoes or refuses a ring
+# declaration; "z" and "regular" both name the integers, and only these outputs differ
+RING_ECHO_CALLS = {
+    "pfaffian-z": (["pfaffian"], {"ring": Z, "matrix": SIGNED_SKEW}),
+    "pfaffian-regular": (["pfaffian"], {"ring": REG, "matrix": SIGNED_SKEW}),
+    "pfaffian-q": (["pfaffian"], {"ring": {"kind": "q"}, "matrix": SIGNED_SKEW}),
+    "pfaffian-gfp": (["pfaffian"], {"ring": {"kind": "gfp", "p": 7}, "matrix": SIGNED_SKEW}),
+    "from-matrix-wick-regular": (["from-matrix", "--kind", "wick"],
+                                 {"ring": REG, "matrix": REGULAR_SKEW, "twist": [3]}),
+    "from-matrix-plucker-regular": (["from-matrix", "--kind", "plucker"],
+                                    {"ring": REG, "matrix": REGULAR_RECT}),
+    "reconstruct-wick-regular": (["reconstruct-wick"], {**REGULAR_WICK, "ring": REG}),
+    "reconstruct-plucker-regular": (["reconstruct-plucker"], {**REGULAR_PLUCKER, "ring": REG}),
+    "check-plucker-z": (["check-plucker"], {**REGULAR_PLUCKER, "ring": Z}),
+    "check-wick-z": (["check-wick"], {**REGULAR_WICK, "ring": Z}),
+    "from-matrix-z": (["from-matrix"], {"ring": Z, "matrix": REGULAR_SKEW}),
+}
+# sha256 of "<exit code>\n<stdout>" of each call, taken when a partial field still wrapped
+# its ring and "z" parsed to a ring without one
+RING_ECHO_DIGESTS = {
+    "check-plucker-z": "c87622b5837dfd276d2dab35285f2855a84bb5e701486ac7ce953322bdc4707f",
+    "check-wick-z": "923bc5a13eaec54ab8a89b5ddeb509aa24e4bc9d71da96e6d14af95f4879326b",
+    "from-matrix-plucker-regular": "afd3939d7e24af351b2e68c4d1d4be18fcb7de7673bf218b3b41bf79f7f86dc1",
+    "from-matrix-wick-regular": "398bbb28457d12fc4c37bc34235bb03f818882f5c8aed024b73693199b923571",
+    "from-matrix-z": "5d3df6f254d15e151e44ed706f4e2e52a923b152a35f0bca549366f27fba6d8e",
+    "pfaffian-gfp": "ebf40af09dcdf047f8a8980b8fb60457c2b3952309941db8824259544eb181b9",
+    "pfaffian-q": "3062b90824317d7b52a33ad170a48210b3dd6920657f3ac319d7804d9d55079b",
+    "pfaffian-regular": "35e763c385e9cedda52c1d27e0aea11187cc2029e0eea8e2ebf4a25d42e7f8fc",
+    "pfaffian-z": "2377e3e37a49bf540d6e5ede890abc6e03df1a0e48e1f3df08380f2283c52b73",
+    "reconstruct-plucker-regular": "8deb483434f9a84c085099384f7b470090099e65098b10120c8e39b819fd36c9",
+    "reconstruct-wick-regular": "3af78132c7e5266e4552c28a71703b7598e1ff5b3b7ccf0fd5fd08db5d795875",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RING_ECHO_CALLS))
+def test_ring_declaration_echoes_are_pinned(tmp_path, capsys, name):
+    argv, obj = RING_ECHO_CALLS[name]
+    code, out, _ = run(capsys, *argv, write(tmp_path, "in.json", obj))
+    assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == RING_ECHO_DIGESTS[name]
 
 
 def test_twist_verbs(tmp_path, capsys):

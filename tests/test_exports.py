@@ -1,3 +1,7 @@
+import ast
+import sys
+from pathlib import Path
+
 import pytest
 
 import omatroid
@@ -14,7 +18,7 @@ def test_every_exported_name_resolves(module):
 
 def test_removed_aliases_are_gone():
     # each duplicated a method or constructor: SkewMatrix.principal,
-    # PartialField.is_element, Homomorphism.apply, range(1 << n) and SubsetMask
+    # Ring.is_element, Homomorphism.apply, range(1 << n) and SubsetMask
     for name in ("principal_submatrix", "apply_hom_value", "is_element"):
         assert not hasattr(exactalg, name)
         assert name not in omatroid.__all__
@@ -54,13 +58,32 @@ def test_removed_aliases_are_gone():
     for name in ("UNITS_ALL", "UNITS_PM_ONE", "HOM_INT_TO_GFP", "HOM_RAT_TO_GFP"):
         assert not hasattr(exactalg, name)
         assert not hasattr(omatroid, name)
-    for name in ("for_field", "json_decl", "units"):
-        assert not hasattr(exactalg.PartialField, name)
-    assert exactalg.PartialField.__slots__ == ("ring",)
     assert exactalg.Homomorphism.__slots__ == ("source", "target")
+    # the ring is the partial field: no wrapper around it, and no ring sum that nothing calls
+    for module in (omatroid, exactalg, jsonio):
+        for name in ("PartialField", "REGULAR"):
+            assert not hasattr(module, name)
+    for name in ("PartialField", "REGULAR"):
+        assert name not in omatroid.__all__
+    for cls in (exactalg.Ring, exactalg.PrimeField):
+        assert not {"add", "sub"} & set(vars(cls))
     # the zero-pattern demo counted 2**C(n,2) supports by construction; len() is a subset's size
     for name in ("realizable_sets_demo", "RealizableSetsDemo"):
         assert not hasattr(census, name)
         assert not hasattr(omatroid, name)
         assert name not in omatroid.__all__
     assert not hasattr(groundset.SubsetMask, "size")
+
+
+def test_the_package_imports_only_the_standard_library():
+    # pyproject.toml declares no runtime dependencies; relative imports stay in the package
+    for path in sorted(Path(omatroid.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]  # __future__ is among the standard library's names
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, f"{path.name} imports {name}"

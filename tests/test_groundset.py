@@ -55,6 +55,20 @@ def test_mask_helpers():
     assert mask_of_elements([]) == 0
 
 
+@pytest.mark.parametrize("bits", [-1, -6, 1.5, "3", None])
+def test_mask_elements_refuses_a_bad_mask(bits):
+    # -1 has no highest bit: a walk down its bits would never end
+    with pytest.raises(InputError):
+        mask_elements(bits)
+
+
+@pytest.mark.parametrize("elements", [[0], [-3], [True, 2], [1.0], ["1"]])
+def test_mask_of_elements_refuses_a_bad_element(elements):
+    # 0 and -3 would shift by a negative count, and True is no element label
+    with pytest.raises(InputError):
+        mask_of_elements(elements)
+
+
 def test_masks_of_size_is_colex():
     assert masks_of_size(4, 2) == (0b0011, 0b0101, 0b0110, 0b1001, 0b1010, 0b1100)
     assert masks_of_size(3, 0) == (0,)

@@ -18,7 +18,7 @@ import pytest
 
 from omatroid.census import BoundCheck, CensusReport
 from omatroid.errors import InputError
-from omatroid.exactalg import GF, QQ, ZZ, Homomorphism, Matrix, PartialField, SkewMatrix
+from omatroid.exactalg import GF, QQ, ZZ, Homomorphism, Matrix, SkewMatrix
 from omatroid.groundset import GroundSet, SubsetMask
 from omatroid.matroid import BasisFamily
 from omatroid.plucker import GPVerdict, PluckerClassification, PluckerVector
@@ -27,9 +27,8 @@ from omatroid.wick import WickClassification, WickPairVerdict, WickRepresentatio
 
 G3 = GroundSet(3)
 G2 = GroundSet(2)
-PF7 = PartialField(GF(7))
+F7 = GF(7)
 S13 = SubsetMask(G3, 0b101)
-REGULAR = PartialField(ZZ)
 PASS_GP = GPVerdict(True)
 PASS_WICK = WickPairVerdict(True)
 PASS_AXIOM = AxiomVerdict(True)
@@ -38,20 +37,18 @@ PASS_AXIOM = AxiomVerdict(True)
 CASES = [
     (G3, ("n",), "GroundSet(n=3)", True),
     (S13, ("ground", "bits"), "{1,3}/3", True),
-    (PF7, ("ring",), "gf(7)", True),
     (Matrix(QQ, 1, 2, (1, Fraction(1, 2))), ("ring", "rows", "cols", "entries"),
      "Matrix(q, 1x2)", False),
     (SkewMatrix(ZZ, 2, 2, (0, 1, -1, 0)), ("ring", "rows", "cols", "entries"),
      "Matrix(z, 2x2)", False),
-    (Homomorphism(REGULAR, PF7), ("source", "target"),
-     "Homomorphism(source=regular, target=gf(7))", True),
+    (Homomorphism(ZZ, F7), ("source", "target"), "Homomorphism(source=z, target=gf(7))", True),
     (AxiomVerdict(False, "exchange", S13, SubsetMask(G3, 0b011), 2),
      ("ok", "reason", "b1", "b2", "x"),
      "AxiomVerdict(ok=False, reason='exchange', b1={1,3}/3, b2={1,2}/3, x=2)", True),
     (BasisFamily(G3, frozenset({3, 5})), ("ground", "masks"),
      "BasisFamily(ground=GroundSet(n=3), masks=frozenset({3, 5}))", False),
-    (PluckerVector(G3, 1, PF7, (2, 4, 6)), ("ground", "r", "pf", "coords"),
-     "PluckerVector(ground=GroundSet(n=3), r=1, pf=gf(7), coords=(1, 2, 3))", False),
+    (PluckerVector(G3, 1, F7, (2, 4, 6)), ("ground", "r", "ring", "coords"),
+     "PluckerVector(ground=GroundSet(n=3), r=1, ring=gf(7), coords=(1, 2, 3))", False),
     (GPVerdict(False, S13, S13, 3), ("ok", "s", "t", "value"),
      "GPVerdict(ok=False, s={1,3}/3, t={1,3}/3, value=3)", True),
     (PluckerClassification(Label.WEAK, PASS_GP, GPVerdict(False, S13, S13, 3), PASS_AXIOM),
@@ -60,8 +57,8 @@ CASES = [
      "full=GPVerdict(ok=True, s=None, t=None, value=None), "
      "short=GPVerdict(ok=False, s={1,3}/3, t={1,3}/3, value=3), "
      "support=AxiomVerdict(ok=True, reason=None, b1=None, b2=None, x=None))", True),
-    (WickVector(G2, PF7, (0, 3, 0, 6)), ("ground", "pf", "coords"),
-     "WickVector(ground=GroundSet(n=2), pf=gf(7), coords=(0, 1, 0, 2))", False),
+    (WickVector(G2, F7, (0, 3, 0, 6)), ("ground", "ring", "coords"),
+     "WickVector(ground=GroundSet(n=2), ring=gf(7), coords=(0, 1, 0, 2))", False),
     (WickRepresentation(SkewMatrix(GF(7), 2, 2, (0, 1, 6, 0)), SubsetMask(G2, 1)),
      ("matrix", "twist"), "WickRepresentation(matrix=Matrix(gf(7), 2x2), twist={1}/2)", False),
     (WickPairVerdict(False, S13, S13, 5), ("ok", "j1", "j2", "value"),
@@ -151,7 +148,7 @@ def test_post_init_checks_and_canonicalises():
         SkewMatrix(ZZ, 1, 2, (0, 0))
     # __post_init__ may replace a field through object.__setattr__
     assert Matrix(QQ, 1, 1, (2,)).entries == (Fraction(2),)
-    assert PluckerVector(G3, r=1, pf=PF7, coords=(3, 6, 2)).coords == (1, 2, 3)
+    assert PluckerVector(G3, r=1, ring=F7, coords=(3, 6, 2)).coords == (1, 2, 3)
     with pytest.raises(InputError):
         GroundSet(-1)
     with pytest.raises(InputError):

@@ -22,15 +22,7 @@ from hypothesis import strategies as st
 from omatroid import plucker
 from omatroid.cli import main
 from omatroid.errors import CapabilityError, MembershipError, RankError
-from omatroid.exactalg import (
-    GF,
-    Matrix,
-    PartialField,
-    QQ,
-    REGULAR,
-    SkewMatrix,
-    all_principal_pfaffians,
-)
+from omatroid.exactalg import GF, QQ, ZZ, Matrix, SkewMatrix, all_principal_pfaffians
 from omatroid.groundset import GroundSet, SubsetMask
 from omatroid.matroid import BasisFamily, is_orthogonal
 from omatroid.plucker import (
@@ -54,13 +46,7 @@ from omatroid.wick import (
 
 from oracles import brute_gp_sweep, brute_wick_4term, brute_wick_full
 
-PARTIAL_FIELDS = {
-    "gf2": PartialField(GF(2)),
-    "gf3": PartialField(GF(3)),
-    "gf7": PartialField(GF(7)),
-    "qq": PartialField(QQ),
-    "regular": REGULAR,
-}
+RINGS = {"gf2": GF(2), "gf3": GF(3), "gf7": GF(7), "qq": QQ, "regular": ZZ}
 
 ENTRIES = {
     "gf2": st.integers(0, 1),
@@ -80,9 +66,8 @@ def _entry(draw, name, block, i, j):
     return draw(ENTRIES[name])
 
 
-def _moved(draw, name, pf, coords, masks):
+def _moved(draw, name, ring, coords, masks):
     """The coordinates with one entry, at one of ``masks``, set to another element."""
-    ring = pf.ring
     m = draw(st.sampled_from(masks))
     v = ring.coerce(draw(ENTRIES[name].filter(lambda x: ring.coerce(x) != coords[m])))
     coords = list(coords)
@@ -97,7 +82,7 @@ def wick_vectors(draw, name):
     """A Wick vector from a block or dense skew matrix and a random twist,
     kept as is, with one coordinate moved, or with one coordinate of the
     other size parity made nonzero."""
-    pf = PARTIAL_FIELDS[name]
+    ring = RINGS[name]
     n = draw(st.integers(2, 5 if name == "regular" else 7), label="n")
     g = GroundSet(n)
     block = draw(st.none() | st.lists(st.integers(0, 2), min_size=n, max_size=n), label="block")
@@ -105,7 +90,7 @@ def wick_vectors(draw, name):
     twist = draw(st.integers(0, (1 << n) - 1), label="twist")
     try:
         p = wick_from_representation(
-            WickRepresentation(SkewMatrix.from_upper(pf.ring, n, upper), SubsetMask(g, twist)), pf
+            WickRepresentation(SkewMatrix.from_upper(ring, n, upper), SubsetMask(g, twist))
         )
     except MembershipError:
         reject()
@@ -118,14 +103,14 @@ def wick_vectors(draw, name):
         masks = [m for m in range(1 << n) if (m ^ twist).bit_count() % 2]
         if not masks:
             reject()
-    return WickVector(g, pf, tuple(_moved(draw, name, pf, p.coords, masks)))
+    return WickVector(g, ring, tuple(_moved(draw, name, ring, p.coords, masks)))
 
 
 @st.composite
 def plucker_vectors(draw, name):
     """A Plucker vector of rank 1..n-1 on 3 <= n <= 7 from a block or dense matrix,
     kept as is or with one coordinate moved."""
-    pf = PARTIAL_FIELDS[name]
+    ring = RINGS[name]
     n = draw(st.integers(3, 7), label="n")
     r = draw(st.integers(1, n - 1), label="r")
     block = draw(st.none() | st.lists(st.integers(0, 2), min_size=n, max_size=n), label="block")
@@ -135,12 +120,12 @@ def plucker_vectors(draw, name):
         for i in range(r)
     ]
     try:
-        p = plucker_from_matrix(Matrix.from_rows(pf.ring, rows), pf)
+        p = plucker_from_matrix(Matrix.from_rows(ring, rows))
     except (RankError, MembershipError):
         reject()
     if draw(st.sampled_from([False, True, True]), label="moved"):
-        coords = _moved(draw, name, pf, p.coords, range(len(p.coords)))
-        p = PluckerVector(p.ground, r, pf, tuple(coords))
+        coords = _moved(draw, name, ring, p.coords, range(len(p.coords)))
+        p = PluckerVector(p.ground, r, ring, tuple(coords))
     return p
 
 
@@ -150,7 +135,7 @@ def _verdict(v, a, b):
     return (v.ok, *(None if s is None else s.bits for s in pair), v.value)
 
 
-@pytest.mark.parametrize("name", sorted(PARTIAL_FIELDS))
+@pytest.mark.parametrize("name", sorted(RINGS))
 @SWEEPS
 @given(data=st.data())
 def test_wick_sweeps_match_the_brute_sweeps(name, data):
@@ -169,13 +154,13 @@ def test_wick_sweeps_match_the_brute_sweeps(name, data):
     ],
 )
 def test_the_witness_is_the_colex_first_failing_pair(support, sweep, brute, pair):
-    p = WickVector.from_coords(GroundSet(5), PARTIAL_FIELDS["qq"], dict.fromkeys(support, 1))
+    p = WickVector.from_coords(GroundSet(5), RINGS["qq"], dict.fromkeys(support, 1))
     v = _verdict(sweep(p), "j1", "j2")
     assert v == brute(p)
     assert v[1:3] == pair
 
 
-@pytest.mark.parametrize("name", sorted(PARTIAL_FIELDS))
+@pytest.mark.parametrize("name", sorted(RINGS))
 @SWEEPS
 @given(data=st.data())
 def test_gp_sweeps_match_the_brute_sweeps(name, data):
@@ -184,7 +169,7 @@ def test_gp_sweeps_match_the_brute_sweeps(name, data):
     assert _verdict(check_gp_3term(p), "s", "t") == brute_gp_sweep(p, three_term_only=True)
 
 
-@pytest.mark.parametrize("name", sorted(PARTIAL_FIELDS))
+@pytest.mark.parametrize("name", sorted(RINGS))
 @SWEEPS
 @given(data=st.data())
 def test_twisting_keeps_both_wick_verdicts(name, data):
@@ -204,14 +189,13 @@ def test_twisting_keeps_both_wick_verdicts(name, data):
 # and the witness must still be the brute sweep's first failing pair.
 
 
-def _late_moved(pf, coords, late):
+def _late_moved(ring, coords, late):
     """Copies of ``coords``, each with one of the last ``late`` nonzero coordinates moved."""
-    ring = pf.ring
     support = [m for m, v in enumerate(coords) if not ring.is_zero(v)]
     for m in support[-late:]:
         moved = list(coords)
         v = coords[m]
-        moved[m] = ring.neg(v) if pf == REGULAR else ring.add(v, v)  # 2v != v off characteristic 2
+        moved[m] = ring.neg(v) if ring == ZZ else ring.coerce(2 * v)  # 2v != v off characteristic 2
         yield moved
 
 
@@ -219,7 +203,7 @@ def _dense_wick(name, seed, n=8):
     """A dense Wick vector: a random skew matrix, or over the regular partial field the
     all-ones one (every principal Pfaffian 1), with random signs; then a random twist."""
     rng = random.Random(seed)
-    pf = PARTIAL_FIELDS[name]
+    ring = RINGS[name]
     if name == "regular":
         signs = [rng.choice((1, -1)) for _ in range(n)]
         upper = [signs[i] * signs[j] for i in range(n) for j in range(i + 1, n)]
@@ -228,18 +212,18 @@ def _dense_wick(name, seed, n=8):
                  "qq": lambda: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))}[name]
         upper = [entry() for _ in range(n * (n - 1) // 2)]
     twist = SubsetMask(GroundSet(n), rng.randrange(1 << n))
-    rep = WickRepresentation(SkewMatrix.from_upper(pf.ring, n, upper), twist)
-    return wick_from_representation(rep, pf)
+    rep = WickRepresentation(SkewMatrix.from_upper(ring, n, upper), twist)
+    return wick_from_representation(rep)
 
 
 def _dense_plucker(name, seed=3):
     """The maximal minors of a random 3 x 8 matrix."""
     rng = random.Random(seed)
-    pf = PARTIAL_FIELDS[name]
+    ring = RINGS[name]
     entry = {"gf7": lambda: rng.randrange(7),
              "qq": lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 3))}[name]
     rows = [[entry() for _ in range(8)] for _ in range(3)]
-    return plucker_from_matrix(Matrix.from_rows(pf.ring, rows), pf)
+    return plucker_from_matrix(Matrix.from_rows(ring, rows))
 
 
 @pytest.mark.parametrize("name", ["gf7", "qq", "regular"])
@@ -247,8 +231,8 @@ def test_full_wick_certificate_finds_the_brute_witness(name):
     p = _dense_wick(name, seed=8)
     assert 8 * len(p.support_masks()) >= 3 * len(p.coords)  # 3/4 of one parity class
     assert check_wick_full(p).ok
-    for coords in _late_moved(p.pf, p.coords, late=4):
-        q = WickVector(p.ground, p.pf, tuple(coords))
+    for coords in _late_moved(p.ring, p.coords, late=4):
+        q = WickVector(p.ground, p.ring, tuple(coords))
         v = check_wick_full(q)
         assert _verdict(v, "j1", "j2") == brute_wick_full(q)
         assert not v.ok
@@ -260,8 +244,8 @@ def test_full_wick_certificate_finds_the_brute_witness(name):
 def test_short_wick_certificate_finds_the_brute_witness(name):
     p = _dense_wick(name, seed=8)
     assert check_wick_4term(p).ok
-    for coords in _late_moved(p.pf, p.coords, late=4):
-        q = WickVector(p.ground, p.pf, tuple(coords))
+    for coords in _late_moved(p.ring, p.coords, late=4):
+        q = WickVector(p.ground, p.ring, tuple(coords))
         v = check_wick_4term(q)
         assert _verdict(v, "j1", "j2") == brute_wick_4term(q)
         assert not v.ok
@@ -272,11 +256,11 @@ def test_short_wick_certificate_finds_the_brute_witness(name):
 @pytest.mark.parametrize("name", ["gf7", "qq"])
 def test_full_gp_certificate_finds_the_brute_witness(name):
     p = _dense_plucker(name)
-    pf = p.pf
+    ring = p.ring
     assert len(p.support_masks()) >= comb(8, 3) - 8
     assert check_gp_full(p).ok
-    for coords in _late_moved(pf, p.coords, late=4):
-        q = PluckerVector(p.ground, 3, pf, tuple(coords))
+    for coords in _late_moved(ring, p.coords, late=4):
+        q = PluckerVector(p.ground, 3, ring, tuple(coords))
         v = check_gp_full(q)
         assert _verdict(v, "s", "t") == brute_gp_sweep(q, three_term_only=False)
         assert not v.ok
@@ -286,8 +270,8 @@ def test_full_gp_certificate_finds_the_brute_witness(name):
 def test_short_gp_certificate_finds_the_brute_witness(name):
     p = _dense_plucker(name)
     assert check_gp_3term(p).ok
-    for coords in _late_moved(p.pf, p.coords, late=4):
-        q = PluckerVector(p.ground, 3, p.pf, tuple(coords))
+    for coords in _late_moved(p.ring, p.coords, late=4):
+        q = PluckerVector(p.ground, 3, p.ring, tuple(coords))
         v = check_gp_3term(q)
         assert _verdict(v, "s", "t") == brute_gp_sweep(q, three_term_only=True)
         assert not v.ok
@@ -309,8 +293,8 @@ def test_short_checks_sweep_no_pair_when_the_full_family_passes(monkeypatch):
     assert check_wick_4term(w).ok
     assert check_gp_3term(p).ok
     assert calls == []
-    moved = next(_late_moved(w.pf, w.coords, late=1))
-    assert not check_wick_4term(WickVector(w.ground, w.pf, tuple(moved))).ok
+    moved = next(_late_moved(w.ring, w.coords, late=1))
+    assert not check_wick_4term(WickVector(w.ground, w.ring, tuple(moved))).ok
     assert calls  # the counters see the pairs a failing vector sweeps
 
 
@@ -332,7 +316,7 @@ def _assert_classify_matches_checks(p):
     assert _same_verdict(c.short, short)
 
 
-@pytest.mark.parametrize("name", sorted(PARTIAL_FIELDS))
+@pytest.mark.parametrize("name", sorted(RINGS))
 @SWEEPS
 @given(data=st.data())
 def test_classify_reads_the_checks_verdicts(name, data):
@@ -347,11 +331,11 @@ def test_classify_reads_the_checks_verdicts_on_late_moved_vectors(name):
         vectors.append(_dense_plucker(name))
     for p in vectors:
         _assert_classify_matches_checks(p)
-        for coords in _late_moved(p.pf, p.coords, late=4):
+        for coords in _late_moved(p.ring, p.coords, late=4):
             if isinstance(p, WickVector):
-                moved = WickVector(p.ground, p.pf, tuple(coords))
+                moved = WickVector(p.ground, p.ring, tuple(coords))
             else:
-                moved = PluckerVector(p.ground, p.r, p.pf, tuple(coords))
+                moved = PluckerVector(p.ground, p.r, p.ring, tuple(coords))
             _assert_classify_matches_checks(moved)
 
 
@@ -366,8 +350,8 @@ def test_classify_builds_one_certificate(monkeypatch):
     monkeypatch.setattr(plucker, "_dirty_test", counted)
     w = _dense_wick("gf7", seed=8)
     p = _dense_plucker("gf7")
-    moved_w = WickVector(w.ground, w.pf, tuple(next(_late_moved(w.pf, w.coords, late=1))))
-    moved_p = PluckerVector(p.ground, 3, p.pf, tuple(next(_late_moved(p.pf, p.coords, late=1))))
+    moved_w = WickVector(w.ground, w.ring, tuple(next(_late_moved(w.ring, w.coords, late=1))))
+    moved_p = PluckerVector(p.ground, 3, p.ring, tuple(next(_late_moved(p.ring, p.coords, late=1))))
     for vector, classify in ((w, classify_wick), (moved_w, classify_wick),
                              (p, classify_plucker), (moved_p, classify_plucker)):
         built.clear()
@@ -422,7 +406,7 @@ def test_four_member_n14_wick_vector_is_answered_fast(tmp_path, capsys, mode):
 
 
 def test_dense_n12_wick_vector_fits_the_budget():
-    p = WickVector(GroundSet(12), PARTIAL_FIELDS["gf7"], tuple(_dense_wick_coords(12, seed=12)))
+    p = WickVector(GroundSet(12), RINGS["gf7"], tuple(_dense_wick_coords(12, seed=12)))
     near = len(_neighbourhood(p))
     assert comb(near, 2) <= SWEEP_BUDGET
     assert near * comb(12, 4) <= SWEEP_BUDGET
@@ -444,7 +428,7 @@ def test_dense_n13_support_check_is_refused_fast(tmp_path, capsys):
 
 
 def test_dense_n12_support_check_fits_the_budget():
-    p = WickVector(GroundSet(12), PARTIAL_FIELDS["gf7"], tuple(_dense_wick_coords(12, seed=12)))
+    p = WickVector(GroundSet(12), RINGS["gf7"], tuple(_dense_wick_coords(12, seed=12)))
     assert len(p.support_masks()) ** 2 <= SWEEP_BUDGET
 
 
@@ -460,7 +444,7 @@ def test_exchange_check_is_refused_above_the_budget():
 
 def test_dense_n14_plucker_vector_is_refused():
     g = GroundSet(14)
-    p = PluckerVector(g, 7, PARTIAL_FIELDS["gf7"], (1,) * comb(14, 7))
+    p = PluckerVector(g, 7, RINGS["gf7"], (1,) * comb(14, 7))
     with pytest.raises(CapabilityError):
         check_gp_full(p)
     with pytest.raises(CapabilityError):

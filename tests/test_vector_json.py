@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from omatroid import groundset, jsonio, plucker, wick
 from omatroid.cli import main
-from omatroid.exactalg import GF, PartialField, QQ, REGULAR
+from omatroid.exactalg import GF, QQ, ZZ
 from omatroid.groundset import GroundSet, masks_of_size
 from omatroid.jsonio import parse_vector_file, plucker_vector_to_json, wick_vector_to_json
 from omatroid.plucker import PluckerVector
@@ -25,11 +25,7 @@ from omatroid.wick import WickVector
 
 from oracles import subset_key
 
-PARTIAL_FIELDS = {
-    "gf7": PartialField(GF(7)),
-    "qq": PartialField(QQ),
-    "regular": REGULAR,
-}
+RINGS = {"gf7": GF(7), "qq": QQ, "regular": ZZ}
 
 NONZERO = {
     "gf7": st.integers(1, 6),
@@ -50,23 +46,22 @@ def sparse_vector(draw, name):
 
 def _expected_coords(p):
     """Oracle keys with ``Ring.fmt`` values, nonzero coordinates in mask order."""
-    fmt = p.pf.ring.fmt
+    fmt = p.ring.fmt
     return [(subset_key(m), fmt(v)) for m, v in zip(p.masks(), p.coords) if v]
 
 
-@pytest.mark.parametrize("name", sorted(PARTIAL_FIELDS))
+@pytest.mark.parametrize("name", sorted(RINGS))
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_emitted_coords_are_the_oracle_keys_and_parse_back(name, data):
-    pf = PARTIAL_FIELDS[name]
-    ring = pf.ring
+    ring = RINGS[name]
     n, r, raw = data.draw(sparse_vector(name))
     ground = GroundSet(n)
     if r is None:
-        p = WickVector.from_coords(ground, pf, raw)
+        p = WickVector.from_coords(ground, ring, raw)
         obj = wick_vector_to_json(p)
     else:
-        p = PluckerVector.from_coords(ground, r, pf, raw)
+        p = PluckerVector.from_coords(ground, r, ring, raw)
         obj = plucker_vector_to_json(p)
     lam = ring.inv(ring.coerce(raw[min(raw)]))
     assert [(m, v) for m, v in zip(p.masks(), p.coords) if v] == [
@@ -89,9 +84,8 @@ def test_emitting_builds_no_key_from_a_mask_s_elements(monkeypatch, parities):
     for module in (groundset, jsonio, plucker, wick):
         monkeypatch.setattr(module, "mask_elements", counted, raising=False)
     n = 10
-    pf = PARTIAL_FIELDS["gf7"]
-    p = WickVector(GroundSet(n), pf, tuple(1 + m % 6 if m.bit_count() % 2 in parities else 0
-                                            for m in range(1 << n)))
+    p = WickVector(GroundSet(n), GF(7), tuple(1 + m % 6 if m.bit_count() % 2 in parities else 0
+                                              for m in range(1 << n)))
     obj = wick_vector_to_json(p)
     assert calls == []
     assert len(obj["coords"]) == (512 if parities == (0,) else 1024)
