@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from functools import lru_cache
-from math import lcm
+from functools import cached_property, lru_cache
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import CapabilityError, InputError, MapUndefinedError
@@ -76,9 +76,6 @@ class Ring:
     zero = 0
     one = 1
 
-    def mul(self, a, b):
-        return a * b
-
     def neg(self, a):
         return -a
 
@@ -99,9 +96,14 @@ class Ring:
     def parse(self, s: str):
         raise NotImplementedError
 
-    def fmt(self, v) -> str:
+    def fmt(self, v, den: int = 1) -> str:
+        """v as a decimal string; with ``den`` > 0, the integer v over den, written as
+        ``str(Fraction(v, den))`` would write it, after one gcd and with no Fraction."""
         try:
-            return str(v)
+            if den == 1:
+                return str(v)
+            g = gcd(v, den)
+            return str(v // g) if g == den else f"{v // g}/{den // g}"
         except ValueError as exc:  # an int past sys.get_int_max_str_digits()
             limit = sys.get_int_max_str_digits()
             message = f"a value has more than {limit} digits, Python's int-to-string limit"
@@ -184,9 +186,6 @@ class PrimeField(Ring):
             raise InputError(f"{p!r} is not prime")
         self.p = p
 
-    def mul(self, a, b):
-        return a * b % self.p
-
     def neg(self, a):
         return -a % self.p
 
@@ -224,6 +223,40 @@ QQ = RationalField()
 @lru_cache(maxsize=None)
 def GF(p: int) -> PrimeField:
     return PrimeField(p)
+
+
+class _Ratios:
+    """QQ values kept as integers, value i = nums[i] / dens[i] with dens[i] > 0.
+
+    The integer kernels return QQ results as these, and the JSON writer
+    reads ``nums`` and ``dens``. As a sequence it is the tuple of Fractions,
+    built on the first read.
+    """
+
+    def __init__(self, nums: list, dens: list):
+        self.nums, self.dens = nums, dens
+
+    @cached_property
+    def values(self) -> tuple:
+        return tuple(Fraction(v, d) if v else QQ.zero for v, d in zip(self.nums, self.dens))
+
+    def __len__(self) -> int:
+        return len(self.nums)
+
+    def __getitem__(self, i):
+        return self.values[i]
+
+    def __iter__(self):
+        return iter(self.values)
+
+    def __eq__(self, other) -> bool:
+        return self.values == (other.values if isinstance(other, _Ratios) else other)
+
+    def __hash__(self) -> int:
+        return hash(self.values)
+
+    def __repr__(self) -> str:
+        return repr(self.values)
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +464,7 @@ def pfaffian(m: SkewMatrix):
     return m.ring.coerce(sign * prev if c == 1 else Fraction(sign * prev, c ** (n // 2)))
 
 
-def all_principal_pfaffians(m: SkewMatrix) -> list:
+def all_principal_pfaffians(m: SkewMatrix) -> Sequence:
     """Pfaffians of every principal submatrix, indexed by subset mask.
 
     One integer expansion for every ring, over masks in increasing order:
@@ -439,8 +472,8 @@ def all_principal_pfaffians(m: SkewMatrix) -> list:
     i, of a_ij * Pf(A_(J-i-j)) read from the table. O(2**n * n) steps,
     refused above SWEEP_BUDGET. ZZ expands its entries as they are, and
     GF(p) its residues, each new entry taken mod p. QQ expands the integer
-    matrix cA, c the lcm of the denominators, and divides entry J by
-    c**(|J|/2) at the end.
+    matrix cA, c the lcm of the denominators, and returns entry J over
+    c**(|J|/2) as a _Ratios, building no Fraction.
     """
     if not isinstance(m, SkewMatrix):
         raise InputError("pfaffian table needs a skew-symmetric matrix")
@@ -465,7 +498,7 @@ def all_principal_pfaffians(m: SkewMatrix) -> list:
     if m.ring != QQ:
         return table
     scale = [c ** (k // 2) for k in range(n + 1)]
-    return [Fraction(v, scale[mask.bit_count()]) if v else QQ.zero for mask, v in enumerate(table)]
+    return _Ratios(table, list(map(scale.__getitem__, map(int.bit_count, range(len(table))))))
 
 
 # ---------------------------------------------------------------------------

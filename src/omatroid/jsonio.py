@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import json
 import sys
+from itertools import repeat
 from typing import Any
 
 from .errors import InputError
-from .exactalg import GF, QQ, ZZ, Matrix, Ring
+from .exactalg import GF, QQ, ZZ, Matrix, Ring, _Ratios
 from .groundset import GroundSet, _key_bits
 from .matroid import BasisFamily
 from .plucker import PluckerVector
@@ -54,17 +55,19 @@ def parse_ring_decl(obj: Any) -> Ring:
 
     "regular" and "z" both name the integers, the regular partial field;
     "z" is a spelling that ``require_partial_field`` refuses where a vector
-    is built.
+    is built. Only "gfp" takes a key besides "kind", its modulus "p"; any
+    other key is refused.
     """
     obj = _expect_dict(obj, "ring declaration")
     kind = obj.get("kind")
-    if kind == "q":
-        return QQ
-    if kind in ("z", "regular"):
-        return ZZ
+    if kind not in ("q", "z", "regular", "gfp"):
+        raise InputError(f"unknown ring kind {kind!r}")
+    stray = sorted(obj.keys() - {"kind", "p" if kind == "gfp" else "kind"})
+    if stray:
+        raise InputError(f"a {kind!r} ring declaration has no key {stray[0]!r}")
     if kind == "gfp":
         return GF(_expect_int(obj.get("p"), "'p' in a gfp declaration"))
-    raise InputError(f"unknown ring kind {kind!r}")
+    return QQ if kind == "q" else ZZ
 
 
 def ring_decl_to_json(ring: Ring) -> dict:
@@ -176,10 +179,12 @@ def _vector_to_json(p, **rank) -> dict:
 
     Zero is falsy in every ring, so zeros are dropped before a key is built.
     Each key, and each shorter key it extends, is built once by ``_Keys``.
+    QQ values from the integer kernels are written from their numerators and
+    denominators, so no Fraction is built.
     """
-    fmt = p.ring.fmt
-    keys = _Keys({0: ""})
-    coords = {keys[mask]: fmt(v) for mask, v in zip(p.masks(), p.coords) if v}
+    fmt, keys, values = p.ring.fmt, _Keys({0: ""}), p.coords
+    nums, dens = (values.nums, values.dens) if isinstance(values, _Ratios) else (values, repeat(1))
+    coords = {keys[m]: fmt(v, d) for m, v, d in zip(p.masks(), nums, dens) if v}
     return {"n": p.ground.n, **rank, "ring": ring_decl_to_json(p.ring), "coords": coords}
 
 

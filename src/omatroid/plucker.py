@@ -31,14 +31,15 @@ has more than SWEEP_BUDGET pairs in N_S x N_T, whatever the method.
 from __future__ import annotations
 
 from copy import copy
+from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import chain, compress, tee
+from itertools import chain, compress, count, tee
 from math import comb, gcd
 from operator import mul
 from typing import Callable, Mapping
 
 from .errors import ClassificationError, InputError, MembershipError, RankError
-from .exactalg import Matrix, Ring, _integers, _reduce
+from .exactalg import QQ, Matrix, Ring, _integers, _Ratios, _reduce
 from .groundset import (  # SWEEP_BUDGET stays importable from here, next to the sweeps
     SWEEP_BUDGET,
     GroundSet,
@@ -57,7 +58,7 @@ def _index_of(n: int, r: int) -> dict[int, int]:
     return {m: i for i, m in enumerate(masks_of_size(n, r))}
 
 
-def _canonical_coords(ring: Ring, masks, coords) -> tuple:
+def _canonical_coords(ring: Ring, masks, coords):
     """Validate coordinates listed in the order of ``masks`` and scale them.
 
     There must be one coordinate per mask. Each value is coerced into the
@@ -65,24 +66,43 @@ def _canonical_coords(ring: Ring, masks, coords) -> tuple:
     checked only over the regular partial field: MembershipError names the
     first subset outside {0, +1, -1}. The vector is then scaled so its first
     nonzero coordinate is 1, over the regular partial field by that +1 or -1.
+    A _Ratios stays one: numerators times a, denominators times b, where
+    a / b is the first nonzero value's inverse in lowest terms.
     """
     if len(coords) != len(masks):
         raise InputError(f"expected {len(masks)} coordinates, got {len(coords)}")
-    coords = [ring.coerce(v) for v in coords]
+    ratios = isinstance(coords, _Ratios)  # QQ values from the integer kernels, kept as integers
+    values = coords.nums if ratios else [ring.coerce(v) for v in coords]
     if not ring.is_field:
-        for mask, v in zip(masks, coords):
+        for mask, v in zip(masks, values):
             if not ring.is_element(v):
                 key = ",".join(map(str, mask_elements(mask)))
                 raise MembershipError(
                     f"coordinate {key!r} has value {ring.fmt(v)} outside the partial field"
                 )
-    first = next((v for v in coords if not ring.is_zero(v)), None)
-    if first is None:
+    i = next(compress(count(), values), None)  # zero is falsy in every ring
+    if i is None:
         raise InputError("all coordinates are zero")
-    lam = ring.inv(first)
+    if ratios:
+        lam, dens = Fraction(coords.dens[i], values[i]), coords.dens
+        a, b = lam.numerator, lam.denominator
+        return _Ratios(values if a == 1 else [a * v for v in values],
+                       dens if b == 1 else [b * d for d in dens])
+    lam, p = ring.inv(values[i]), ring.p
     if lam == ring.one:
-        return tuple(coords)
-    return tuple(ring.mul(lam, v) for v in coords)
+        return tuple(values)
+    return tuple(lam * v % p for v in values) if p else tuple(lam * v for v in values)
+
+
+def _dense(ring: Ring, masks, coords, stray: str) -> list:
+    """A dense sequence as it is, or a sparse {mask: value} mapping listed in the order of
+    ``masks`` with zeros filled in; a mapping key outside ``masks`` is refused as ``stray``."""
+    if not isinstance(coords, Mapping):
+        return list(coords)
+    extra = coords.keys() - set(masks)
+    if extra:
+        raise InputError(f"coordinate mask {min(extra)!r} {stray}")
+    return [coords.get(m, ring.zero) for m in masks]
 
 
 class _CoordinateVector:
@@ -131,15 +151,8 @@ class PluckerVector(_CoordinateVector):
         cls, ground: GroundSet, r: int, ring: Ring, coords: Mapping[int, object] | list
     ) -> "PluckerVector":
         """Build from a dense sequence or a sparse {mask: value} mapping."""
-        subsets = masks_of_size(ground.n, r)
-        if isinstance(coords, Mapping):
-            dense = [coords.get(m, ring.zero) for m in subsets]
-            extra = set(coords) - set(subsets)
-            if extra:
-                raise InputError(f"coordinate mask {min(extra)!r} is not an {r}-subset")
-        else:
-            dense = list(coords)
-        return cls(ground, r, ring, tuple(dense))
+        masks = masks_of_size(ground.n, r)
+        return cls(ground, r, ring, _dense(ring, masks, coords, f"is not an {r}-subset"))
 
     def masks(self) -> tuple[int, ...]:
         return masks_of_size(self.ground.n, self.r)
@@ -195,9 +208,10 @@ def plucker_from_matrix(a: Matrix) -> PluckerVector:
 
     where k counts the elements of S - j strictly between i and j, summed on
     d * E and divided by d once. Over QQ the minors are those of cA, c**r
-    times: the same point. At most C(n, r) * min(r, n - r) exchange steps,
-    refused above SWEEP_BUDGET. Raises RankError when every minor vanishes
-    and MembershipError when a minor falls outside the partial field.
+    times: the same point, kept as integers in a _Ratios. At most
+    C(n, r) * min(r, n - r) exchange steps, refused above SWEEP_BUDGET.
+    Raises RankError when every minor vanishes and MembershipError when a
+    minor falls outside the partial field.
     """
     r, n, p = a.rows, a.cols, a.ring.p
     if r > n:
@@ -226,11 +240,14 @@ def plucker_from_matrix(a: Matrix) -> PluckerVector:
             missing ^= ib
             e, v = row_of[ib][j], minors[s ^ jb | ib]
             if e and v:
-                lo, hi = min(ib, jb), max(ib, jb)
+                lo, hi = (ib, jb) if ib < jb else (jb, ib)
                 between = s & (hi - 1) & ~(2 * lo - 1)
                 acc += -e * v if between.bit_count() & 1 else e * v
         minors[s] = acc * inv % p if p else acc // d
-    return PluckerVector(ground, r, a.ring, tuple(minors[s] for s in masks_of_size(n, r)))
+    coords = [minors[s] for s in masks_of_size(n, r)]
+    if a.ring == QQ:  # integers over 1, until the vector scales them
+        coords = _Ratios(coords, [1] * len(coords))
+    return PluckerVector(ground, r, a.ring, coords)
 
 
 def _dirty_test(ring, rows) -> Callable[[list], bool]:

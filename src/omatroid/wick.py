@@ -39,7 +39,7 @@ from functools import partial
 from typing import Mapping
 
 from .errors import InputError, MembershipError
-from .exactalg import Ring, SkewMatrix, all_principal_pfaffians
+from .exactalg import Ring, SkewMatrix, _Ratios, all_principal_pfaffians
 from .groundset import GroundSet, SubsetMask, masks_of_size, record, within_budget
 from .matroid import BasisFamily, is_orthogonal
 from .plucker import (
@@ -48,6 +48,7 @@ from .plucker import (
     _Certificate,
     _classify,
     _CoordinateVector,
+    _dense,
     _neighbourhood,
     _weak_gate,
 )
@@ -73,15 +74,9 @@ class WickVector(_CoordinateVector):
     def from_coords(
         cls, ground: GroundSet, ring: Ring, coords: Mapping[int, object] | list
     ) -> "WickVector":
-        if isinstance(coords, Mapping):
-            size = 1 << ground.n
-            bad = [m for m in coords if not 0 <= m < size]
-            if bad:
-                raise InputError(f"coordinate mask {min(bad)!r} does not fit the ground set")
-            dense = [coords.get(m, ring.zero) for m in range(size)]
-        else:
-            dense = list(coords)
-        return cls(ground, ring, tuple(dense))
+        """Build from a dense sequence or a sparse {mask: value} mapping."""
+        masks = range(1 << ground.n)
+        return cls(ground, ring, _dense(ring, masks, coords, "does not fit the ground set"))
 
     def masks(self) -> range:
         return range(1 << self.ground.n)
@@ -147,10 +142,15 @@ def wick_from_representation(rep: WickRepresentation) -> WickVector:
                     f"matrix entry ({i + 1},{j + 1}) = {a.ring.fmt(a.entry(i, j))} "
                     f"is outside the partial field"
                 )
-    ground = GroundSet(a.size)
     table = all_principal_pfaffians(a)
-    tb = rep.twist.bits
-    return WickVector(ground, a.ring, tuple(table[m ^ tb] for m in range(1 << a.size)))
+    return WickVector(GroundSet(a.size), a.ring, _twisted(table, rep.twist.bits))
+
+
+def _twisted(coords, tb: int):
+    """Coordinates reindexed by J -> J delta tb; a _Ratios stays one, so no Fraction is built."""
+    if isinstance(coords, _Ratios):
+        return _Ratios(_twisted(coords.nums, tb), _twisted(coords.dens, tb))
+    return [coords[m ^ tb] for m in range(len(coords))] if tb else coords
 
 
 def _wick_row(ring, coords, n: int, mask: int) -> list:
@@ -204,9 +204,7 @@ def twist_wick(p: WickVector, t: SubsetMask) -> WickVector:
     """Relabel coordinates by J -> J delta t. Involutive up to canonical scaling."""
     if t.ground.n != p.ground.n:
         raise InputError("twist set lives on a different ground set")
-    tb = t.bits
-    coords = tuple(p.coords[m ^ tb] for m in range(len(p.coords)))
-    return WickVector(p.ground, p.ring, coords)
+    return WickVector(p.ground, p.ring, _twisted(p.coords, t.bits))
 
 
 def classify_wick(p: WickVector) -> WickClassification:

@@ -392,6 +392,22 @@ def test_ring_declaration_echoes_are_pinned(tmp_path, capsys, name):
     assert hashlib.sha256(f"{code}\n{out}".encode()).hexdigest() == RING_ECHO_DIGESTS[name]
 
 
+@pytest.mark.parametrize("decl, stray", [
+    ({"kind": "q", "p": 7}, "p"),
+    ({"kind": "regular", "p": 3}, "p"),
+    ({"kind": "gfp", "p": 7, "q": 1}, "q"),
+], ids=["q-with-p", "regular-with-p", "gfp-with-extra"])
+def test_ring_declaration_with_a_stray_key_is_refused(tmp_path, capsys, decl, stray):
+    # a declaration that mixes two kinds names neither ring for certain
+    for argv, obj in ((["pfaffian"], {"ring": decl, "matrix": SIGNED_SKEW}),
+                      (["check-wick"], {**REGULAR_WICK, "ring": decl})):
+        code, out, _ = run(capsys, *argv, write(tmp_path, "in.json", obj))
+        assert code == 2
+        error = report_of(out)["error"]
+        assert error["type"] == "InputError"
+        assert repr(stray) in error["message"]
+
+
 def test_twist_verbs(tmp_path, capsys):
     fpath = write(tmp_path, "fam.json", FAMILY)
     code, out, _ = run(capsys, "twist", "--by", "1,3", fpath)

@@ -42,6 +42,10 @@ def test_removed_aliases_are_gone():
         assert not hasattr(exactalg, name)
     for cls in (exactalg.IntegerRing, exactalg.RationalField):
         assert not {"add", "sub", "mul", "neg"} & set(vars(cls))
+    # QQ values are scaled and written as integers: nothing multiplies through the ring
+    for cls in (exactalg.Ring, exactalg.PrimeField):
+        assert "mul" not in vars(cls)
+    assert not hasattr(exactalg.GF(7), "mul")
     assert exactalg.ZZ.p == exactalg.QQ.p == 0
     assert not hasattr(exactalg.Matrix, "column_submatrix")
     assert not hasattr(plucker._CoordinateVector, "items")

@@ -57,7 +57,7 @@ def test_pfaffian_routes_agree_and_square_to_the_determinant(name, data):
     m = SkewMatrix.from_upper(ring, n, upper)
     pf = pfaffian(m)
     assert pf == all_principal_pfaffians(m)[-1] == ring.coerce(matching_pfaffian(m.row_lists()))
-    assert ring.mul(pf, pf) == determinant(m)
+    assert (pf * pf % ring.p if ring.p else pf * pf) == determinant(m)
 
 
 def _skew(data, ring, n: int, entries) -> SkewMatrix:

@@ -64,8 +64,9 @@ def test_emitted_coords_are_the_oracle_keys_and_parse_back(name, data):
         p = PluckerVector.from_coords(ground, r, ring, raw)
         obj = plucker_vector_to_json(p)
     lam = ring.inv(ring.coerce(raw[min(raw)]))
+    scaled = [lam * ring.coerce(raw[m]) for m in sorted(raw)]
     assert [(m, v) for m, v in zip(p.masks(), p.coords) if v] == [
-        (m, ring.mul(lam, ring.coerce(raw[m]))) for m in sorted(raw)
+        (m, v % ring.p if ring.p else v) for m, v in zip(sorted(raw), scaled)
     ]
     assert list(obj["coords"].items()) == _expected_coords(p)
     assert parse_vector_file(json.loads(json.dumps(obj))) == p
@@ -143,3 +144,50 @@ def test_from_matrix_stdout_is_pinned(tmp_path, capsys, name):
     out = capsys.readouterr().out
     assert json.loads(out)["data"]["vector"]["coords"]
     assert hashlib.sha256(out.encode()).hexdigest() == FROM_MATRIX_DIGESTS[name]
+
+
+@settings(max_examples=300, deadline=None)
+@given(num=st.integers(-10**300, 10**300).filter(bool) | st.integers(-99, 99).filter(bool),
+       den=st.integers(1, 10**300) | st.integers(1, 99), factor=st.integers(1, 10**200))
+def test_integer_formatter_writes_what_fraction_writes(num, den, factor):
+    # a shared factor makes the gcd matter; den dividing the numerator gives "3", never "3/1"
+    for v, d in ((num, den), (num * factor, den * factor), (num * den, den)):
+        assert QQ.fmt(v, d) == str(Fraction(v, d))
+    assert QQ.fmt(num * den, den) == str(num)
+
+
+def _fractions_made(monkeypatch, capsys, tmp_path, obj, kind):
+    """Fractions constructed by one ``from-matrix`` call over QQ, and the vector's length."""
+    made, real = [], Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(cls)
+        return real(cls, *args, **kwargs)
+
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(obj))
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    assert main(["from-matrix", str(path), "--kind", kind]) == 0
+    monkeypatch.undo()
+    return len(made), len(json.loads(capsys.readouterr().out)["data"]["vector"]["coords"])
+
+
+@pytest.mark.parametrize("kind", ["wick", "plucker"])
+def test_from_matrix_builds_no_fraction_per_coordinate(monkeypatch, capsys, tmp_path, kind):
+    # parsing and the skew check make at most two Fractions per matrix entry, and the vector
+    # none: the bound holds while the coordinates grow from 5 to 14 times the entries
+    rng = random.Random(22)
+    for size in (10, 12):
+        if kind == "wick":
+            rows = _skew(size, lambda *_: Fraction(rng.randint(1, 9), rng.randint(1, 6)))
+            # under twist {2} the first coordinate is {1}, Pf(A_{1,2}) = 3/2, scaled away
+            rows[0][1], rows[1][0] = "3/2", "-3/2"
+            obj = {"ring": {"kind": "q"}, "matrix": rows, "twist": [2]}
+        else:
+            rows = [[str(Fraction(rng.randint(-9, 9), rng.randint(1, 6))) for _ in range(size)]
+                    for _ in range(size // 2)]
+            obj = {"ring": {"kind": "q"}, "matrix": rows}
+        made, coords = _fractions_made(monkeypatch, capsys, tmp_path, obj, kind)
+        entries = len(rows) * size
+        assert coords >= 4 * entries
+        assert made <= 2 * entries, f"{made} Fractions for {coords} coordinates"
