@@ -10,13 +10,12 @@ documented size cap.
 
 from __future__ import annotations
 
-import argparse
 import json
+import re
 import sys
-from functools import partial
+from types import SimpleNamespace
 
 from . import __version__
-from .census import CENSUS_FIELDS, representability_census, verify_nelson_chain
 from .errors import CapabilityError, InputError, OmatroidError
 from .exactalg import SkewMatrix, pfaffian
 from .groundset import GroundSet, SubsetMask, parse_subset_key
@@ -229,6 +228,8 @@ def _cmd_twist(args):
 
 
 def _cmd_census(args):
+    from .census import representability_census  # imported here: no other verb loads it
+
     def progress(msg: str) -> None:
         print(msg, file=sys.stderr, flush=True)
 
@@ -242,6 +243,8 @@ def _cmd_census(args):
 
 
 def _cmd_verify_bounds(args):
+    from .census import verify_nelson_chain
+
     bc = verify_nelson_chain(args.n)
     witness = None
     if not bc.verdict:
@@ -250,122 +253,144 @@ def _cmd_verify_bounds(args):
 
 
 # ---------------------------------------------------------------------------
-# parser
+# verb table and parser
+
+# verb: (handler, help line, takes an input path, {option: (kind, default)}). A kind is
+# None for a flag, a tuple of choices, int or str; a default of ... makes the option
+# required. Handlers read the checker names when they run, so a wrapper patched over
+# the module-level names (as bench/traced.py does) is the one called.
+_VERBS = {
+    "check-matroid": (lambda args: _cmd_check_family(is_matroid, is_matroid_strong, "x", args),
+                      "test a basis family against the (strong) exchange axiom",
+                      True, {"strong": (None, False)}),
+    "check-orthogonal": (
+        lambda args: _cmd_check_family(is_orthogonal, is_orthogonal_strong, "x1", args),
+        "test a basis family against the (strong) symmetric exchange axiom",
+        True, {"strong": (None, False)}),
+    "check-plucker": (_cmd_check_plucker, "sweep the quadratic exchange equations of a rank-r "
+                      "coordinate vector, or their three-term subset plus a support check",
+                      True, {"mode": (("full", "short", "3term"), "full")}),
+    "check-wick": (_cmd_check_wick, "sweep the quadratic exchange equations of a full "
+                   "coordinate vector, or their four-term subset plus a support check",
+                   True, {"mode": (("full", "short", "4term"), "full")}),
+    "reconstruct-plucker": (_cmd_reconstruct_plucker, "rebuild a rank-r matrix from a vector "
+                            "that passes the short sweep", True, {}),
+    "reconstruct-wick": (_cmd_reconstruct_wick, "rebuild a twisted skew matrix from a vector "
+                         "that passes the short sweep", True, {}),
+    "pfaffian": (_cmd_pfaffian, "evaluate the pfaffian of a skew matrix", True, {}),
+    "from-matrix": (_cmd_from_matrix, "turn a matrix (or twisted skew matrix) into its "
+                    "coordinate vector; auto reads a skew matrix as wick",
+                    True, {"kind": (("auto", "plucker", "wick"), "auto")}),
+    "twist": (_cmd_twist, "symmetric-difference a set such as 1,3 ('' is the empty set) "
+              "into a family or vector", True, {"by": (str, ...)}),
+    "census": (_cmd_census, "sweep all candidate families on n elements; --out appends "
+               "records to a JSONL file and resumes it",
+               False, {"n": (int, ...), "field": (("gf2", "gf3"), "gf2"), "out": (str, None)}),
+    "verify-bounds": (_cmd_verify_bounds, "certify the zero-pattern counting chain at one "
+                      "n, at least 12", False, {"n": (int, ...)}),
+}
+_HELP = {"help": (None, False)}  # every verb takes -h/--help
+_NUMBER = re.compile(r"-\d+|-\d*\.\d+")  # a negative number is a value, not an option
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="omatroid",
-        description="exact checks and constructions for matroid and orthogonal "
-        "matroid coordinate vectors",
-    )
-    parser.add_argument("--version", action="version", version=f"omatroid {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, metavar="verb")
+class _Usage(Exception):
+    """A command line the verb table does not accept: a message, and the verb if known."""
 
-    def add(name, help_, func, with_input=True):
-        sp = sub.add_parser(name, help=help_, description=help_)
-        if with_input:
-            sp.add_argument("input", help="path to a JSON file, or - for stdin")
-        sp.set_defaults(func=func)
-        return sp
 
-    # bound when main builds the parser, not at import, so a wrapper patched over
-    # the module-level checker names (as bench/traced.py does) is the one called
-    sp = add(
-        "check-matroid",
-        "test a basis family against the exchange axiom",
-        partial(_cmd_check_family, is_matroid, is_matroid_strong, "x"),
-    )
-    sp.add_argument("--strong", action="store_true", help="require the strong exchange form")
+def _usage(verb) -> str:
+    if verb is None:
+        return "usage: omatroid [-h] [--version] verb ..."
+    words = ["usage: omatroid", verb, "[-h]"]
+    for name, (kind, default) in _VERBS[verb][3].items():
+        word = f"--{name}"
+        if kind is not None:
+            word += " {" + ",".join(kind) + "}" if type(kind) is tuple else " " + name.upper()
+        words.append(word if default is ... else f"[{word}]")
+    return " ".join(words + ["input"] * _VERBS[verb][2])
 
-    sp = add(
-        "check-orthogonal",
-        "test a basis family against the symmetric exchange axiom",
-        partial(_cmd_check_family, is_orthogonal, is_orthogonal_strong, "x1"),
-    )
-    sp.add_argument("--strong", action="store_true", help="require the strong symmetric form")
 
-    sp = add(
-        "check-plucker",
-        "sweep the quadratic exchange equations of a rank-r coordinate vector",
-        _cmd_check_plucker,
-    )
-    sp.add_argument(
-        "--mode",
-        choices=["full", "short", "3term"],
-        default="full",
-        help="full sweep, or the three-term subset plus a support check",
-    )
+def _help(verb) -> str:
+    if verb is not None:
+        return f"{_usage(verb)}\n\n{_VERBS[verb][1]}\n"
+    lines = (f"  {name:<20} {entry[1]}" for name, entry in _VERBS.items())
+    return "\n".join([_usage(None), "", "verbs, each reading a JSON file (- for stdin) unless "
+                      "it is census or verify-bounds:", *lines]) + "\n"
 
-    sp = add(
-        "check-wick",
-        "sweep the quadratic exchange equations of a full coordinate vector",
-        _cmd_check_wick,
-    )
-    sp.add_argument(
-        "--mode",
-        choices=["full", "short", "4term"],
-        default="full",
-        help="full sweep, or the four-term subset plus a support check",
-    )
 
-    add(
-        "reconstruct-plucker",
-        "rebuild a rank-r matrix from a vector that passes the short sweep",
-        _cmd_reconstruct_plucker,
-    )
-    add(
-        "reconstruct-wick",
-        "rebuild a twisted skew matrix from a vector that passes the short sweep",
-        _cmd_reconstruct_wick,
-    )
-    add("pfaffian", "evaluate the pfaffian of a skew matrix", _cmd_pfaffian)
+def _names(tok: str, options: dict) -> list:
+    """The options ``tok`` names: -h, --name, --name=value, or a prefix of names."""
+    key = "help" if tok == "-h" else tok[2:].partition("=")[0] if tok[:2] == "--" else None
+    return [] if key is None else [key] if key in options else [o for o in options if o.startswith(key)]
 
-    sp = add(
-        "from-matrix",
-        "turn a matrix (or twisted skew matrix) into its coordinate vector",
-        _cmd_from_matrix,
-    )
-    sp.add_argument(
-        "--kind",
-        choices=["auto", "plucker", "wick"],
-        default="auto",
-        help="force the reading of the matrix; auto picks wick for skew input",
-    )
 
-    sp = add("twist", "symmetric-difference a set into a family or vector", _cmd_twist)
-    sp.add_argument(
-        "--by",
-        required=True,
-        metavar="SUBSET",
-        help="comma-separated elements, e.g. '1,3' (empty string for the empty set)",
-    )
+def _is_value(tok: str, options: dict) -> bool:
+    """Whether ``tok`` is a value: a word, -, or naming no option, a negative number or a phrase."""
+    return tok[:1] != "-" or tok == "-" or not _names(tok, options) and (
+        " " in tok or _NUMBER.fullmatch(tok) is not None)
 
-    sp = add("census", "sweep all candidate families on n elements", _cmd_census, with_input=False)
-    sp.add_argument("--n", type=int, required=True, help="ground set size")
-    sp.add_argument("--field", choices=CENSUS_FIELDS, default="gf2")
-    sp.add_argument("--out", default=None, help="JSONL output path (appends; resumes)")
 
-    sp = add(
-        "verify-bounds",
-        "certify the zero-pattern counting chain at one n",
-        _cmd_verify_bounds,
-        with_input=False,
-    )
-    sp.add_argument("--n", type=int, required=True, help="chain parameter, at least 12")
+def _parse(argv):
+    """The namespace that ``argv`` gives its verb's handler, or the text -h or --version prints.
 
-    return parser
+    Options read ``--opt value`` or ``--opt=value``, may be shortened to a unique
+    prefix, may repeat (the last value counts) and may come before or after the
+    input; all after ``--`` is positional. Raises _Usage for anything else.
+    """
+    verb, takes_input, options = None, False, {**_HELP, "version": (None, False)}
+    values, extra, tokens, positional = {}, [], iter(argv), False
+    for tok in tokens:
+        if tok == "--" and not positional:
+            positional = True
+        elif positional or _is_value(tok, options):
+            if verb is None and tok not in _VERBS:
+                raise _Usage(f"invalid verb {tok!r} (choose from {', '.join(_VERBS)})", None)
+            if verb is None:
+                verb, takes_input, options = tok, _VERBS[tok][2], {**_HELP, **_VERBS[tok][3]}
+            elif takes_input and "input" not in values:
+                values["input"] = tok
+            else:
+                extra.append(tok)
+        elif len(names := _names(tok, options)) != 1:
+            if names:
+                raise _Usage(f"ambiguous option {tok}: could match --{', --'.join(names)}", verb)
+            extra.append(tok)
+        else:
+            name, (kind, _), (_, eq, value) = names[0], options[names[0]], tok.partition("=")
+            if kind is None and eq:
+                raise _Usage(f"--{name} takes no value", verb)
+            if name in ("help", "version"):
+                return _help(verb) if name == "help" else f"omatroid {__version__}\n"
+            if kind is not None and not eq:
+                value = next(tokens, None)
+                if value is None or not _is_value(value, options):
+                    raise _Usage(f"--{name} expects a value", verb)
+            if type(kind) is tuple and value not in kind:
+                raise _Usage(f"--{name} must be one of {', '.join(kind)}, got {value!r}", verb)
+            try:
+                values[name] = True if kind is None else int(value) if kind is int else value
+            except ValueError:
+                raise _Usage(f"--{name} takes an integer, got {value!r}", verb) from None
+    missing = ["verb"] * (verb is None) + ["input"] * (takes_input and "input" not in values)
+    missing += [f"--{o}" for o, (_, default) in options.items() if default is ... and o not in values]
+    if missing or extra:
+        words = f"missing {' '.join(missing)}" if missing else f"unrecognized {' '.join(extra)}"
+        raise _Usage(words, verb)
+    defaults = {o: default for o, (_, default) in options.items()}
+    return SimpleNamespace(**{"command": verb, "input": None, **defaults, **values})
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else EXIT_INPUT
+        args = _parse(sys.argv[1:] if argv is None else argv)
+    except _Usage as exc:
+        sys.stderr.write(f"{_usage(exc.args[1])}\nomatroid: error: {exc.args[0]}\n")
+        return EXIT_INPUT
+    if isinstance(args, str):  # the text of -h or --version
+        sys.stdout.write(args)
+        return EXIT_TRUE
     command = args.command
     try:
-        report, code = args.func(args)
+        report, code = _VERBS[command][0](args)
     except CapabilityError as exc:
         report, code = _error_report(command, exc), EXIT_CAPABILITY
     except OmatroidError as exc:

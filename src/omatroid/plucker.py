@@ -30,7 +30,6 @@ has more than SWEEP_BUDGET pairs in N_S x N_T, whatever the method.
 
 from __future__ import annotations
 
-from copy import copy
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain, compress, count, tee
@@ -331,7 +330,7 @@ class _Certificate:
 
     def full(self, partners: Callable):
         """No dirty row, or the first failing (a, b) of the first dirty a, b in ``partners(a)``."""
-        a = next(compress(self.rows, copy(self.verdicts)), None)
+        a = next(compress(self.rows, self.verdicts.__copy__()), None)
         if a is None:
             return self.verdict(True)
         verdict = self.failure(a, partners(a))
@@ -340,7 +339,8 @@ class _Certificate:
 
     def short(self, partners: Callable):
         """The first failing (a, b) over the dirty a, b in ``partners(a)``."""
-        failures = (self.failure(a, partners(a)) for a in compress(self.rows, copy(self.verdicts)))
+        dirty = compress(self.rows, self.verdicts.__copy__())
+        failures = (self.failure(a, partners(a)) for a in dirty)
         return next((v for v in failures if v is not None), self.verdict(True))
 
 

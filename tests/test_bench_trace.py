@@ -5,7 +5,8 @@ one breaks the benchmark's layer metrics. One small traced from-matrix run
 must exit 0 and count at least one principal-Pfaffian table, a traced
 maximal-minor run must count its minors without one determinant call, a
 traced pfaffian run must count one pfaffian call and no determinant call,
-and each basis-family verb must count one call of its checker.
+each basis-family verb must count one call of its checker, and a traced
+census must count the candidates of its one run.
 """
 
 import json
@@ -72,3 +73,13 @@ def test_traced_check_verbs_count_their_checker(tmp_path, verb, checker):
     family.write_text(json.dumps({"n": 4, "bases": [[1, 2], [1, 3], [2, 3]]}))
     _, layers = traced(tmp_path, verb, str(family))
     assert layers[f"matroid.{checker}_calls"] == 1
+
+
+def test_traced_census_counts_its_one_run(tmp_path):
+    # the CLI imports the census module only when the verb runs, and still calls the
+    # wrapper: the layers hold no call count, but only the wrapper counts candidates,
+    # and one run at n = 3 checks 30 of them
+    proc, layers = traced(tmp_path, "census", "--n", "3")
+    assert json.loads(proc.stdout)["data"]["total_families_checked"] == 30
+    assert layers["census.candidates"] == 30
+    assert layers["census.run_s"] > 0

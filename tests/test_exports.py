@@ -1,12 +1,17 @@
 import ast
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 import omatroid
-from omatroid import census, errors, exactalg, groundset, jsonio, matroid, plucker
+from omatroid import census, cli, errors, exactalg, groundset, jsonio, matroid, plucker
 from omatroid.groundset import GroundSet
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.mark.parametrize("module", [omatroid, jsonio], ids=lambda m: m.__name__)
@@ -91,3 +96,53 @@ def test_the_package_imports_only_the_standard_library():
                 continue
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, f"{path.name} imports {name}"
+
+
+def test_lazy_exports_resolve_list_and_star_import():
+    for name in omatroid.__all__:
+        getattr(omatroid, name)
+    assert set(omatroid.__all__) <= set(dir(omatroid))
+    namespace = {}
+    exec("from omatroid import *", namespace)
+    assert set(omatroid.__all__) <= set(namespace)
+    assert namespace["QQ"] is exactalg.QQ and namespace["twist"] is matroid.twist
+    assert omatroid.census is census
+    with pytest.raises(AttributeError):
+        omatroid.no_such_name
+    # the CLI's --field choices are the census's fields, without importing the census
+    assert cli._VERBS["census"][3]["field"][0] == census.CENSUS_FIELDS
+
+
+def run_python(tmp_path, *argv):
+    return subprocess.run([sys.executable, *argv], capture_output=True, text=True, cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": SRC}, timeout=120)
+
+
+def test_importing_the_package_loads_each_module_on_first_use(tmp_path):
+    probe = ("import json, sys, omatroid; loaded = lambda: sorted(m for m in sys.modules if "
+             "m.startswith('omatroid.')); before = loaded(); omatroid.census; omatroid.GF; "
+             "print(json.dumps([before, loaded()]))")
+    before, after = json.loads(run_python(tmp_path, "-c", probe).stdout)
+    assert before == []
+    assert {"omatroid.census", "omatroid.exactalg"} <= set(after)
+
+
+def imported(tmp_path, *argv):
+    """The modules a Python process run with ``argv`` imports, as -X importtime lists them."""
+    proc = run_python(tmp_path, "-X", "importtime", *argv)
+    return {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+def test_a_cli_process_loads_only_what_its_verb_uses(tmp_path):
+    # each of these cost start-up time in every CLI process; none is needed outside a census
+    unused = {"argparse", "gettext", "locale", "copy", "omatroid.census"}
+    bare = imported(tmp_path, "-c", "pass")
+    assert unused & imported(tmp_path, "-c", "import omatroid.cli") - bare == set()
+    vector = tmp_path / "wick.json"
+    vector.write_text(json.dumps({"n": 4, "ring": {"kind": "q"},
+                                  "coords": {"3": "1", "1,2,3": "-3", "1,3,4": "1", "2,3,4": "6"}}))
+    verb = ("-m", "omatroid.cli", "check-wick", str(vector), "--mode", "short")
+    assert '"verdict":true' in run_python(tmp_path, *verb).stdout
+    assert unused & imported(tmp_path, *verb) - bare == set()
+    assert "omatroid.census" in imported(tmp_path, "-m", "omatroid.cli", "census", "--n", "3")
