@@ -15,8 +15,12 @@ want B2 delta {x, y} in it for the same y.
 
 One search, ``_exchange``, runs all four. It holds a set of members as an
 |F|-bit integer, one bit per member in colex order, and for every B1 and x
-finds all failing B2 at once with one AND per y: O(|F| * n^2) big-integer
-operations in all. ``tests/oracles.py`` keeps the pair-by-pair search as
+finds all failing B2 at once with one AND per y. Those B2 depend only on
+T = B1 delta {x}, so the weak forms decide each distinct T once, at most n
+probes and ANDs each, in place of O(|F| * n^2) big-integer operations in
+all; the strong forms, whose B2 depend on x too, still take that.
+``census._orthogonal_bitmaps`` decides the same T condition one bit per
+family. ``tests/oracles.py`` keeps the pair-by-pair search as
 the reference it is held to. A family with more than SWEEP_BUDGET member
 pairs is refused (CapabilityError) before the search starts; the budget
 still counts |F|^2 member pairs, though the search does not walk them.
@@ -92,15 +96,16 @@ def _exchange(f: BasisFamily, reason: str, same_size: bool, strong: bool) -> Axi
     reported under ``reason``.
 
     Every B2 is decided at once, as one bit of an |F|-bit set over the
-    members in colex order. For B1 and x let S = {y != x : B1 delta {x, y}
-    in F}; the failing B2 are those that differ from B1 at x and agree with
-    it on all of S. (For matroids x runs over B1, and S lies outside B1
-    because the members share one size, so this is the same reading.) The
-    strong forms also let through, for each y in S, the B2 with
-    B2 delta {x, y} outside F, a set that depends on {x, y} alone and is
-    built the first time that pair comes up. The witness needs no second
-    search: B1 is the first member with a failing B2, B2 the lowest failing
-    bit over its x's, and x the first x whose failing set holds that bit.
+    members in colex order. For B1 and x let T = B1 delta {x}: the failing
+    B2 agree with T on N(T) = {z : T delta {z} in F}, which holds x and each
+    y with B1 delta {x, y} in F (for matroids T = B1 - x, and N(T) lies
+    outside T as the members share one size). That set depends on T alone,
+    and a nonempty one ends the search, so the weak forms skip a T once it
+    is found empty. The strong forms also let through, for each such y, the
+    B2 with B2 delta {x, y} outside F, a set that depends on {x, y} alone
+    and is built the first time that pair comes up. The witness needs no
+    second search: B1 is the first member with a failing B2, B2 the lowest
+    failing bit over its x's, and x the first x whose failing set holds it.
     """
     members = f.members()
     ground = f.ground
@@ -121,6 +126,7 @@ def _exchange(f: BasisFamily, reason: str, same_size: bool, strong: bool) -> Axi
             m ^= low
             has[low.bit_length() - 1] |= bit
     outside = {}  # strong only: {x, y} -> the members B2 with B2 delta {x, y} outside F
+    clean = set()  # weak only: the T = B1 delta {x} that no member agrees with on N(T)
     full = ground.full_mask
     for b1 in members:
         best = best_x = 0
@@ -128,16 +134,18 @@ def _exchange(f: BasisFamily, reason: str, same_size: bool, strong: bool) -> Axi
         while xs:
             xb = xs & -xs
             xs ^= xb
+            t = b1 ^ xb
+            if t in clean:
+                continue
             x = xb.bit_length() - 1
             fail = everything & ~has[x] if b1 & xb else has[x]  # the B2 that differ at x
             if best:
                 fail &= best - 1  # a later x matters only below the best B2 so far
-            base = b1 ^ xb
             ys = full ^ (b1 if same_size else xb)
             while fail and ys:
                 yb = ys & -ys
                 ys ^= yb
-                if base ^ yb in mset:
+                if t ^ yb in mset:
                     y = yb.bit_length() - 1
                     agree = has[y] if b1 & yb else ~has[y]
                     if strong:
@@ -153,6 +161,8 @@ def _exchange(f: BasisFamily, reason: str, same_size: bool, strong: bool) -> Axi
                     fail &= agree
             if fail:
                 best, best_x = fail & -fail, x + 1
+            elif not (best or strong):
+                clean.add(t)
         if best:
             b2 = members[best.bit_length() - 1]
             return AxiomVerdict(False, reason, SubsetMask(ground, b1), SubsetMask(ground, b2), best_x)

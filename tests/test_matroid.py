@@ -230,3 +230,29 @@ def test_checkers_match_the_brute_exchange_on_dense_supports_less_one_member():
     assert len(wick) > 400 and len(gp) > 700
     for f in (wick, gp):
         _matches_brute(_drop_one(f, rng))
+
+
+class _CountingSet(frozenset):
+    """A frozenset that counts its membership probes."""
+
+    probes = 0
+
+    def __contains__(self, m):
+        self.probes += 1
+        return frozenset.__contains__(self, m)
+
+
+def test_weak_checkers_decide_each_t_once_on_dense_supports():
+    # the supports of the dense differential test above; the failing B2 of (B1, x)
+    # depend only on T = B1 delta {x}, so each T costs at most n probes
+    rng = random.Random(710)
+    f7 = GF(7)
+    skew = SkewMatrix.from_upper(f7, 10, [rng.randrange(7) for _ in range(45)])
+    wick = frozenset(m for m, v in enumerate(all_principal_pfaffians(skew)) if v)
+    rows = Matrix(f7, 6, 12, tuple(rng.randrange(7) for _ in range(72)))
+    gp = plucker_support(plucker_from_matrix(rows)).masks
+    for n, masks, check, any_x in ((10, wick, is_orthogonal, True), (12, gp, is_matroid, False)):
+        counted = _CountingSet(masks)
+        assert check(BasisFamily(GroundSet(n), counted)).ok
+        ts = {b ^ 1 << x for b in masks for x in range(n) if any_x or b >> x & 1}
+        assert 0 < counted.probes <= n * len(ts), (check.__name__, counted.probes, n * len(ts))
