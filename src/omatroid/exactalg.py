@@ -15,8 +15,8 @@ GF(p), and over QQ the values with their denominators cleared by one
 helper, ``_integers``. One fraction-free row reduction serves the
 determinant here and the maximal minors of a wide matrix in ``plucker``; a
 single Pfaffian is fraction-free skew elimination, O(n**3); the table of
-all principal Pfaffians expands along the lowest index over every mask in
-increasing order, O(2**n * n).
+all principal Pfaffians expands along the top index, a slice of masks at a
+time, O(2**n * n).
 """
 
 from __future__ import annotations
@@ -62,6 +62,12 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def too_many_digits() -> CapabilityError:
+    """The refusal of a value too long for ``str`` to write."""
+    limit = sys.get_int_max_str_digits()
+    return CapabilityError(f"a value has more than {limit} digits, Python's int-to-string limit")
+
+
 class Ring:
     """Common interface of the supported coefficient rings.
 
@@ -105,9 +111,7 @@ class Ring:
             g = gcd(v, den)
             return str(v // g) if g == den else f"{v // g}/{den // g}"
         except ValueError as exc:  # an int past sys.get_int_max_str_digits()
-            limit = sys.get_int_max_str_digits()
-            message = f"a value has more than {limit} digits, Python's int-to-string limit"
-            raise CapabilityError(message) from exc
+            raise too_many_digits() from exc
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Ring) and (self.kind, self.p) == (other.kind, other.p)
@@ -467,11 +471,15 @@ def pfaffian(m: SkewMatrix):
 def all_principal_pfaffians(m: SkewMatrix) -> Sequence:
     """Pfaffians of every principal submatrix, indexed by subset mask.
 
-    One integer expansion for every ring, over masks in increasing order:
-    Pf(A_J) is the alternating sum, over the j in J after its lowest index
-    i, of a_ij * Pf(A_(J-i-j)) read from the table. O(2**n * n) steps,
+    One integer expansion for every ring, along the top element t: the sets
+    S + t, S in {0..t-1}, fill table[2**t : 2**(t+1)] with Pf(A_(S+t)) =
+    sum over s in S of (-1)**|S below s| * a_st * Pf(A_(S-s)), a slice at a
+    time: the 2**(t-s-1) runs of 2**s sets, signed by (-1)**|S above s|,
+    when they are no more than the 2**s stride-2**(s+1) slices, signed by
+    (-1)**|S below s|. The signs agree on every odd S, as |S| - 1 = |below|
+    + |above|, and an even S reads Pf(A_(S-s)) = 0. O(2**n * n) steps,
     refused above SWEEP_BUDGET. ZZ expands its entries as they are, and
-    GF(p) its residues, each new entry taken mod p. QQ expands the integer
+    GF(p) its residues, taking each block mod p once. QQ expands the integer
     matrix cA, c the lcm of the denominators, and returns entry J over
     c**(|J|/2) as a _Ratios, building no Fraction.
     """
@@ -480,21 +488,21 @@ def all_principal_pfaffians(m: SkewMatrix) -> Sequence:
     n, p = m.size, m.ring.p
     within_budget(n << n, "Pfaffian table", "expansion steps")
     a, c = _integers(m.entries, m.ring)
-    table = [1] + [0] * ((1 << n) - 1)
-    for mask in range(1, len(table)):
-        if mask.bit_count() % 2:
-            continue
-        low = mask & -mask
-        row, rest = (low.bit_length() - 1) * n - 1, mask ^ low  # a[row + b.bit_length()] is a_ij
-        acc, r, sign = 0, rest, 1
-        while r:
-            b = r & -r
-            r ^= b
-            x = a[row + b.bit_length()]
-            if x:
-                acc += sign * x * table[rest ^ b]
-            sign = -sign
-        table[mask] = acc % p if p else acc
+    table = [1]
+    for t in range(n):
+        block = [0] * len(table)
+        for s in range(t):
+            x, b, w = a[s * n + t], 1 << s, 2 << s
+            if not x:
+                continue
+            if 2 * s + 1 >= t:  # S in [k + b, k + w) reads S - s in [k, k + b); |k| = |S above s|
+                parts = ((k, slice(k + b, k + w), slice(k, k + b)) for k in range(0, 1 << t, w))
+            else:  # S = lo + b + w * i reads S - s = lo + w * i; |lo| = |S below s|
+                parts = ((lo, slice(lo + b, None, w), slice(lo, None, w)) for lo in range(b))
+            for j, new, old in parts:
+                y = -x if j.bit_count() & 1 else x
+                block[new] = [u + y * v for u, v in zip(block[new], table[old])]
+        table += [v % p for v in block] if p else block
     if m.ring != QQ:
         return table
     scale = [c ** (k // 2) for k in range(n + 1)]

@@ -3,19 +3,20 @@
 One vocabulary everywhere: ring declarations are objects like {"kind": "q"}
 or {"kind": "gfp", "p": 7}; ring values travel as decimal strings ("-3",
 "2/5"); subsets are sorted arrays of 1-based elements; coordinate tables
-key subsets as comma-joined strings ("1,3", "" for the empty set) and omit
-zeros.
+key subsets as comma-joined strings ("1,3", "" for the empty set), omit
+zeros, and come out of the writers in key order, the order of the sorted
+JSON line ("1,10" before "1,2").
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from itertools import repeat
+from math import gcd
 from typing import Any
 
 from .errors import InputError
-from .exactalg import GF, QQ, ZZ, Matrix, Ring, _Ratios
+from .exactalg import GF, QQ, ZZ, Matrix, Ring, _Ratios, too_many_digits
 from .groundset import GroundSet, _key_bits
 from .matroid import BasisFamily
 from .plucker import PluckerVector
@@ -164,28 +165,49 @@ def _parse_coords(obj: Any, ranked: bool):
     return ground, r, ring, mapping
 
 
-class _Keys(dict):
-    """Subset keys by mask; a missing one extends the key of its mask without the top element."""
-
-    def __missing__(self, mask: int) -> str:
-        top = mask.bit_length()
-        head = self[mask ^ (1 << top >> 1)]
-        key = self[mask] = f"{head},{top}" if head else str(top)
-        return key
+def _half_keys(first: int, stop: int) -> list:
+    """The keys of the subsets of {first, ..., stop - 1} by mask, bit i for first + i;
+    each extends the key of its mask without the top element."""
+    keys = [""]
+    for e in map(str, range(first, stop)):
+        keys += [f"{k},{e}" if k else e for k in keys]
+    return keys
 
 
 def _vector_to_json(p, **rank) -> dict:
-    """The shared vector schema, nonzero coordinates only; ``rank`` adds 'r'.
+    """The shared vector schema, nonzero coordinates only, in key order; ``rank`` adds 'r'.
 
-    Zero is falsy in every ring, so zeros are dropped before a key is built.
-    Each key, and each shorter key it extends, is built once by ``_Keys``.
-    QQ values from the integer kernels are written from their numerators and
-    denominators, so no Fraction is built.
+    Key order is the order of the JSON line: "1,10" precedes "1,2", and "1,2" precedes "10".
+    A key joins a low half key, of the elements up to h = ceil(n/2), to a high one. For a low
+    mask l and the least element f of a high mask g, the keys of the masks l + g are the key of
+    l + f and the keys extending it by a comma (no element's digits extend f's, as 10f > n): one
+    run in key order, sorted as the high keys; g = 0 is a run of one. So the writer sorts 2**h +
+    2**(n-h) half keys and the runs, never the coordinates. Zero is falsy in every ring, so
+    zeros are dropped; QQ values from the integer kernels are written as ``Ring.fmt`` does.
     """
-    fmt, keys, values = p.ring.fmt, _Keys({0: ""}), p.coords
-    nums, dens = (values.nums, values.dens) if isinstance(values, _Ratios) else (values, repeat(1))
-    coords = {keys[m]: fmt(v, d) for m, v, d in zip(p.masks(), nums, dens) if v}
-    return {"n": p.ground.n, **rank, "ring": ring_decl_to_json(p.ring), "coords": coords}
+    n, r, values = p.ground.n, rank.get("r"), p.coords
+    try:
+        if isinstance(values, _Ratios):
+            text = [(str(v // g) if (g := gcd(v, d)) == d else f"{v // g}/{d // g}") if v else None
+                    for v, d in zip(values.nums, values.dens)]
+        else:
+            text = [str(v) if v else None for v in values]
+    except ValueError as exc:  # an int past sys.get_int_max_str_digits()
+        raise too_many_digits() from exc
+    # by mask: a full vector lists every mask, a ranked one only its r-subsets
+    get = text.__getitem__ if r is None else {m: t for m, t in zip(p.masks(), text) if t}.get
+    h = (n + 1) // 2
+    lo, hi = _half_keys(1, h + 1), _half_keys(h + 1, n + 1)
+    runs = {}  # size of g if ranked -> lowest bit of g -> (key of g, g << h) in key order
+    for g in sorted(range(len(hi)), key=hi.__getitem__):
+        size = None if r is None else g.bit_count()
+        runs.setdefault(size, {}).setdefault(g & -g, []).append((hi[g], g << h))
+    starts = [(head + run[0][0], head, l, run) for l, k in enumerate(lo)
+              for f, run in runs.get(None if r is None else r - l.bit_count(), {}).items()
+              for head in [f"{k}," if k and f else k]]
+    coords = {head + k: v for _, head, l, run in sorted(starts)
+              for k, g in run if (v := get(l | g))}
+    return {"n": n, **rank, "ring": ring_decl_to_json(p.ring), "coords": coords}
 
 
 def parse_plucker_vector(obj: Any) -> PluckerVector:

@@ -12,6 +12,10 @@ one-step neighbourhood. They read only a vector's ``coords``, ``ground.n``,
 reduce mod ``ring.p`` when it is nonzero, and return a plain tuple (ok,
 first failing pair as two masks, its value).
 
+``pfaffian_table`` is the principal-Pfaffian table the library built
+before it filled a slice of masks at a time: every even mask in increasing
+order, expanded along its lowest index, one term at a time.
+
 ``brute_exchange`` is the pair-by-pair search the four exchange-axiom
 checkers of ``matroid.py`` ran before they decided every B2 at once with
 member bitsets: it tries every (B1, B2, x) in colex order and tests each
@@ -88,6 +92,32 @@ def matching_pfaffian(rows):
             prod = prod * rows[i][j]
         total += prod
     return total
+
+
+def pfaffian_table(rows, p=0):
+    """Pf of every principal submatrix, by mask, each mask expanded along its lowest index.
+
+    Pf(A_J) is the alternating sum, over the j in J after its lowest index i,
+    of a_ij * Pf(A_(J-i-j)) read from the table, taken mod p when p is
+    nonzero. Works on ints and on Fractions alike.
+    """
+    n = len(rows)
+    table = [1] + [0] * ((1 << n) - 1)
+    for mask in range(1, len(table)):
+        if mask.bit_count() % 2:
+            continue
+        low = mask & -mask
+        row, rest = rows[low.bit_length() - 1], mask ^ low
+        acc, r, sign = 0, rest, 1
+        while r:
+            b = r & -r
+            r ^= b
+            x = row[b.bit_length() - 1]
+            if x:
+                acc += sign * x * table[rest ^ b]
+            sign = -sign
+        table[mask] = acc % p if p else acc
+    return table
 
 
 def random_skew_int(rng, n, lo=-5, hi=5):

@@ -20,7 +20,13 @@ from omatroid.exactalg import (
 )
 from omatroid.groundset import SWEEP_BUDGET, GroundSet
 
-from oracles import leibniz_det, matching_pfaffian, random_int_matrix, random_skew_int
+from oracles import (
+    leibniz_det,
+    matching_pfaffian,
+    pfaffian_table,
+    random_int_matrix,
+    random_skew_int,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +241,45 @@ def test_principal_pfaffian_table():
         assert table[0] == 1
         for mask in range(1 << n):
             assert table[mask] == pfaffian(m.principal(mask))
+
+
+TABLE_RINGS = {"zz": ZZ, "gf7": GF(7), "qq": QQ}
+
+
+def _sparse_skew(rng, ring, n, zeros):
+    """A random skew matrix over ``ring`` whose upper entries are 0 with probability ``zeros``."""
+    def entry():
+        if rng.random() < zeros:
+            return 0
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if ring == QQ else rng.randint(-9, 9)
+
+    return SkewMatrix.from_upper(ring, n, [entry() for _ in range(n * (n - 1) // 2)])
+
+
+def _table_matches_the_oracle(m):
+    table = all_principal_pfaffians(m)
+    assert len(table) == 1 << m.size
+    assert list(table) == pfaffian_table(m.row_lists(), m.ring.p)
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_RINGS))
+def test_principal_pfaffian_table_matches_the_per_mask_oracle(name):
+    # zero entries skip whole expansions; every n >= 2 runs both the run and the stride slices
+    rng = random.Random(f"table-{name}")
+    for n in range(11):
+        for zeros in (0.0, 0.3, 0.7):
+            _table_matches_the_oracle(_sparse_skew(rng, TABLE_RINGS[name], n, zeros))
+
+
+def test_principal_pfaffian_table_matches_the_oracle_at_n14():
+    _table_matches_the_oracle(_sparse_skew(random.Random(2514), ZZ, 14, 0.2))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name, n", [("qq", 16), ("gf7", 17)])
+def test_principal_pfaffian_table_matches_the_oracle_at_the_largest_sizes(name, n):
+    # n = 17 is the largest table the budget admits
+    _table_matches_the_oracle(_sparse_skew(random.Random(2516), TABLE_RINGS[name], n, 0.1))
 
 
 def test_principal_pfaffian_table_gfp():

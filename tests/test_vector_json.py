@@ -1,9 +1,9 @@
 """Coordinate vectors to JSON and back.
 
-Every key the writer emits must be the oracle's per-mask key, in the
-vector's mask order, with ``Ring.fmt`` of the canonical value, and the
-parser must read the document back to the same vector. The CLI digests pin
-``from-matrix`` stdout byte for byte.
+Every key the writer emits must be the oracle's per-mask key, in key
+order (the order of the JSON line), with ``Ring.fmt`` of the canonical
+value, and the parser must read the document back to the same vector. The
+CLI digests pin ``from-matrix`` stdout byte for byte.
 """
 
 import hashlib
@@ -45,9 +45,9 @@ def sparse_vector(draw, name):
 
 
 def _expected_coords(p):
-    """Oracle keys with ``Ring.fmt`` values, nonzero coordinates in mask order."""
+    """Oracle keys with ``Ring.fmt`` values, nonzero coordinates in key order."""
     fmt = p.ring.fmt
-    return [(subset_key(m), fmt(v)) for m, v in zip(p.masks(), p.coords) if v]
+    return sorted((subset_key(m), fmt(v)) for m, v in zip(p.masks(), p.coords) if v)
 
 
 @pytest.mark.parametrize("name", sorted(RINGS))
@@ -93,6 +93,24 @@ def test_emitting_builds_no_key_from_a_mask_s_elements(monkeypatch, parities):
     assert list(obj["coords"].items()) == _expected_coords(p)
 
 
+def test_emitting_a_vector_on_20_elements_builds_two_half_tables_of_keys(monkeypatch):
+    # the writer once built 352,716 keys for the 184,756 coordinates of this vector
+    built, real = [], jsonio._half_keys
+
+    def counted(first, stop):
+        keys = real(first, stop)
+        built.append(len(keys))
+        return keys
+
+    monkeypatch.setattr(jsonio, "_half_keys", counted)
+    masks = masks_of_size(20, 10)
+    p = PluckerVector(GroundSet(20), 10, GF(7), [1 + m % 6 for m in masks])
+    coords = plucker_vector_to_json(p)["coords"]
+    assert sum(built) <= 2**10 + 2**10
+    assert len(coords) == len(masks) and list(coords) == sorted(coords)
+    assert all(coords[subset_key(m)] == str(v) for m, v in zip(masks[::97], p.coords[::97]))
+
+
 def _skew(n, entry):
     rows = [["0"] * n for _ in range(n)]
     for i in range(n):
@@ -103,7 +121,7 @@ def _skew(n, entry):
 
 
 def _from_matrix_inputs():
-    rng = random.Random(1919)
+    rng, wide = random.Random(1919), random.Random(1616)
 
     def fraction(*_):
         return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
@@ -122,16 +140,20 @@ def _from_matrix_inputs():
             10, lambda i, j: sign[i, j] if blocks[i] == blocks[j] else 0)}, "wick"),
         "plucker-6x12-qq": ({"ring": {"kind": "q"}, "matrix": [
             [str(fraction()) for _ in range(12)] for _ in range(6)]}, "plucker"),
+        "wick-16-qq": ({"ring": {"kind": "q"}, "matrix": _skew(16, lambda *_: Fraction(
+            wide.randint(-9, 9), wide.randint(1, 6)))}, "wick"),
     }
 
 
 # sha256 of `from-matrix` stdout on these inputs, taken when the writer still
-# joined the elements of every shorter key it had not built
+# joined the elements of every shorter key it had not built; wick-16-qq's when
+# the table still expanded one mask at a time and the writer emitted mask order
 FROM_MATRIX_DIGESTS = {
     "wick-12-qq-twisted": "930deff3f2b9441e709e93f604e3c0cc73b01112d5af6ecd9388f2abb6f68c94",
     "wick-10-gf7": "00548a1a61cc5624ac2340eb1a1ecfa15476bb6ce1e1cb9b83d3c1f7bf97ab22",
     "wick-10-regular-blocks": "8eca132adbaa95c8520c6a04e8136536cb486f0f2ee7cd55a1e6f54f739c376a",
     "plucker-6x12-qq": "cc41c4f6a73d43aa00b1fad65d769674d8043f3f7698954372ab7d2f1ee00360",
+    "wick-16-qq": "b33b5badbb0f215c103dc2f5cfb3e0cd0d290c9bdc22f98edd1236b83270749d",
 }
 
 
