@@ -24,7 +24,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import lcm
 from typing import Sequence
 
 from .errors import CapabilityError, InputError, MapUndefinedError
@@ -102,14 +102,10 @@ class Ring:
     def parse(self, s: str):
         raise NotImplementedError
 
-    def fmt(self, v, den: int = 1) -> str:
-        """v as a decimal string; with ``den`` > 0, the integer v over den, written as
-        ``str(Fraction(v, den))`` would write it, after one gcd and with no Fraction."""
+    def fmt(self, v) -> str:
+        """v as a decimal string."""
         try:
-            if den == 1:
-                return str(v)
-            g = gcd(v, den)
-            return str(v // g) if g == den else f"{v // g}/{den // g}"
+            return str(v)
         except ValueError as exc:  # an int past sys.get_int_max_str_digits()
             raise too_many_digits() from exc
 

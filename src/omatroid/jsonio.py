@@ -183,7 +183,7 @@ def _vector_to_json(p, **rank) -> dict:
     l + f and the keys extending it by a comma (no element's digits extend f's, as 10f > n): one
     run in key order, sorted as the high keys; g = 0 is a run of one. So the writer sorts 2**h +
     2**(n-h) half keys and the runs, never the coordinates. Zero is falsy in every ring, so
-    zeros are dropped; QQ values from the integer kernels are written as ``Ring.fmt`` does.
+    zeros are dropped; QQ values from the integer kernels are written as ``str(Fraction)`` does.
     """
     n, r, values = p.ground.n, rank.get("r"), p.coords
     try:

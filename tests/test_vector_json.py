@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from omatroid import groundset, jsonio, plucker, wick
 from omatroid.cli import main
-from omatroid.exactalg import GF, QQ, ZZ
+from omatroid.exactalg import GF, QQ, ZZ, _Ratios
 from omatroid.groundset import GroundSet, masks_of_size
 from omatroid.jsonio import parse_vector_file, plucker_vector_to_json, wick_vector_to_json
 from omatroid.plucker import PluckerVector
@@ -172,10 +172,14 @@ def test_from_matrix_stdout_is_pinned(tmp_path, capsys, name):
 @given(num=st.integers(-10**300, 10**300).filter(bool) | st.integers(-99, 99).filter(bool),
        den=st.integers(1, 10**300) | st.integers(1, 99), factor=st.integers(1, 10**200))
 def test_integer_formatter_writes_what_fraction_writes(num, den, factor):
-    # a shared factor makes the gcd matter; den dividing the numerator gives "3", never "3/1"
-    for v, d in ((num, den), (num * factor, den * factor), (num * den, den)):
-        assert QQ.fmt(v, d) == str(Fraction(v, d))
-    assert QQ.fmt(num * den, den) == str(num)
+    # the writer formats a QQ _Ratios vector from its integers; a shared factor makes the
+    # gcd matter, and den dividing the numerator gives "3", never "3/1"
+    p = WickVector(GroundSet(2), QQ, _Ratios([1, num, num * factor, num * den],
+                                             [1, den, den * factor, den]))
+    written = wick_vector_to_json(p)["coords"]
+    assert written == {subset_key(m): str(Fraction(v, d))
+                       for m, v, d in zip(p.masks(), p.coords.nums, p.coords.dens)}
+    assert written[subset_key(3)] == str(num)
 
 
 def _fractions_made(monkeypatch, capsys, tmp_path, obj, kind):
