@@ -8,8 +8,6 @@ and the verdict is false, 2 for malformed input, 3 when a request exceeds a
 documented size cap.
 """
 
-from __future__ import annotations
-
 import json
 import os
 import re
@@ -177,7 +175,7 @@ def _cmd_pfaffian(args):
     m, _twist = parse_matrix_file(obj)
     if m.rows != m.cols:
         raise InputError(f"pfaffian needs a square matrix, got {m.rows}x{m.cols}")
-    sk = SkewMatrix.from_rows(m.ring, m.row_lists())
+    sk = SkewMatrix(m.ring, m.rows, m.cols, m.entries)
     val = pfaffian(sk)
     # a bare "z" is echoed as given, since no vector is built from it
     decl = {"kind": "z"} if obj["ring"]["kind"] == "z" else ring_decl_to_json(m.ring)
@@ -193,7 +191,7 @@ def _cmd_from_matrix(args):
     sk = None
     if args.kind != "plucker" and m.rows == m.cols:
         try:
-            sk = SkewMatrix.from_rows(m.ring, m.row_lists())
+            sk = SkewMatrix(m.ring, m.rows, m.cols, m.entries)
         except InputError:
             if args.kind == "wick" or twist_bits is not None:
                 raise

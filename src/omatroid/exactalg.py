@@ -19,8 +19,6 @@ all principal Pfaffians expands along the top index, a slice of masks at a
 time, O(2**n * n).
 """
 
-from __future__ import annotations
-
 import sys
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -84,9 +82,6 @@ class Ring:
 
     def neg(self, a):
         return -a
-
-    def is_zero(self, a) -> bool:
-        return a == self.zero
 
     def is_element(self, v) -> bool:
         """Whether v lies in the partial field: any value over a field, 0 or a unit +1/-1 over ZZ."""
@@ -168,6 +163,8 @@ class RationalField(Ring):
 
     def parse(self, s: str):
         try:
+            if abs(int(s.lower().partition("e")[2] or 0)) > sys.get_int_max_str_digits():
+                raise too_many_digits()  # 10**exponent alone would take seconds to minutes
             return Fraction(s.strip())
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad rational literal {s!r}") from exc
@@ -320,18 +317,13 @@ class SkewMatrix(Matrix):
         n = self.rows
         ring = self.ring
         for i in range(n):
-            if not ring.is_zero(self.entry(i, i)):
+            if self.entry(i, i):  # zero is falsy in every ring
                 raise InputError(f"diagonal entry ({i + 1},{i + 1}) must be zero")
             for j in range(i + 1, n):
                 if self.entry(j, i) != ring.neg(self.entry(i, j)):
                     raise InputError(
                         f"entries ({i + 1},{j + 1}) and ({j + 1},{i + 1}) are not skew"
                     )
-
-    @classmethod
-    def from_rows(cls, ring: Ring, rows: Sequence[Sequence]) -> "SkewMatrix":
-        m = Matrix.from_rows(ring, rows)
-        return cls(ring, m.rows, m.cols, m.entries)
 
     @classmethod
     def from_upper(cls, ring: Ring, n: int, upper: Sequence) -> "SkewMatrix":

@@ -6,8 +6,6 @@ exactly colexicographic order of subsets, for equal-size subsets and across
 sizes alike. Every value here is immutable and safe to share.
 """
 
-from __future__ import annotations
-
 from functools import lru_cache
 from operator import attrgetter
 from typing import Iterable, Iterator
@@ -91,7 +89,7 @@ class GroundSet:
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 
-    def subset(self, elements: Iterable[int] = ()) -> SubsetMask:
+    def subset(self, elements: Iterable[int] = ()) -> "SubsetMask":
         """Build a subset from 1-based element labels."""
         bits = 0
         for e in elements:
@@ -187,6 +185,8 @@ def _key_bits(key: str, n: int) -> int:
         elements = [int(part) for part in key.split(",")]
     except ValueError as exc:
         raise InputError(f"bad subset key {key!r}") from exc
+    if key != ",".join(map(str, elements)):  # int() also reads "+2", " 3", "1_0" and "01"
+        raise InputError(f"bad subset key {key!r}")
     seen = set()
     for e in elements:
         if e in seen:

@@ -8,8 +8,6 @@ zeros, and come out of the writers in key order, the order of the sorted
 JSON line ("1,10" before "1,2").
 """
 
-from __future__ import annotations
-
 import json
 import sys
 from math import gcd

@@ -28,8 +28,6 @@ Failures report the colexicographically first violating (B1, B2, x) so
 they are stable golden data.
 """
 
-from __future__ import annotations
-
 from typing import Iterable
 
 from .errors import InputError

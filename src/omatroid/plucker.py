@@ -28,10 +28,8 @@ and one echelon basis. A check is refused before it starts when its family
 has more than SWEEP_BUDGET pairs in N_S x N_T, whatever the method.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 from itertools import chain, compress, count, tee
 from math import comb, gcd
 from operator import mul
@@ -39,15 +37,7 @@ from typing import Callable, Mapping
 
 from .errors import ClassificationError, InputError, MembershipError, RankError
 from .exactalg import QQ, Matrix, Ring, _integers, _Ratios, _reduce
-from .groundset import (  # SWEEP_BUDGET stays importable from here, next to the sweeps
-    SWEEP_BUDGET,
-    GroundSet,
-    SubsetMask,
-    mask_elements,
-    masks_of_size,
-    record,
-    within_budget,
-)
+from .groundset import GroundSet, SubsetMask, mask_elements, masks_of_size, record, within_budget
 from .matroid import BasisFamily, is_matroid
 from .verdicts import AxiomVerdict, Label
 
@@ -292,17 +282,6 @@ def _dirty_test(ring, rows) -> Callable[[list], bool]:
     return dirty
 
 
-class _Built(dict):
-    """A dict that builds each missing value once, as ``build(key)``."""
-
-    def __init__(self, build):
-        self.build = build
-
-    def __missing__(self, key):
-        value = self[key] = self.build(key)
-        return value
-
-
 class _Certificate:
     """The relations of one vector over N as the entries sign * u_a . w_b of U W^T.
 
@@ -315,16 +294,16 @@ class _Certificate:
     def __init__(self, p: _CoordinateVector, rows, cols, u, w, sign: int, verdict):
         self.ground, self.ring, self.rows, self.cols = p.ground, p.ring, rows, cols
         self.u, self.w, self.sign, self.verdict = u, w, sign, verdict
-        test = _dirty_test(self.ring, map(w.__getitem__, cols))
-        self.verdicts = tee(map(test, map(u.__getitem__, rows)), 1)[0]
+        test = _dirty_test(self.ring, map(w, cols))
+        self.verdicts = tee(map(test, map(u, rows)), 1)[0]
 
     def value(self, a: int, b: int):
-        return self.ring.coerce(self.sign * sum(map(mul, self.u[a], self.w[b])))
+        return self.ring.coerce(self.sign * sum(map(mul, self.u(a), self.w(b))))
 
     def failure(self, a: int, partners):
         """The first (a, b), b in ``partners``, with a nonzero relation, as a failing verdict."""
         for b in partners:
-            if not self.ring.is_zero(val := self.value(a, b)):
+            if val := self.value(a, b):  # zero is falsy in every ring
                 g = self.ground
                 return self.verdict(False, SubsetMask(g, a), SubsetMask(g, b), val)
 
@@ -361,7 +340,7 @@ def _gp_certificate(p: PluckerVector) -> _Certificate:
     """N_S as rows u_S, _signed_row on the x in S, and N_T as columns w_T, on the x not in T."""
     near, n, r = _neighbourhood(p), p.ground.n, p.r
     row = partial(_signed_row, p.ring, p.coords, _index_of(n, r), n)
-    u, w = _Built(partial(row, 0)), _Built(partial(row, (1 << n) - 1))
+    u, w = cache(partial(row, 0)), cache(partial(row, (1 << n) - 1))
     s_masks = [m for m in near if m.bit_count() == r + 1]
     t_masks = [m for m in near if m.bit_count() == r - 1]
     return _Certificate(p, s_masks, t_masks, u, w, 1, GPVerdict)
@@ -431,7 +410,7 @@ def reconstruct_plucker(p: PluckerVector) -> Matrix:
         for i, be in enumerate(b_elems, start=1):
             j_mask = (b_mask ^ (1 << (be - 1))) | jbit
             q = p.coords[idx[j_mask]]
-            if ring.is_zero(q):
+            if not q:
                 continue
             pos = (j_mask & ((1 << j) - 1)).bit_count()  # 1-based position of j in J
             grid[i - 1][j - 1] = q if (i + pos) % 2 == 0 else ring.neg(q)

@@ -1,7 +1,5 @@
 """Shared verdict vocabulary for checkers and classifiers."""
 
-from __future__ import annotations
-
 import enum
 
 from .groundset import SubsetMask, record

@@ -33,9 +33,7 @@ scaling has already made 1, and read the matrix entries off the
 two-element coordinates.
 """
 
-from __future__ import annotations
-
-from functools import partial
+from functools import cache, partial
 from typing import Mapping
 
 from .errors import InputError, MembershipError
@@ -43,7 +41,6 @@ from .exactalg import Ring, SkewMatrix, _Ratios, all_principal_pfaffians
 from .groundset import GroundSet, SubsetMask, masks_of_size, record, within_budget
 from .matroid import BasisFamily, is_orthogonal
 from .plucker import (
-    _Built,
     _canonical_coords,
     _Certificate,
     _classify,
@@ -170,8 +167,8 @@ def _wick_certificate(p: WickVector) -> _Certificate:
     Their slots meet at the i in J1 delta J2, and the signs multiply to minus the relation's.
     """
     near, n = _neighbourhood(p), p.ground.n
-    u = _Built(partial(_wick_row, p.ring, p.coords, n))
-    w = _Built(lambda j: (row := u[j])[n:] + row[:n])
+    u = cache(partial(_wick_row, p.ring, p.coords, n))
+    w = cache(lambda j: (row := u(j))[n:] + row[:n])
     return _Certificate(p, near, near, u, w, -1, WickPairVerdict)
 
 

@@ -32,11 +32,10 @@ listed and joined one by one.
 
 ``census_chunk`` is the per-candidate census writer the library ran before
 it wrote records a run at a time: it walks candidates one by one, builds
-each record with ``json.dumps`` and tallies its flags in a Counter.
+each record with ``json.dumps``.
 """
 
 import json
-from collections import Counter
 from functools import lru_cache
 from itertools import permutations, product
 
@@ -317,8 +316,7 @@ def census_candidates(n, start, stop):
 
 
 def census_chunk(n, field, start, stop):
-    """Record lines of candidates start .. stop - 1 and a Counter of their
-    (orthogonal, matroid, representable) flags, one candidate at a time.
+    """Record lines of candidates start .. stop - 1, one candidate at a time.
 
     A family is representable when its twist by one of its members is an
     achievable support, and an orthogonal family is a matroid when its
@@ -329,17 +327,13 @@ def census_chunk(n, field, start, stop):
 
     supports = achievable_supports(n, field)
     lines = []
-    tally = Counter()
     for parity, bits, members in census_candidates(n, start, stop):
         rec = {"bases": [list(mask_elements(m)) for m in members], "orthogonal": False}
-        flags = (False, False, False)
         if bits in _orthogonal_bitmaps(n, parity):
-            flags = (
-                True,
-                len({m.bit_count() for m in members}) == 1,
-                any(frozenset(m ^ t for m in members) in supports for t in members),
+            rec.update(
+                orthogonal=True,
+                matroid=len({m.bit_count() for m in members}) == 1,
+                representable={field: any(frozenset(m ^ t for m in members) in supports for t in members)},
             )
-            rec.update(orthogonal=True, matroid=flags[1], representable={field: flags[2]})
-        tally[flags] += 1
         lines.append(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
-    return "".join(lines), tally
+    return "".join(lines)

@@ -561,6 +561,39 @@ def test_capability_exit_code(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("literal", ["1e99999999", "-1E-99999999"])
+def test_a_huge_exponent_is_refused_at_once(tmp_path, capsys, literal):
+    # Fraction would build 10**exponent first, which takes minutes
+    vector = write(tmp_path, "v.json", {**WICK_VECTOR, "coords": {**WICK_VECTOR["coords"], "3": literal}})
+    matrix = write(tmp_path, "m.json", {"ring": {"kind": "q"}, "matrix": [["0", literal], ["-1", "0"]]})
+    for argv in (("check-wick", vector), ("pfaffian", matrix)):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, *argv)
+        assert time.perf_counter() - start < 1, argv
+        assert code == 3, argv
+        error = report_of(out)["error"]
+        assert error["type"] == "CapabilityError"
+        assert str(sys.get_int_max_str_digits()) in error["message"]
+
+
+def test_exponents_up_to_the_digit_limit_parse():
+    limit = sys.get_int_max_str_digits()
+    assert QQ.parse("1e300") == 10**300
+    assert QQ.parse("-2.5E-3") == Fraction(-1, 400)
+    assert QQ.parse(f"1e{limit}") == 10**limit
+    assert QQ.parse(f"1e-{limit}") == Fraction(1, 10**limit)
+
+
+@pytest.mark.parametrize("key", ["1_0", "+2", " 3", "01", "\u0661"])
+def test_a_subset_key_has_one_spelling(tmp_path, capsys, key):
+    family = write(tmp_path, "f.json", FAMILY)
+    vector = write(tmp_path, "v.json", {**WICK_VECTOR, "coords": {**WICK_VECTOR["coords"], key: "1"}})
+    for argv in (("twist", family, "--by", key), ("check-wick", vector)):
+        code, out, _ = run(capsys, *argv)
+        assert code == 2, argv
+        assert report_of(out)["error"]["message"].endswith(f"bad subset key {key!r}")
+
+
 def test_unknown_verb_and_flags(capsys):
     assert main(["no-such-verb"]) == 2
     assert main([]) == 2

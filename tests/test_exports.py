@@ -1,4 +1,5 @@
 import ast
+import inspect
 import json
 import os
 import subprocess
@@ -82,6 +83,14 @@ def test_removed_aliases_are_gone():
         assert not hasattr(omatroid, name)
         assert name not in omatroid.__all__
     assert not hasattr(groundset.SubsetMask, "size")
+    # SWEEP_BUDGET lives in groundset, functools.cache builds the certificate's rows, a value's
+    # truth is its nonzeroness, and Matrix.from_rows already builds the subclass
+    assert not hasattr(plucker, "SWEEP_BUDGET")
+    assert not hasattr(plucker, "_Built")
+    assert not hasattr(exactalg.Ring, "is_zero")
+    assert "from_rows" not in exactalg.SkewMatrix.__dict__
+    # the census counts come from the cached verdict tables, not from a tally of the records
+    assert "write" not in inspect.signature(census._census_chunk).parameters
 
 
 def test_the_package_imports_only_the_standard_library():

@@ -127,6 +127,12 @@ def test_key_bits_roundtrip(n_bits, rng):
     ("5", "element 5 is outside 1..4"),
     ("0,5", "element 0 is outside 1..4"),
     ("-1", "element -1 is outside 1..4"),
+    # int() reads each of these as a number, but a key spells its elements one way only
+    ("1_0", "bad subset key '1_0'"),
+    ("+2", "bad subset key '+2'"),
+    (" 3", "bad subset key ' 3'"),
+    ("01", "bad subset key '01'"),
+    ("\u0661", "bad subset key '\u0661'"),
 ])
 def test_subset_key_messages(key, message):
     # a malformed key is refused before a duplicate, and a duplicate before a range error
