@@ -10,14 +10,13 @@ documented size cap.
 
 import json
 import os
-import re
 import sys
 from types import SimpleNamespace
 
 from . import __version__
 from .errors import CapabilityError, InputError, OmatroidError
 from .exactalg import SkewMatrix, pfaffian
-from .groundset import GroundSet, SubsetMask, parse_subset_key
+from .groundset import GroundSet, SubsetMask, parse_int, parse_subset_key
 from .jsonio import (
     load_json,
     matrix_to_json,
@@ -289,7 +288,6 @@ _VERBS = {
                       "n, at least 12", False, {"n": (int, ...)}),
 }
 _HELP = {"help": (None, False)}  # every verb takes -h/--help
-_NUMBER = re.compile(r"-\d+|-\d*\.\d+")  # a negative number is a value, not an option
 
 
 class _Usage(Exception):
@@ -323,9 +321,13 @@ def _names(tok: str, options: dict) -> list:
 
 
 def _is_value(tok: str, options: dict) -> bool:
-    """Whether ``tok`` is a value: a word, -, or naming no option, a negative number or a phrase."""
-    return tok[:1] != "-" or tok == "-" or not _names(tok, options) and (
-        " " in tok or _NUMBER.fullmatch(tok) is not None)
+    """Whether ``tok`` is a value: a word, -, or naming no option, a negative integer or a phrase."""
+    if tok[:1] != "-" or tok == "-":
+        return True
+    try:
+        return not _names(tok, options) and (" " in tok or parse_int(tok) < 0)
+    except ValueError:  # no integer as parse_int reads one
+        return False
 
 
 def _parse(argv):
@@ -366,7 +368,7 @@ def _parse(argv):
             if type(kind) is tuple and value not in kind:
                 raise _Usage(f"--{name} must be one of {', '.join(kind)}, got {value!r}", verb)
             try:
-                values[name] = True if kind is None else int(value) if kind is int else value
+                values[name] = True if kind is None else parse_int(value) if kind is int else value
             except ValueError:
                 raise _Usage(f"--{name} takes an integer, got {value!r}", verb) from None
     missing = ["verb"] * (verb is None) + ["input"] * (takes_input and "input" not in values)

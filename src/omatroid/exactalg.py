@@ -26,7 +26,7 @@ from math import lcm
 from typing import Sequence
 
 from .errors import CapabilityError, InputError, MapUndefinedError
-from .groundset import SubsetMask, mask_elements, record, within_budget
+from .groundset import SubsetMask, mask_elements, parse_int, record, within_budget
 
 
 # ---------------------------------------------------------------------------
@@ -91,11 +91,24 @@ class Ring:
         raise InputError(f"{self!r} has no general inverses")
 
     def coerce(self, v):
-        """Normalize a Python value (int, Fraction, or string) into this ring."""
-        raise NotImplementedError
+        """v as a value of this ring: an int, a Fraction (a whole one outside QQ) or a literal."""
+        if type(v) is not int:  # the kernels' ints skip every test below; a bool is no int here
+            if isinstance(v, str):
+                return self.parse(v)
+            if isinstance(v, Fraction) and self.kind == "q":
+                return v
+            if isinstance(v, bool) or not isinstance(v, (int, Fraction)) or v != int(v):
+                raise InputError(f"cannot coerce {v!r} into {self!r}")
+            v = int(v)
+        return v % self.p if self.p else Fraction(v) if self.is_field else v
 
     def parse(self, s: str):
-        raise NotImplementedError
+        """The value a literal names: an integer as ``parse_int`` reads it (QQ reads more)."""
+        try:
+            v = parse_int(s)
+        except ValueError as exc:
+            raise InputError(f"bad {self!r} literal {s!r}") from exc
+        return v % self.p if self.p else v
 
     def fmt(self, v) -> str:
         """v as a decimal string."""
@@ -122,23 +135,6 @@ class IntegerRing(Ring):
             return a
         raise InputError(f"{a} is not a unit of the integers")
 
-    def coerce(self, v):
-        if isinstance(v, bool):
-            raise InputError("booleans are not ring values")
-        if isinstance(v, int):
-            return v
-        if isinstance(v, Fraction) and v.denominator == 1:
-            return int(v)
-        if isinstance(v, str):
-            return self.parse(v)
-        raise InputError(f"cannot coerce {v!r} into the integers")
-
-    def parse(self, s: str):
-        try:
-            return int(s.strip())
-        except ValueError as exc:
-            raise InputError(f"bad integer literal {s!r}") from exc
-
 
 class RationalField(Ring):
     kind = "q"
@@ -152,20 +148,22 @@ class RationalField(Ring):
             raise InputError("division by zero")
         return 1 / a
 
-    def coerce(self, v):
-        if isinstance(v, bool):
-            raise InputError("booleans are not ring values")
-        if isinstance(v, (int, Fraction)):
-            return v if type(v) is Fraction else Fraction(v)
-        if isinstance(v, str):
-            return self.parse(v)
-        raise InputError(f"cannot coerce {v!r} into the rationals")
-
     def parse(self, s: str):
+        """An integer as ``parse_int`` reads it, a/b of two such with b > 0 ("2/5"), or a
+        decimal: such an integer, then '.' and ASCII digits or 'e' or 'E' and such an integer
+        or both ("-2.5E-3", "1e300"); a decimal's sign is its own, so "-0.5" reads."""
+        head, e, exp = s.replace("E", "e").partition("e")
+        num, slash, den = head.partition("/")
+        whole, point, digits = num.partition(".")
         try:
-            if abs(int(s.lower().partition("e")[2] or 0)) > sys.get_int_max_str_digits():
+            if e and abs(parse_int(exp)) > sys.get_int_max_str_digits():
                 raise too_many_digits()  # 10**exponent alone would take seconds to minutes
-            return Fraction(s.strip())
+            parse_int(whole.removeprefix("-") if point or e else whole)
+            if slash:
+                parse_int(den)
+            if point and not (digits.isdecimal() and digits.isascii()):
+                raise ValueError(f"{digits!r} are not ASCII digits")
+            return Fraction(s)  # which refuses every other arrangement, "1/-2" and "2/0"
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad rational literal {s!r}") from exc
 
@@ -190,24 +188,6 @@ class PrimeField(Ring):
         if a % self.p == 0:
             raise InputError("division by zero")
         return pow(a, -1, self.p)
-
-    def coerce(self, v):
-        if isinstance(v, bool):
-            raise InputError("booleans are not ring values")
-        if isinstance(v, int):
-            return v % self.p
-        if isinstance(v, str):
-            return self.parse(v)
-        raise InputError(f"cannot coerce {v!r} into GF({self.p})")
-
-    def parse(self, s: str):
-        s = s.strip()
-        if "/" in s:
-            raise InputError(f"residues are plain decimal strings, got {s!r}")
-        try:
-            return int(s) % self.p
-        except ValueError as exc:
-            raise InputError(f"bad residue literal {s!r}") from exc
 
     def __repr__(self) -> str:
         return f"gf({self.p})"

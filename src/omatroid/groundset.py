@@ -177,16 +177,27 @@ def masks_of_size(n: int, r: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=1024)  # literals repeat: a GF(p) input spells few distinct values
+def parse_int(s: str) -> int:
+    """The integer ``s`` spells exactly as ``str`` writes it: ASCII digits after an optional
+    '-', so no '+', whitespace, underscore, leading zero or '-0'. ValueError otherwise.
+
+    Every typed integer is read here: subset-key elements, ring literals and CLI integers.
+    """
+    v = int(s)
+    if str(v) != s:  # int() also reads "+2", " 3", "1_0", "01", "-0" and other scripts' digits
+        raise ValueError(f"{s!r} is not an integer as str writes it")
+    return v
+
+
 def _key_bits(key: str, n: int) -> int:
     """The mask of a coordinate key like '1,4' on {1..n} (empty string means the empty set)."""
     if key == "":
         return 0
     try:
-        elements = [int(part) for part in key.split(",")]
+        elements = [parse_int(part) for part in key.split(",")]
     except ValueError as exc:
         raise InputError(f"bad subset key {key!r}") from exc
-    if key != ",".join(map(str, elements)):  # int() also reads "+2", " 3", "1_0" and "01"
-        raise InputError(f"bad subset key {key!r}")
     seen = set()
     for e in elements:
         if e in seen:

@@ -1,11 +1,13 @@
 """JSON schemas shared by the CLI, the tests, and file round-trips.
 
 One vocabulary everywhere: ring declarations are objects like {"kind": "q"}
-or {"kind": "gfp", "p": 7}; ring values travel as decimal strings ("-3",
-"2/5"); subsets are sorted arrays of 1-based elements; coordinate tables
-key subsets as comma-joined strings ("1,3", "" for the empty set), omit
-zeros, and come out of the writers in key order, the order of the sorted
-JSON line ("1,10" before "1,2").
+or {"kind": "gfp", "p": 7}; ring values travel as strings, an integer spelled
+exactly as ``str`` writes it ("-3", never "+3", " 3", "03", "1_0" or "-0";
+``groundset.parse_int``), and over QQ also a/b or a decimal built of such
+integers ("2/5", "-2.5E-3"); subsets are sorted arrays of 1-based elements;
+coordinate tables key subsets as comma-joined strings of such integers ("1,3",
+"" for the empty set), omit zeros, and come out of the writers in key order,
+the order of the sorted JSON line ("1,10" before "1,2").
 """
 
 import json

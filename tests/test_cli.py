@@ -94,6 +94,8 @@ def test_parse_basis_family_errors():
         parse_basis_family({"n": 2, "bases": [[1, 1]]})
     with pytest.raises(InputError):
         parse_basis_family({"bases": [[1]]})
+    with pytest.raises(InputError, match="basis #2 must be an array"):
+        parse_basis_family({"n": 2, "bases": [[1], 2]})
 
 
 def test_vector_json_roundtrip():
@@ -114,6 +116,12 @@ def test_vector_json_validation():
         parse_wick_vector({**WICK_VECTOR, "coords": {"9": "1"}})
     with pytest.raises(InputError):
         parse_wick_vector({**WICK_VECTOR, "coords": {"": True}})
+    for coords in ([["3", "1"]], "3:1", None):
+        with pytest.raises(InputError, match="'coords' must be an object"):
+            parse_wick_vector({**WICK_VECTOR, "coords": coords})
+    # a JSON integer is read as the value its decimal string names
+    as_ints = {key: int(v) for key, v in WICK_VECTOR["coords"].items()}
+    assert parse_wick_vector({**WICK_VECTOR, "coords": as_ints}) == parse_wick_vector(WICK_VECTOR)
 
 
 def test_empty_set_key_means_empty_subset():
@@ -135,6 +143,9 @@ def test_parse_matrix_file():
         parse_matrix_file({"ring": {"kind": "q"}, "matrix": [["1"], ["2", "3"]]})
     with pytest.raises(InputError):
         parse_matrix_file({"ring": {"kind": "q"}, "matrix": [["1", "2"]], "twist": [1]})
+    for matrix in ([], None, "1", [["1"], "2"], [1]):
+        with pytest.raises(InputError, match="'matrix' must be a nonempty array|must be an array"):
+            parse_matrix_file({"ring": {"kind": "q"}, "matrix": matrix})
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +251,19 @@ def test_from_matrix_kind_control(tmp_path, capsys):
     pmat = write(tmp_path, "pm.json", PLUCKER_MATRIX)
     code, out, _ = run(capsys, "from-matrix", "--kind", "wick", pmat)
     assert code == 2
+    # auto reads a square matrix that is not skew as a rank representation, unless told wick
+    # or given a twist, which only a skew representation takes
+    square = {"ring": {"kind": "q"}, "matrix": [["1", "2"], ["3", "4"]]}
+    path = write(tmp_path, "sq.json", square)
+    code, out, _ = run(capsys, "from-matrix", path)
+    assert code == 0
+    assert report_of(out)["data"] == {"kind": "plucker", "vector": {
+        "n": 2, "r": 2, "ring": {"kind": "q"}, "coords": {"1,2": "1"}}}
+    twisted = write(tmp_path, "sqt.json", {**square, "twist": [1]})
+    for argv in (("--kind", "wick", path), (twisted,)):
+        code, out, _ = run(capsys, "from-matrix", *argv)
+        assert code == 2
+        assert report_of(out)["error"]["message"] == "diagonal entry (1,1) must be zero"
 
 
 def test_reconstruct_wick_rejects_plucker_file(tmp_path, capsys):
@@ -340,6 +364,10 @@ def test_pfaffian_verb(tmp_path, capsys):
     )
     code, out, _ = run(capsys, "pfaffian", notskew)
     assert code == 2
+    wide = write(tmp_path, "wide.json", PLUCKER_MATRIX)
+    code, out, _ = run(capsys, "pfaffian", wide)
+    assert code == 2
+    assert report_of(out)["error"]["message"] == "pfaffian needs a square matrix, got 2x4"
 
 
 SIGNED_SKEW = [["0", "1", "2", "0"], ["-1", "0", "1", "1"], ["-2", "-1", "0", "1"],
@@ -426,6 +454,10 @@ def test_twist_verbs(tmp_path, capsys):
     pv = write(tmp_path, "pv.json", PLUCKER_VECTOR)
     code, out, _ = run(capsys, "twist", "--by", "1", pv)
     assert code == 2
+    for obj in (WICK_MATRIX, [FAMILY]):
+        code, out, _ = run(capsys, "twist", "--by", "1", write(tmp_path, "other.json", obj))
+        assert code == 2
+        assert "basis families and full coordinate vectors" in report_of(out)["error"]["message"]
 
 
 def test_census_verb(tmp_path, capsys):
@@ -584,7 +616,23 @@ def test_exponents_up_to_the_digit_limit_parse():
     assert QQ.parse(f"1e-{limit}") == Fraction(1, 10**limit)
 
 
-@pytest.mark.parametrize("key", ["1_0", "+2", " 3", "01", "\u0661"])
+@pytest.mark.parametrize("literal", ["1_0", "+2", " 3", "3 ", "01", "-0", "\u0661"])
+def test_a_value_has_one_spelling(tmp_path, capsys, literal):
+    # int() and Fraction() read each of these; a value is an integer only as str writes it
+    for ring in ({"kind": "q"}, {"kind": "regular"}, {"kind": "gfp", "p": 7}):
+        wick = {**WICK_VECTOR, "ring": ring, "coords": {"": "1", "1,2": literal}}
+        plucker = {**PLUCKER_VECTOR, "ring": ring, "coords": {"1,2": literal}}
+        matrix = {"ring": ring, "matrix": [["0", literal], ["-1", "0"]]}
+        for verb, obj in (("check-wick", wick), ("check-plucker", plucker),
+                          ("pfaffian", matrix), ("from-matrix", matrix)):
+            code, out, _ = run(capsys, verb, write(tmp_path, "in.json", obj))
+            assert code == 2, (verb, ring)
+            assert out.count("\n") == 1
+            error = report_of(out)["error"]
+            assert error["type"] == "InputError" and repr(literal) in error["message"]
+
+
+@pytest.mark.parametrize("key", ["1_0", "+2", " 3", "3 ", "01", "\u0661"])
 def test_a_subset_key_has_one_spelling(tmp_path, capsys, key):
     family = write(tmp_path, "f.json", FAMILY)
     vector = write(tmp_path, "v.json", {**WICK_VECTOR, "coords": {**WICK_VECTOR["coords"], key: "1"}})

@@ -100,6 +100,9 @@ USAGE_ERRORS = [
     ("check-matroid", "--strong=yes", "{fam}"),
     ("check-matroid", "--=1", "{fam}"),  # ambiguous: every option's prefix
     ("check-matroid", "{fam}", "--version"),
+    # an integer option is spelled as str writes an integer, as every typed integer is
+    *(("census", "--n", n) for n in ("1_0", "+2", " 3", "3 ", "03", "-0", "\u0663")),
+    *(("verify-bounds", f"--n={n}") for n in ("1_2", "+12", " 12", "12 ", "012", "-0", "\u0661\u0662")),
 ]
 
 

@@ -72,6 +72,46 @@ def test_ring_parse_fmt_roundtrip():
         assert GF(11).parse(GF(11).fmt(k % 11)) == k % 11
 
 
+# int() and Fraction() read each of these, but none is an integer as str writes it
+SPELLINGS = ["1_0", "+2", " 3", "3 ", "01", "\u0661", "-0"]
+
+
+@pytest.mark.parametrize("text", SPELLINGS)
+def test_every_ring_reads_an_integer_one_way(text):
+    for ring in (ZZ, QQ, GF(7)):
+        for read in (ring.parse, ring.coerce):
+            with pytest.raises(InputError):
+                read(text)
+
+
+def test_rational_literals():
+    for text, value in [("7", 7), ("-2/5", Fraction(-2, 5)), ("2/5", Fraction(2, 5)),
+                        ("-0.5", Fraction(-1, 2)), ("0.05", Fraction(1, 20)), ("2.50", Fraction(5, 2)),
+                        ("1e-5", Fraction(1, 10**5)), ("-2.5E-3", Fraction(-1, 400)), ("0e0", 0)]:
+        assert QQ.parse(text) == value
+    for text in ["1/-2", "2/0", "1/02", "01/2", "-0/2", ".5", "5.", "-.5", "--1.5", "1e+5", "1e05",
+                 "1e", "e5", "1.5/2", "1/2e3", "1.\u0665", "1/ 2", "1e5 ", "1_0.5", ""]:
+        with pytest.raises(InputError):
+            QQ.parse(text)
+    for ring in (ZZ, GF(7)):  # the fraction and decimal forms are QQ's alone
+        for text in ("2/5", "1e5", "1.0"):
+            with pytest.raises(InputError):
+                ring.parse(text)
+
+
+def test_coerce_takes_ints_whole_fractions_and_literals():
+    assert ZZ.coerce(Fraction(4)) == 4 and type(ZZ.coerce(Fraction(4))) is int
+    assert GF(7).coerce(Fraction(10)) == 3 and GF(7).coerce("-4") == 3
+    assert ZZ.coerce("-4") == -4 and QQ.coerce("1/3") == Fraction(1, 3)
+    for ring in (ZZ, GF(7)):
+        for v in (True, 1.5, Fraction(1, 2), None):
+            with pytest.raises(InputError):
+                ring.coerce(v)
+    for v in (False, 1.5, None):
+        with pytest.raises(InputError):
+            QQ.coerce(v)
+
+
 def test_partial_fields():
     # the ring is the partial field: its whole unit group, {+1, -1} over the integers
     assert ZZ.is_element(1) and ZZ.is_element(-1) and ZZ.is_element(0)
@@ -91,6 +131,9 @@ def test_matrix_shapes():
     assert m.to_json_rows() == [["1", "2", "3"], ["4", "5", "6"]]
     with pytest.raises(InputError):
         Matrix.from_rows(ZZ, [[1, 2], [3]])
+    for rows, cols, entries in ((-1, 0, ()), (0, -2, ()), (2, 2, (1, 2, 3))):
+        with pytest.raises(InputError):
+            Matrix(ZZ, rows, cols, entries)
 
 
 def test_matrix_entries_are_ring_values():
@@ -132,6 +175,8 @@ def test_principal_submatrix():
     assert a.principal(0).rows == 0
     with pytest.raises(InputError):
         a.principal(1 << 4)
+    with pytest.raises(InputError):  # a subset of another ground set
+        a.principal(GroundSet(5).subset([2, 4]))
 
 
 # ---------------------------------------------------------------------------

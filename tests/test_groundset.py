@@ -13,6 +13,7 @@ from omatroid.groundset import (
     mask_elements,
     mask_of_elements,
     masks_of_size,
+    parse_int,
     parse_subset_key,
 )
 
@@ -118,6 +119,19 @@ def test_key_bits_roundtrip(n_bits, rng):
     assert _key_bits(",".join(map(str, elements)), n) == bits
 
 
+@given(st.integers(-(10**40), 10**40))
+def test_parse_int_reads_what_str_writes(k):
+    assert parse_int(str(k)) == k
+
+
+@pytest.mark.parametrize("text", ["1_0", "+2", " 3", "3 ", "01", "-0", "\u0661", "\u0661\u0662",
+                                  "", "-", "--1", "1.0", "0x1", "\u00b2", "1 0"])
+def test_parse_int_refuses_every_other_spelling(text):
+    # int() reads the first eight of these; each names an integer only as int() reads it
+    with pytest.raises(ValueError):
+        parse_int(text)
+
+
 @pytest.mark.parametrize("key,message", [
     ("a", "bad subset key 'a'"),
     ("1,,2", "bad subset key '1,,2'"),
@@ -131,7 +145,9 @@ def test_key_bits_roundtrip(n_bits, rng):
     ("1_0", "bad subset key '1_0'"),
     ("+2", "bad subset key '+2'"),
     (" 3", "bad subset key ' 3'"),
+    ("3 ", "bad subset key '3 '"),
     ("01", "bad subset key '01'"),
+    ("-0", "bad subset key '-0'"),
     ("\u0661", "bad subset key '\u0661'"),
 ])
 def test_subset_key_messages(key, message):

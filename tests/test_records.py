@@ -84,6 +84,13 @@ IDS = [type(case[0]).__name__ for case in CASES]
 UNHASHABLE = (CensusReport, BoundCheck)  # a dict field, as the records hold them
 
 
+def test_a_verdict_is_true_exactly_when_it_is_ok():
+    for cls in (AxiomVerdict, GPVerdict, WickPairVerdict):
+        for ok in (True, False):
+            assert bool(cls(ok)) is ok
+    assert str(Label.WEAK) == "weak"
+
+
 @pytest.mark.parametrize("rec, names, text, slotted", CASES, ids=IDS)
 def test_record_construction_equality_and_repr(rec, names, text, slotted):
     cls = type(rec)

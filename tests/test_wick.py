@@ -211,6 +211,10 @@ def test_representation_membership_over_regular():
     rep = WickRepresentation(m, SubsetMask(G4, 0))
     with pytest.raises(MembershipError, match="coordinate '1,2,3,4' has value 2 "):
         wick_from_representation(rep)
+    # an entry of 2 is refused before any Pfaffian is taken
+    m2 = SkewMatrix.from_upper(ZZ, 4, [1, 2, 0, 0, -1, 1])
+    with pytest.raises(MembershipError, match=r"matrix entry \(1,3\) = 2 is outside"):
+        wick_from_representation(WickRepresentation(m2, SubsetMask(G4, 0)))
     # the same entries are fine over the rationals
     mq = SkewMatrix.from_upper(QQ, 4, [1, 1, 0, 0, -1, 1])
     pq = wick_from_representation(WickRepresentation(mq, SubsetMask(G4, 0)))
