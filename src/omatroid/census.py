@@ -11,17 +11,16 @@ Three kinds of work live here:
   ``matroid.is_orthogonal``. An orthogonal family is counted as a matroid
   exactly when its members share one size, since symmetric exchange on
   such a family is basis exchange; no separate matroid check is run;
-* representability over GF(2), GF(3), and the regular partial field, from
-  one search: every skew matrix with entries among the field's values whose
-  whole Pfaffian table stays among them, walked along a Gray code one table
-  update per set, keeping the least product-order index for each support S.
-  A family is representable when it is a twist S Δ t (a support always
-  contains the empty set, so t is then a member of the family). The search
-  is sized in table updates against SWEEP_BUDGET. Census records are JSON
-  lines assembled from text fragments a run of candidates at a time, and a
-  resumed file is compared with them byte for byte. The report's counts
-  depend on (n, field) alone: sums over the cached flags of the orthogonal
-  candidates;
+* representability over GF(2), GF(3), and the regular partial field, from one
+  search: every skew matrix with entries among the field's values whose whole
+  Pfaffian table stays among them, walked along a Gray code one table update
+  per set, keeping the least product-order index for each support S. A family
+  F is representable exactly when F Δ t is a support for its least member t,
+  since twisting a support by a member is a principal pivot. The search is
+  sized in table updates against SWEEP_BUDGET. Census records are JSON lines
+  assembled from text fragments a run of candidates at a time, and a resumed
+  file is compared with them byte for byte. The report's counts depend on
+  (n, field) alone: sums over the cached flags of the orthogonal candidates;
 * an exact verification of the counting-bound chain that caps the number
   of realizable zero patterns of the principal-Pfaffian polynomial family,
   using big integers and certified rational over-approximations only. The
@@ -37,7 +36,7 @@ scale, and reports say so explicitly instead of pretending otherwise.
 import os
 import time
 from bisect import bisect_left
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -60,13 +59,9 @@ SEARCH_FIELDS = {"gf2": (GF(2), range(2)), "gf3": (GF(3), range(3)), "regular": 
 #: The fields a representability census runs over.
 CENSUS_FIELDS = ("gf2", "gf3")
 
-#: Default certified upper bounds: e <= 2.71828183 and log2(e) <= 1.4426951.
+#: Certified upper bounds: e <= 2.71828183 and log2(e) <= 1.4426951.
 E_UPPER_DEFAULT = Fraction(271828183, 10**8)
 LOG2E_UPPER_DEFAULT = Fraction(14426951, 10**7)
-
-# Certified lower references used only to reject grossly invalid "upper bounds".
-_E_LOWER_CERT = Fraction(2718281828459045, 10**15)
-_LOG2E_LOWER_CERT = Fraction(14426950408889634, 10**16)
 
 ASYMPTOTIC_GAP_NOTE = (
     "asymptotic claims are not reproducible at desk scale; this report certifies "
@@ -236,44 +231,37 @@ def _achievable_supports(n: int, field: str) -> dict[int, int]:
 
 
 @lru_cache(maxsize=None)
-def _representable_families(n: int, field: str) -> frozenset[int]:
-    """Every S Δ t, S an achievable support and t ⊆ [n], as a bitmap over all 2**n subsets.
+def _keep(n: int) -> tuple[int, ...]:
+    """keep[x]: the bitmap over the 2**n subsets of those that lack x."""
+    return tuple(sum(1 << s for s in range(1 << n) if not s >> x & 1) for x in range(n))
 
-    Every Pfaffian support holds the empty set, so t lies in S Δ t: a family
-    F is here exactly when F Δ t is achievable for some member t of F. The
-    twists are walked in Gray-code order, one element x per step, and
-    twisting by x swaps each block of 2**x bits whose subsets lack x with the
-    block above it: (v >> 2**x & keep[x]) | (v & keep[x]) << 2**x. A support
-    already in the closure brings its whole twist orbit with it, so it is
-    not walked again.
+
+def _twist_by_least(v: int, keep: tuple[int, ...]) -> int:
+    """F Δ t for the bitmap v of a family F over all 2**n subsets, t = min F its lowest set bit.
+
+    Twisting by x swaps each block of 2**x bits whose subsets lack x with the block
+    above it. F is representable when F Δ t' is the support of some A; Pf(A_∅) = 1
+    makes t' a member, so u = t Δ t' is in it. The principal pivot A*u is skew with
+    Pf((A*u)_J) = ±Pf(A_(J Δ u)) / Pf(A_u) (Tucker: det (A*u)_J = det A_(J Δ u) / det A_u,
+    and det = Pf**2 on skew matrices; Bouchet 1988, Baker-Jin arXiv:2208.03256), so its
+    support is F Δ t. Over {0, ±1}, Pf(A_u) = ±1 keeps A*u's whole table, its entries
+    among it, in {0, ±1}: the search meets A*u over every field it covers.
     """
-    size = 1 << n
-    keep = [sum(1 << s for s in range(size) if not s >> x & 1) for x in range(n)]
-    steps = [(k & -k).bit_length() - 1 for k in range(1, size)]
-    out = set()
-    for v in _achievable_supports(n, field):
-        if v in out:
-            continue
-        out.add(v)
-        for x in steps:
-            v = (v >> (1 << x) & keep[x]) | (v & keep[x]) << (1 << x)
-            out.add(v)
-    return frozenset(out)
+    t = (v & -v).bit_length() - 1
+    while t > 0:  # t is -1 only for v = 0, the empty family, whose twists are all empty
+        x = (t & -t).bit_length() - 1
+        v = (v >> (1 << x) & keep[x]) | (v & keep[x]) << (1 << x)
+        t &= t - 1
+    return v
 
 
 def find_regular_representation(f: BasisFamily) -> WickRepresentation | None:
-    """A representation of f over the regular partial field, or None.
-
-    Twists range over the members of f in colex order; the first achievable
-    support wins, with its least-index matrix, so the result is deterministic.
-    """
+    """A representation of f over the regular partial field twisted by f's least member, or None."""
     n = f.ground.n
-    reps = _achievable_supports(n, "regular")
-    for t in sorted(f.masks):
-        index = reps.get(sum(1 << (b ^ t) for b in f.masks))
-        if index is not None:
-            return WickRepresentation(_search_matrix(n, "regular", index), SubsetMask(f.ground, t))
-    return None
+    index = _achievable_supports(n, "regular").get(_twist_by_least(sum(1 << b for b in f.masks), _keep(n)))
+    if index is None:
+        return None
+    return WickRepresentation(_search_matrix(n, "regular", index), SubsetMask(f.ground, min(f.masks)))
 
 
 # ---------------------------------------------------------------------------
@@ -351,16 +339,17 @@ def _orthogonal_flags(n: int, field: str, parity: int) -> tuple[tuple[int, ...],
     """The sorted orthogonal bitmaps of a parity class and the flags of each.
 
     Symmetric exchange on a family of one member size is basis exchange, and
-    a matroid's bases share one size, so an orthogonal candidate is a
-    matroid exactly when its bitmap lies inside the bitmap of one size.
+    a matroid's bases share one size, so an orthogonal candidate is a matroid
+    exactly when its bitmap lies inside the bitmap of its least member's size.
     """
     h, _, _, _, full_low, full_high = _class_tables(n, parity)
     subsets = _parity_subsets(n, parity)
     sizes = [sum(1 << i for i, s in enumerate(subsets) if s.bit_count() == k) for k in range(n + 1)]
-    closure = _representable_families(n, field)
+    supports, keep = _achievable_supports(n, field), _keep(n)
     bitmaps = tuple(sorted(_orthogonal_bitmaps(n, parity)))
     return bitmaps, tuple(
-        (True, any(not f & ~s for s in sizes), full_low[f & (1 << h) - 1] | full_high[f >> h] in closure)
+        (True, not f & ~sizes[subsets[(f & -f).bit_length() - 1].bit_count()],
+         _twist_by_least(full_low[f & (1 << h) - 1] | full_high[f >> h], keep) in supports)
         for f in bitmaps
     )
 
@@ -436,16 +425,21 @@ def _resume(path: str, n: int, field: str, total: int) -> int:
     return done
 
 
-def representability_census(
-    n: int,
-    field: str = "gf2",
-    out_path: str | None = None,
-    progress=None,
-) -> CensusReport:
+@contextmanager
+def _census_file(path: str | None):
+    """Refuse an OSError of the census file's resume, open, writes or close as InputError."""
+    try:
+        yield
+    except OSError as exc:
+        raise InputError(f"cannot use {path} as the census file: {exc}") from exc
+
+
+def representability_census(n: int, field: str = "gf2", out_path: str | None = None,
+                            progress=None) -> CensusReport:
     """Sweep every candidate family on {1..n} and mark the representable ones.
 
     Writes one JSON line per candidate family to ``out_path`` when given.
-    An existing file resumes the sweep after its last complete record: every
+    An existing regular file resumes after its last complete record: every
     record in it must be exactly the one this census would write there, or
     InputError is raised and the file is left as it is, and a torn last line
     is cut off and computed again. The sweep runs in chunks of CENSUS_CHUNK
@@ -456,13 +450,11 @@ def representability_census(
     GroundSet(n)  # InputError unless a nonnegative integer
     _refuse_past_enum_cap(n, "census")  # before --out is opened: a refusal leaves no file
     t0 = time.perf_counter()
-    _representable_families(n, field)  # so is a support search over the budget
+    _achievable_supports(n, field)  # so is a support search over the budget
     total = _candidate_total(n)
-    try:
-        reused = _resume(out_path, n, field, total) if out_path and os.path.exists(out_path) else 0
+    with _census_file(out_path):  # only a regular file is read: /dev/full never ends a line
+        reused = _resume(out_path, n, field, total) if out_path and os.path.isfile(out_path) else 0
         opened = open(out_path, "a", encoding="utf-8") if out_path else nullcontext()
-    except OSError as exc:
-        raise InputError(f"cannot use {out_path} as the census file: {exc}") from exc
     sweep_start = time.perf_counter()
     with opened as sink:
         for start in range(reused, total, CENSUS_CHUNK):
@@ -471,13 +463,17 @@ def representability_census(
                 # text stays alive while the next chunk is built; freed first, its memory went back
                 # to the system to be faulted in again (5,761 page faults against 1,642 at n = 5)
                 text = _census_chunk(n, field, start, done)
-                sink.write(text)
+                with _census_file(out_path):
+                    sink.write(text)
             if progress:
                 rate = (done - reused) / max(time.perf_counter() - sweep_start, 1e-9)
                 progress(
                     f"census n={n} {field}: {done}/{total} families, {reused} reused, "
                     f"{rate:.0f} families/s, ETA {(total - done) / rate:.1f}s"
                 )
+        if sink is not None:
+            with _census_file(out_path):  # the buffered tail is written here, /dev/full refuses it
+                sink.close()
     runtime = time.perf_counter() - t0
     flags = [f for parity in (0, 1) for f in _orthogonal_flags(n, field, parity)[1]]
     orthogonal, matroids, representable = (sum(f[k] for f in flags) for k in range(3))
@@ -517,11 +513,7 @@ class BoundCheck:
         return _json_fields(self, r=str(self.r), lhs_upper_bound=str(self.lhs_upper_bound), steps=steps)
 
 
-def verify_nelson_chain(
-    n: int,
-    e_upper: Fraction | None = None,
-    log2e_upper: Fraction | None = None,
-) -> BoundCheck:
+def verify_nelson_chain(n: int) -> BoundCheck:
     """Certify the zero-pattern counting chain at one n, 12 <= n <= 24, exactly.
 
     The polynomial family is the N = 2**(n-1) principal Pfaffians of a
@@ -529,18 +521,11 @@ def verify_nelson_chain(
     d = n - 1, coefficients c = 1, candidate cap r = 2**(n**3). Every step
     is an exact big-integer or big-rational comparison, with e and log2(e)
     replaced by certified rational upper bounds, so a true verdict is a
-    proof that the hypothesis quantity stays below r. Passing tighter valid
-    bounds can only keep a true verdict true.
+    proof that the hypothesis quantity stays below r.
     """
     GroundSet(n)  # InputError unless a nonnegative integer, CapabilityError past MAX_GROUND_SIZE
     if n < 12:
         raise InputError(f"the certified chain needs n >= 12, got {n}")
-    e_up = E_UPPER_DEFAULT if e_upper is None else Fraction(e_upper)
-    log2e_up = LOG2E_UPPER_DEFAULT if log2e_upper is None else Fraction(log2e_upper)
-    if e_up <= _E_LOWER_CERT:
-        raise InputError(f"{e_up} cannot be an upper bound for e")
-    if log2e_up <= _LOG2E_LOWER_CERT:
-        raise InputError(f"{log2e_up} cannot be an upper bound for log2(e)")
 
     c = 1
     d = n - 1
@@ -555,14 +540,14 @@ def verify_nelson_chain(
     binom_mid = comb(mid_top, n * n)
     steps.append(("binomial_monotone", binom_hyp <= binom_mid))
     # C(a, b) <= (e*a/b)**b, evaluated with the rational upper bound for e
-    stirling = (e_up * mid_top / (n * n)) ** (n * n)
+    stirling = (E_UPPER_DEFAULT * mid_top / (n * n)) ** (n * n)
     steps.append(("binomial_vs_power", binom_mid <= stirling))
     clean_power = Fraction(1 << (n + 1), n) ** (n * n)
     steps.append(("power_simplifies", stirling < clean_power))
     # log2(3r) + N*log2(c*(e*N)**d)
     #   = log2(3) + n**3 + (n-1)*2**(n-1)*(log2(e) + n - 1)
     # log2(3) <= bitlength(3) = 2, log2(e) <= the certified bound <= 2
-    log_bits = 2 + n**3 + (n - 1) * N * (log2e_up + (n - 1))
+    log_bits = 2 + n**3 + (n - 1) * N * (LOG2E_UPPER_DEFAULT + (n - 1))
     log_bits_int = 2 + n**3 + (n - 1) * N * (n + 1)
     steps.append(("log_term_integer_bound", log_bits <= log_bits_int))
     log_cap = n * n << (n - 1)
@@ -582,7 +567,7 @@ def verify_nelson_chain(
     context = {
         "total_patterns_bound": str((1 << n) * r),
         "knuth_exponent_bounds": [str(knuth_lo), str(knuth_hi)],
-        "e_upper": str(e_up),
-        "log2e_upper": str(log2e_up),
+        "e_upper": str(E_UPPER_DEFAULT),
+        "log2e_upper": str(LOG2E_UPPER_DEFAULT),
     }
     return BoundCheck(n, c, d, N, m, r, lhs, verdict, tuple(steps), context)

@@ -60,10 +60,14 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _digit_limit() -> int:
+    """Python's int-to-string digit limit, or its default where the limit is off (0)."""
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
 def too_many_digits() -> CapabilityError:
-    """The refusal of a value too long for ``str`` to write."""
-    limit = sys.get_int_max_str_digits()
-    return CapabilityError(f"a value has more than {limit} digits, Python's int-to-string limit")
+    """The refusal of a value too long for ``str`` to write, or of an exponent past _digit_limit()."""
+    return CapabilityError(f"a value has more than {_digit_limit()} digits, Python's int-to-string limit")
 
 
 class Ring:
@@ -156,7 +160,7 @@ class RationalField(Ring):
         num, slash, den = head.partition("/")
         whole, point, digits = num.partition(".")
         try:
-            if e and abs(parse_int(exp)) > sys.get_int_max_str_digits():
+            if e and abs(parse_int(exp)) > _digit_limit():
                 raise too_many_digits()  # 10**exponent alone would take seconds to minutes
             parse_int(whole.removeprefix("-") if point or e else whole)
             if slash:

@@ -2,7 +2,6 @@ import hashlib
 import json
 import random
 import time
-from fractions import Fraction
 
 import pytest
 
@@ -16,11 +15,12 @@ from omatroid.census import (
     _census_chunk,
     _class_total,
     _gray_steps,
+    _keep,
     _members,
     _orthogonal_bitmaps,
     _parity_subsets,
-    _representable_families,
     _search_matrix,
+    _twist_by_least,
     enumerate_orthogonal,
     find_regular_representation,
     representability_census,
@@ -280,12 +280,33 @@ def test_census_matroid_flags_match_is_matroid(tmp_path):
 
 
 def test_supports_hold_the_empty_set():
-    # the twist set behind the census is sound only because Pf of the empty matrix is 1
+    # Pf of the empty matrix is 1, so a support's least member is the empty set and the
+    # twist by it leaves the support as it is: every support is a representable family
     for field, top in (("gf2", 5), ("gf3", 4)):
         for n in range(top + 1):
-            assert all(s & 1 for s in _achievable_supports(n, field))
-            rep = _representable_families(n, field)
-            assert all(s in rep for s in _achievable_supports(n, field))
+            for s in _achievable_supports(n, field):
+                assert s & 1 and _twist_by_least(s, _keep(n)) == s
+
+
+def test_supports_are_closed_under_twists_by_their_members():
+    # twisting a support by one of its members is a principal pivot, the lemma behind
+    # reading representability off the least member alone
+    for field, top in (("gf2", 5), ("gf3", 5), ("regular", 4)):
+        for n in range(top + 1):
+            supports = _achievable_supports(n, field)
+            for v in supports:
+                members = [s for s in range(1 << n) if v >> s & 1]
+                for t in members:
+                    assert sum(1 << (s ^ t) for s in members) in supports, (field, n, v, t)
+
+
+def test_twist_by_least_matches_the_twist_of_each_member():
+    # the block swaps against the twist of every member moved one by one
+    for n in range(6):
+        keep = _keep(n)
+        for f in enumerate_orthogonal(n):
+            t = min(f.masks)
+            assert _twist_by_least(sum(1 << b for b in f.masks), keep) == sum(1 << (b ^ t) for b in f.masks)
 
 
 def test_gf2_supports_are_one_per_skew_matrix():
@@ -311,22 +332,10 @@ def test_one_support_search_for_every_partial_field():
         regular = _achievable_supports(n, "regular")
         assert set(regular) == set(_achievable_supports(n, "gf2"))
         assert set(regular) <= set(_achievable_supports(n, "gf3"))
-        assert _twist_closure(n, regular) == _representable_families(n, "gf2")
         for support, index in regular.items():
             a = _search_matrix(n, "regular", index)
             assert set(a.entries) <= {0, 1, -1}
             assert sum(1 << mask for mask, v in enumerate(all_principal_pfaffians(a)) if v) == support
-    assert len(_representable_families(4, "gf2")) == 270
-    # the closure's bit swaps against the twist of every subset moved one by one
-    for field, top in (("gf2", 5), ("gf3", 4)):
-        for n in range(top + 1):
-            assert _twist_closure(n, _achievable_supports(n, field)) == _representable_families(n, field), (field, n)
-
-
-def _twist_closure(n, supports):
-    return frozenset(
-        sum(1 << (s ^ t) for s in range(1 << n) if v >> s & 1) for v in supports for t in range(1 << n)
-    )
 
 
 # sha256 of the census files as the per-candidate exchange checker wrote them
@@ -563,24 +572,11 @@ def test_bound_chain_parameters():
     assert int(bc.context["total_patterns_bound"]) == (1 << 12) * bc.r
 
 
-def test_bound_chain_tighter_constants_stay_true():
-    bc = verify_nelson_chain(
-        12,
-        e_upper=Fraction(27182818284590453, 10**16),
-        log2e_upper=Fraction(14426950408889635, 10**16),
-    )
-    assert bc.verdict
-
-
 def test_bound_chain_input_validation():
     with pytest.raises(InputError):
         verify_nelson_chain(11)
     with pytest.raises(InputError):
         verify_nelson_chain(True)
-    with pytest.raises(InputError):
-        verify_nelson_chain(12, e_upper=Fraction(5, 2))
-    with pytest.raises(InputError):
-        verify_nelson_chain(12, log2e_upper=Fraction(7, 5))
 
 
 def test_bound_chain_json():

@@ -12,8 +12,10 @@ import io
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -93,6 +95,49 @@ def test_a_report_that_cannot_be_written_exits_120(tmp_path, argv):
     with open("/dev/full", "wb") as full:
         proc = _process(*argv, stdout=full, stderr=subprocess.PIPE)
     assert proc.returncode == 120, proc.stderr
+
+
+def _bounded(*args, **kwargs):
+    """A ``python *args`` child and its wall time, held to 1 GiB of address space and 10 s."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, *args], env=ENV, timeout=10, preexec_fn=limit,
+                          capture_output=True, **kwargs)
+    return proc, time.perf_counter() - start
+
+
+@pytest.mark.parametrize("device, code", [("/dev/full", 2), ("/dev/null", 0)])
+def test_census_out_to_a_device(device, code):
+    # only a regular file is resumed: read as one, /dev/full never ends a line
+    if not os.path.exists(device):
+        pytest.skip(f"needs {device}")
+    proc, seconds = _bounded("-m", "omatroid.cli", "census", "--n", "3", "--out", device)
+    assert proc.returncode == code, proc.stderr
+    assert seconds < 1
+    assert b"Traceback" not in proc.stderr
+    if code:
+        error = json.loads(proc.stdout)["error"]
+        assert error["type"] == "InputError"
+        assert error["message"].startswith(f"cannot use {device} as the census file")
+
+
+def test_exponents_are_bounded_when_the_digit_limit_is_off(tmp_path):
+    # with the limit off (0) an exponent is held to the default limit, not refused outright
+    default = sys.int_info.default_max_str_digits
+    for literal, code in (("1e1", 0), ("1e99999999", 3)):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"ring": {"kind": "q"}, "matrix": [["0", literal], ["-" + literal, "0"]]}))
+        proc, seconds = _bounded("-X", "int_max_str_digits=0", "-m", "omatroid.cli", "pfaffian", str(path))
+        assert proc.returncode == code, proc.stdout
+        assert seconds < 1
+        report = json.loads(proc.stdout)
+        if code:
+            assert report["error"]["type"] == "CapabilityError"
+            assert f"more than {default} digits" in report["error"]["message"]
+        else:
+            assert report["data"]["pfaffian"] == "10"
 
 
 def test_main_returns_and_run_exits_with_its_code(tmp_path, monkeypatch):

@@ -36,6 +36,12 @@ def test_removed_aliases_are_gone():
     # one support search, sized by SWEEP_BUDGET, replaced the regular search and the hand-set caps
     for name in ("_regular_normal_reps", "REGULAR_SEARCH_MAX_N", "DEMO_MAX_N", "CENSUS_CAPS"):
         assert not hasattr(census, name)
+    # one lookup at the least member replaced the twist closure of the supports
+    assert not hasattr(census, "_representable_families")
+    # the bound chain runs on its certified constants only: no caller passed other bounds
+    assert list(inspect.signature(census.verify_nelson_chain).parameters) == ["n"]
+    for name in ("_E_LOWER_CERT", "_LOG2E_LOWER_CERT"):
+        assert not hasattr(census, name)
     # one row reduction serves determinants and maximal minors
     for name in ("_det_gauss", "_det_bareiss", "identity_hom", "HOM_IDENTITY"):
         assert not hasattr(exactalg, name)
