@@ -4,11 +4,10 @@ Three kinds of work live here:
 
 * exhaustive enumeration of labeled orthogonal matroids on small ground
   sets. A candidate family is a bitmap over the subsets of one parity
-  (families mixing parities never pass), and one bitset sweep decides
-  symmetric exchange for every bitmap of a parity class at once;
-  ``enumerate_orthogonal`` and the census both read it, and the tests hold
-  it to the pair-by-pair exchange search in ``tests/oracles.py`` and to
-  ``matroid.is_orthogonal``. An orthogonal family is counted as a matroid
+  (families mixing parities never pass), and one bitset sweep, sized in
+  word operations against SWEEP_BUDGET, decides symmetric exchange for
+  every bitmap of a parity class at once; ``enumerate_orthogonal`` and the
+  census both read it. An orthogonal family is counted as a matroid
   exactly when its members share one size, since symmetric exchange on
   such a family is basis exchange; no separate matroid check is run;
 * representability over GF(2), GF(3), and the regular partial field, from one
@@ -41,14 +40,11 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
-from .errors import CapabilityError, InputError
+from .errors import InputError
 from .exactalg import GF, SkewMatrix, ZZ
 from .groundset import GroundSet, SubsetMask, mask_elements, record, within_budget
 from .matroid import BasisFamily
 from .wick import WickRepresentation
-
-#: Enumeration cap: 2**16 families per parity class at n = 5 is the desk limit.
-ENUM_MAX_N = 5
 
 #: Candidates per census chunk: one progress line and one file write each.
 CENSUS_CHUNK = 4096
@@ -100,11 +96,6 @@ def _members(n: int, parity: int, bits: int) -> tuple[int, ...]:
     return tuple(s for i, s in enumerate(_parity_subsets(n, parity)) if bits >> i & 1)
 
 
-def _refuse_past_enum_cap(n: int, task: str) -> None:
-    if n > ENUM_MAX_N:
-        raise CapabilityError(f"{task} is capped at n = {ENUM_MAX_N}")
-
-
 @lru_cache(maxsize=None)
 def _orthogonal_bitmaps(n: int, parity: int) -> frozenset[int]:
     """The candidate bitmaps of one parity class that pass symmetric exchange.
@@ -115,14 +106,15 @@ def _orthogonal_bitmaps(n: int, parity: int) -> frozenset[int]:
     B1 Δ B2, x1 itself lies in T Δ B2 and T Δ {x1} = B1 is in F. So F passes
     exactly when, for every T with some T Δ {x} in F and every B in F, some
     x in T Δ B has T Δ {x} in F. That is decided for all 2**k bitmaps at
-    once, one operation on 2**k-bit integers per (T, B, x).
-    The tests hold it to the pair-by-pair exchange search in
-    ``tests/oracles.py`` and to ``matroid.is_orthogonal``. Above ENUM_MAX_N
-    it refuses before building any bitmap.
+    once, at most n + 2 operations on 2**k-bit integers per (T, B), sized in
+    64-bit words against SWEEP_BUDGET before any bitmap is built. The tests
+    hold it to the pair-by-pair exchange search in ``tests/oracles.py`` and
+    to ``matroid.is_orthogonal``.
     """
-    _refuse_past_enum_cap(n, "orthogonal enumeration")
-    subsets = _parity_subsets(n, parity)
+    subsets, others = _parity_subsets(n, parity), _parity_subsets(n, 1 - parity)
     size = 1 << len(subsets)
+    words = -(-size // 64)  # 64-bit words in one 2**k-bit integer
+    within_budget(len(others) * len(subsets) * (n + 2) * words, "orthogonal enumeration", "word operations")
     everything = (1 << size) - 1
     has = []  # has[i]: the bitmaps holding subset i, runs of 2**i ones every 2**(i+1) places
     for i in range(len(subsets)):
@@ -134,7 +126,7 @@ def _orthogonal_bitmaps(n: int, parity: int) -> frozenset[int]:
         has.append(bitset)
     index = {s: i for i, s in enumerate(subsets)}
     bad = 0
-    for t in _parity_subsets(n, 1 - parity):
+    for t in others:
         near = [has[index[t ^ (1 << x)]] for x in range(n)]  # bitmaps holding T Δ {x}
         miss = [everything ^ b for b in near]
         touched = 0
@@ -151,19 +143,16 @@ def _orthogonal_bitmaps(n: int, parity: int) -> frozenset[int]:
 
 
 @lru_cache(maxsize=None)
-def enumerate_orthogonal(n: int, parity: str = "both") -> tuple[BasisFamily, ...]:
+def enumerate_orthogonal(n: int) -> tuple[BasisFamily, ...]:
     """Every labeled orthogonal matroid on {1..n}, even families first.
 
     Families mixing parities never pass symmetric exchange, so each parity
     class is swept on its own, and the families come out in candidate order.
     """
-    if parity not in ("even", "odd", "both"):
-        raise InputError(f"parity must be 'even', 'odd', or 'both', got {parity!r}")
     ground = GroundSet(n)
-    classes = {"even": (0,), "odd": (1,), "both": (0, 1)}[parity]
     return tuple(
         BasisFamily(ground, frozenset(_members(n, par, bits)))
-        for par in classes
+        for par in (0, 1)
         for bits in sorted(_orthogonal_bitmaps(n, par))
     )
 
@@ -342,11 +331,11 @@ def _orthogonal_flags(n: int, field: str, parity: int) -> tuple[tuple[int, ...],
     a matroid's bases share one size, so an orthogonal candidate is a matroid
     exactly when its bitmap lies inside the bitmap of its least member's size.
     """
+    bitmaps = tuple(sorted(_orthogonal_bitmaps(n, parity)))  # first: its refusal builds no table
     h, _, _, _, full_low, full_high = _class_tables(n, parity)
     subsets = _parity_subsets(n, parity)
     sizes = [sum(1 << i for i, s in enumerate(subsets) if s.bit_count() == k) for k in range(n + 1)]
     supports, keep = _achievable_supports(n, field), _keep(n)
-    bitmaps = tuple(sorted(_orthogonal_bitmaps(n, parity)))
     return bitmaps, tuple(
         (True, not f & ~sizes[subsets[(f & -f).bit_length() - 1].bit_count()],
          _twist_by_least(full_low[f & (1 << h) - 1] | full_high[f >> h], keep) in supports)
@@ -448,13 +437,16 @@ def representability_census(n: int, field: str = "gf2", out_path: str | None = N
     if field not in CENSUS_FIELDS:
         raise InputError(f"field must be one of {list(CENSUS_FIELDS)}, got {field!r}")
     GroundSet(n)  # InputError unless a nonnegative integer
-    _refuse_past_enum_cap(n, "census")  # before --out is opened: a refusal leaves no file
     t0 = time.perf_counter()
-    _achievable_supports(n, field)  # so is a support search over the budget
+    # before --out is opened, so a refusal of the enumeration or the support search leaves no file
+    flags = [f for parity in (0, 1) for f in _orthogonal_flags(n, field, parity)[1]]
     total = _candidate_total(n)
     with _census_file(out_path):  # only a regular file is read: /dev/full never ends a line
         reused = _resume(out_path, n, field, total) if out_path and os.path.isfile(out_path) else 0
-        opened = open(out_path, "a", encoding="utf-8") if out_path else nullcontext()
+        if out_path:  # O_NONBLOCK: a FIFO with no reader is refused at once (ENXIO), not waited on
+            fd = os.open(out_path, os.O_WRONLY | os.O_APPEND | os.O_CREAT | os.O_NONBLOCK, 0o666)
+            os.set_blocking(fd, True)  # a slow reader makes a write wait, not fail with EAGAIN
+        opened = open(fd, "a", encoding="utf-8") if out_path else nullcontext()
     sweep_start = time.perf_counter()
     with opened as sink:
         for start in range(reused, total, CENSUS_CHUNK):
@@ -475,7 +467,6 @@ def representability_census(n: int, field: str = "gf2", out_path: str | None = N
             with _census_file(out_path):  # the buffered tail is written here, /dev/full refuses it
                 sink.close()
     runtime = time.perf_counter() - t0
-    flags = [f for parity in (0, 1) for f in _orthogonal_flags(n, field, parity)[1]]
     orthogonal, matroids, representable = (sum(f[k] for f in flags) for k in range(3))
     return CensusReport(
         n=n,

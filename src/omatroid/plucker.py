@@ -272,8 +272,6 @@ def _dirty_test(ring, rows) -> Callable[[list], bool]:
 
     def dirty(u: list) -> bool:
         u = u if p else _integers(u, ring)[0]  # residues are integers: no call on the GF(p) hot path
-        if not any(u):
-            return False
         spanning = chain(basis, growth)
         if p:
             return any(sum(map(mul, u, b)) % p for b in spanning)

@@ -13,6 +13,7 @@ from omatroid.census import (
     _achievable_supports,
     _candidate_total,
     _census_chunk,
+    _class_tables,
     _class_total,
     _gray_steps,
     _keep,
@@ -34,6 +35,9 @@ from omatroid.matroid import BasisFamily, is_matroid, is_orthogonal
 from omatroid.wick import wick_from_representation
 
 from oracles import achievable_supports, brute_exchange, census_candidates, census_chunk, skew_matrices
+
+
+OVER_BUDGET = r"^the orthogonal enumeration would walk \d+ word operations, over the budget of 4194304$"
 
 
 def fam(n, *bases):
@@ -86,13 +90,15 @@ def test_census_chunk_matches_the_per_candidate_oracle(field, top):
             assert _census_chunk(n, field, start, stop) == census_chunk(n, field, start, stop), (n, start, stop)
 
 
+def _of_parity(n, parity):
+    """The member sets of the enumerated families whose members have sizes of this parity."""
+    return [f.masks for f in enumerate_orthogonal(n) if min(f.masks).bit_count() & 1 == parity]
+
+
 def test_enumerate_orthogonal_counts():
     # frozen counts of labeled families passing symmetric exchange
     assert [len(enumerate_orthogonal(n)) for n in range(5)] == [1, 2, 6, 30, 294]
-    assert len(enumerate_orthogonal(3, "even")) == 15
-    assert len(enumerate_orthogonal(3, "odd")) == 15
-    with pytest.raises(InputError):
-        enumerate_orthogonal(3, "mixed")
+    assert len(_of_parity(3, 0)) == len(_of_parity(3, 1)) == 15
     with pytest.raises(CapabilityError):
         enumerate_orthogonal(6)
 
@@ -101,9 +107,8 @@ def test_enumerate_results_verify():
     for f in enumerate_orthogonal(3):
         assert is_orthogonal(f).ok
     # twisting by {1} is a parity-swapping bijection on the enumeration
-    evens = {f.masks for f in enumerate_orthogonal(4, "even")}
-    odds = {frozenset(m ^ 1 for m in ms) for ms in evens}
-    assert odds == {f.masks for f in enumerate_orthogonal(4, "odd")}
+    odds = {frozenset(m ^ 1 for m in ms) for ms in _of_parity(4, 0)}
+    assert odds == set(_of_parity(4, 1))
 
 
 def _kernel_agrees(n, parity, bits):
@@ -129,7 +134,7 @@ def test_orthogonal_kernel_matches_oracle_on_n5_sample():
 def test_orthogonal_kernel_refuses_above_the_cap_at_once():
     # n = 6 would build 32 integers of 2**32 bits each; the kernel refuses before the first
     start = time.perf_counter()
-    with pytest.raises(CapabilityError, match="orthogonal enumeration is capped at n = 5"):
+    with pytest.raises(CapabilityError, match=OVER_BUDGET):
         _orthogonal_bitmaps(6, 0)
     assert time.perf_counter() - start < 1.0
 
@@ -221,14 +226,17 @@ def test_census_caps_and_validation():
 
 
 def test_census_refusal_creates_no_file(tmp_path):
-    # the enumeration cap is checked before the support search and before --out is opened
+    # the enumeration is sized before the tables, the support search and --out
     out = tmp_path / "census.jsonl"
-    searched = _achievable_supports.cache_info().misses
+    searched, tabled = _achievable_supports.cache_info().misses, _class_tables.cache_info().misses
     for n, field in ((6, "gf2"), (6, "gf3")):
-        with pytest.raises(CapabilityError, match="census is capped at n = 5"):
+        start = time.perf_counter()
+        with pytest.raises(CapabilityError, match=OVER_BUDGET):
             representability_census(n, field, out_path=str(out))
+        assert time.perf_counter() - start < 1.0
         assert not out.exists()
     assert _achievable_supports.cache_info().misses == searched
+    assert _class_tables.cache_info().misses == tabled
 
 
 def test_uniform_two_four_is_not_binary():

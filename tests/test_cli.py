@@ -476,7 +476,7 @@ def test_census_verb(tmp_path, capsys):
 
 
 def test_census_verb_refuses_n6_before_out(tmp_path, capsys):
-    # the GF(2) support search fits the budget at n = 6; the enumeration cap does not
+    # the GF(2) support search fits the budget at n = 6; the orthogonal enumeration does not
     out_path = tmp_path / "c.jsonl"
     for field in ("gf2", "gf3"):
         code, out, _ = run(capsys, "census", "--n", "6", "--field", field, "--out", str(out_path))

@@ -7,6 +7,7 @@ code; that a census file it writes is complete and resumable; that a failed
 flush never exits 0; and that ``main`` itself still returns its code.
 """
 
+import errno
 import importlib
 import io
 import json
@@ -15,12 +16,14 @@ import re
 import resource
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
 from omatroid import cli
+from omatroid.census import _candidate_total, _census_chunk
 from omatroid.cli import main
 
 from test_cli_grammar import FILES, RUNTIME
@@ -121,6 +124,33 @@ def test_census_out_to_a_device(device, code):
         error = json.loads(proc.stdout)["error"]
         assert error["type"] == "InputError"
         assert error["message"].startswith(f"cannot use {device} as the census file")
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+def test_census_out_to_a_fifo(tmp_path):
+    # with no reader the open is refused at once (ENXIO) instead of waiting for one
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    argv = ("-m", "omatroid.cli", "census", "--n", "5", "--out", str(fifo))
+    proc, seconds = _bounded(*argv)
+    assert proc.returncode == 2, proc.stderr
+    assert seconds < 1
+    error = json.loads(proc.stdout)["error"]
+    assert error["type"] == "InputError"
+    assert error["message"].startswith(f"cannot use {fifo} as the census file: [Errno {errno.ENXIO}]")
+    # with a reader every record arrives: 11 MB through a 64 KiB pipe, so writes must wait, not fail
+    held = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # a reader before the child opens the FIFO
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        proc, _ = _bounded(*argv)
+        reader.join(10)
+    finally:
+        os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))  # ends a read still waiting for a writer
+        os.close(held)
+    assert proc.returncode == 0, proc.stderr
+    assert got == [_census_chunk(5, "gf2", 0, _candidate_total(5)).encode()]
 
 
 def test_exponents_are_bounded_when_the_digit_limit_is_off(tmp_path):

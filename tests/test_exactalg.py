@@ -11,6 +11,7 @@ from omatroid.exactalg import (
     QQ,
     SkewMatrix,
     ZZ,
+    _is_prime,
     all_principal_pfaffians,
     apply_hom,
     determinant,
@@ -50,16 +51,24 @@ def test_ring_identities():
         f7.parse("1/2")
     with pytest.raises(InputError):
         GF(6)
-    # Miller-Rabin: a 61-bit prime at once; Carmichael 561 and strong pseudoprime 2047 refused
-    assert GF(2**61 - 1).p == 2**61 - 1
-    for composite in (561, 2047):
-        with pytest.raises(InputError):
-            GF(composite)
+    # Miller-Rabin: primes past the trial divisions up to the largest below 2**64, at once
+    for prime in (41, 2**61 - 1, 2**64 - 59):
+        assert GF(prime).p == prime
+    assert not _is_prime(True)
     with pytest.raises(CapabilityError):  # exit 3: past the range where the test is exact
         GF(2**64 + 13)
     assert GF(7) == GF(7)
     assert GF(5) != GF(7)
     assert QQ != ZZ
+
+
+# 561 (Carmichael) and 2047 = 23 * 89 stop at a trial division; the rest pass every one and
+# reach Miller-Rabin: 1,763 = 41 * 43 fails base 2, 3,215,031,751 is a strong pseudoprime to
+# bases 2, 3, 5 and 7, and 3,825,123,056,546,413,051 to every prime base below 37
+@pytest.mark.parametrize("composite", [561, 2047, 1763, 3215031751, 3825123056546413051])
+def test_a_composite_modulus_is_refused(composite):
+    with pytest.raises(InputError, match=f"^{composite} is not prime$"):  # exit 2
+        GF(composite)
 
 
 def test_ring_parse_fmt_roundtrip():

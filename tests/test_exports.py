@@ -34,12 +34,15 @@ def test_removed_aliases_are_gone():
     assert not hasattr(errors, "ScalingError")
     assert not hasattr(omatroid, "ScalingError")
     # one support search, sized by SWEEP_BUDGET, replaced the regular search and the hand-set caps
-    for name in ("_regular_normal_reps", "REGULAR_SEARCH_MAX_N", "DEMO_MAX_N", "CENSUS_CAPS"):
+    for name in ("_regular_normal_reps", "REGULAR_SEARCH_MAX_N", "DEMO_MAX_N", "CENSUS_CAPS",
+                 "ENUM_MAX_N", "_refuse_past_enum_cap"):
         assert not hasattr(census, name)
     # one lookup at the least member replaced the twist closure of the supports
     assert not hasattr(census, "_representable_families")
     # the bound chain runs on its certified constants only: no caller passed other bounds
     assert list(inspect.signature(census.verify_nelson_chain).parameters) == ["n"]
+    # the enumeration has no parity option: only tests asked for one class
+    assert list(inspect.signature(census.enumerate_orthogonal).parameters) == ["n"]
     for name in ("_E_LOWER_CERT", "_LOG2E_LOWER_CERT"):
         assert not hasattr(census, name)
     # one row reduction serves determinants and maximal minors

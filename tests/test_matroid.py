@@ -35,6 +35,13 @@ def test_family_construction():
     assert f.members() == (mask_of_elements([1, 2]), mask_of_elements([3, 4]))
     assert [s.elements() for s in f.subsets()] == [(1, 2), (3, 4)]
     assert f.to_json() == {"n": 4, "bases": [[1, 2], [3, 4]]}
+    # a member may also be given as a SubsetMask of the same ground set or as a mask
+    g = BasisFamily.from_subsets(f.ground, [f.ground.subset([1, 2]), mask_of_elements([3, 4])])
+    assert g == f
+    assert f.ground.subset([3, 4]) in f and mask_of_elements([1, 2]) in f
+    assert f.ground.subset([1, 3]) not in f and 0 not in f
+    with pytest.raises(InputError, match="^subset from a different ground set$"):
+        BasisFamily.from_subsets(f.ground, [GroundSet(5).subset([1, 2])])
     with pytest.raises(InputError):
         BasisFamily(GroundSet(2), frozenset())
     with pytest.raises(InputError):
@@ -119,6 +126,8 @@ def test_twist_involution_and_parity():
     tw = twist(f, t)
     assert tw.to_json() == {"n": 4, "bases": [[1, 3], [2, 3], [1, 4], [2, 4]]}
     assert twist(tw, t).masks == f.masks
+    with pytest.raises(InputError, match="^twist set lives on a different ground set$"):
+        twist(f, GroundSet(5).subset([1, 3]))
     # twisting preserves symmetric exchange
     for bits in range(1 << 4):
         tt = SubsetMask(g, bits)

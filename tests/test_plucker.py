@@ -47,11 +47,18 @@ def test_vector_construction_dense_and_sparse():
     q = PluckerVector.from_coords(G4, 2, QQ, sparse)
     assert p.coords == q.coords
     assert p.coord(G4.subset([1, 4])) == 2
+    with pytest.raises(InputError, match="^subset from a different ground set$"):
+        p.coord(GroundSet(5).subset([1, 4]))
+    with pytest.raises(InputError, match=r"^\{1\}/4 is not an 2-subset$"):
+        p.coord(G4.subset([1]))
 
 
 def test_vector_validation():
     with pytest.raises(InputError):
         PluckerVector.from_coords(G4, 5, QQ, [1])  # rank above ground size
+    for r in (-1, 5):  # no r-subsets, so only the constructor itself can refuse the rank
+        with pytest.raises(InputError, match=f"^rank {r} is outside 0..4$"):
+            PluckerVector(G4, r, QQ, (1,))
     with pytest.raises(InputError):
         PluckerVector.from_coords(G4, 2, QQ, [1, 2, 3])  # wrong length
     with pytest.raises(InputError):

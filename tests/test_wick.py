@@ -51,6 +51,10 @@ def test_from_representation_golden():
     assert p.coord(G4.subset([1, 4])) == 1
     assert p.coord(G4.subset([2, 4])) == 6
     assert p.coord(G4.subset([1, 2, 3, 4])) == 0  # pf of the full matrix vanishes
+    with pytest.raises(InputError, match="^subset from a different ground set$"):
+        p.coord(GroundSet(5).subset([]))
+    with pytest.raises(InputError, match="^twist ground set size 5 does not match matrix size 4$"):
+        WickRepresentation(example_matrix(), GroundSet(5).subset([]))
 
 
 def test_from_representation_respects_twist():
@@ -144,6 +148,8 @@ def test_twist_golden_and_involution():
     back = twist_wick(q, t)
     assert back.coords == p.coords
     assert q.coords == example_vector(0b0100).coords
+    with pytest.raises(InputError, match="^twist set lives on a different ground set$"):
+        twist_wick(p, GroundSet(5).subset([3]))
 
 
 def test_twist_preserves_wick():
