@@ -106,15 +106,16 @@ def _orthogonal_bitmaps(n: int, parity: int) -> frozenset[int]:
     B1 Δ B2, x1 itself lies in T Δ B2 and T Δ {x1} = B1 is in F. So F passes
     exactly when, for every T with some T Δ {x} in F and every B in F, some
     x in T Δ B has T Δ {x} in F. That is decided for all 2**k bitmaps at
-    once, at most n + 2 operations on 2**k-bit integers per (T, B), sized in
-    64-bit words against SWEEP_BUDGET before any bitmap is built. The tests
-    hold it to the pair-by-pair exchange search in ``tests/oracles.py`` and
-    to ``matroid.is_orthogonal``.
+    once, in operations on 2**k-bit integers: at most n + 2 per (T, B) and
+    3n per T for its near, miss and touched lists. Both classes' sweeps, the
+    whole enumeration, are sized from n alone in 64-bit words against
+    SWEEP_BUDGET before any subset table is built. The tests hold it to the pair-by-pair exchange search in
+    ``tests/oracles.py`` and to ``matroid.is_orthogonal``.
     """
+    k = 1 << n >> 1  # the subsets of each parity, for n >= 1; 2**k bits are 2**(k - 6) words
+    within_budget(2 * k * (k * (n + 2) + 3 * n) << max(k - 6, 0), "orthogonal enumeration", "word operations")
     subsets, others = _parity_subsets(n, parity), _parity_subsets(n, 1 - parity)
     size = 1 << len(subsets)
-    words = -(-size // 64)  # 64-bit words in one 2**k-bit integer
-    within_budget(len(others) * len(subsets) * (n + 2) * words, "orthogonal enumeration", "word operations")
     everything = (1 << size) - 1
     has = []  # has[i]: the bitmaps holding subset i, runs of 2**i ones every 2**(i+1) places
     for i in range(len(subsets)):
@@ -423,6 +424,14 @@ def _census_file(path: str | None):
         raise InputError(f"cannot use {path} as the census file: {exc}") from exc
 
 
+def _open_unwaited(path: str, flags: int) -> int:
+    """The census file's opener: O_NONBLOCK refuses a FIFO with no reader at once (ENXIO) instead
+    of waiting for one, and blocking again, a write to a slow reader waits instead of failing."""
+    fd = os.open(path, flags | os.O_NONBLOCK, 0o666)
+    os.set_blocking(fd, True)
+    return fd
+
+
 def representability_census(n: int, field: str = "gf2", out_path: str | None = None,
                             progress=None) -> CensusReport:
     """Sweep every candidate family on {1..n} and mark the representable ones.
@@ -443,10 +452,7 @@ def representability_census(n: int, field: str = "gf2", out_path: str | None = N
     total = _candidate_total(n)
     with _census_file(out_path):  # only a regular file is read: /dev/full never ends a line
         reused = _resume(out_path, n, field, total) if out_path and os.path.isfile(out_path) else 0
-        if out_path:  # O_NONBLOCK: a FIFO with no reader is refused at once (ENXIO), not waited on
-            fd = os.open(out_path, os.O_WRONLY | os.O_APPEND | os.O_CREAT | os.O_NONBLOCK, 0o666)
-            os.set_blocking(fd, True)  # a slow reader makes a write wait, not fail with EAGAIN
-        opened = open(fd, "a", encoding="utf-8") if out_path else nullcontext()
+        opened = open(out_path, "a", encoding="utf-8", opener=_open_unwaited) if out_path else nullcontext()
     sweep_start = time.perf_counter()
     with opened as sink:
         for start in range(reused, total, CENSUS_CHUNK):
@@ -468,16 +474,8 @@ def representability_census(n: int, field: str = "gf2", out_path: str | None = N
                 sink.close()
     runtime = time.perf_counter() - t0
     orthogonal, matroids, representable = (sum(f[k] for f in flags) for k in range(3))
-    return CensusReport(
-        n=n,
-        field=field,
-        total_families_checked=total,
-        orthogonal_count=orthogonal,
-        matroid_count=matroids,
-        representable_counts={field: representable},
-        runtime_seconds=round(runtime, 3),
-        notes=(ASYMPTOTIC_GAP_NOTE, LABELED_COUNT_NOTE),
-    )
+    return CensusReport(n, field, total, orthogonal, matroids, {field: representable}, round(runtime, 3),
+                        (ASYMPTOTIC_GAP_NOTE, LABELED_COUNT_NOTE))
 
 
 # ---------------------------------------------------------------------------

@@ -28,11 +28,11 @@ SWEEP_BUDGET = 1 << 22
 
 
 def within_budget(steps: int, task: str, unit: str = "candidate pairs") -> None:
-    """Refuse ``task`` with CapabilityError if it would take more than SWEEP_BUDGET steps."""
+    """Refuse ``task`` with CapabilityError if it would take more than SWEEP_BUDGET steps.
+    A count past 64 bits is named by a power of 2: str() refuses an int of 4,300 digits."""
     if steps > SWEEP_BUDGET:
-        raise CapabilityError(
-            f"the {task} would walk {steps} {unit}, over the budget of {SWEEP_BUDGET}"
-        )
+        shown = steps if steps >> 64 == 0 else f"at least 2**{steps.bit_length() - 1}"
+        raise CapabilityError(f"the {task} would walk {shown} {unit}, over the budget of {SWEEP_BUDGET}")
 
 
 def record(cls):

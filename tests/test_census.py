@@ -37,7 +37,7 @@ from omatroid.wick import wick_from_representation
 from oracles import achievable_supports, brute_exchange, census_candidates, census_chunk, skew_matrices
 
 
-OVER_BUDGET = r"^the orthogonal enumeration would walk \d+ word operations, over the budget of 4194304$"
+OVER_BUDGET = r"^the orthogonal enumeration would walk (\d+|at least 2\*\*\d+) word operations, over the budget of 4194304$"
 
 
 def fam(n, *bases):
@@ -132,11 +132,25 @@ def test_orthogonal_kernel_matches_oracle_on_n5_sample():
 
 
 def test_orthogonal_kernel_refuses_above_the_cap_at_once():
-    # n = 6 would build 32 integers of 2**32 bits each; the kernel refuses before the first
-    start = time.perf_counter()
-    with pytest.raises(CapabilityError, match=OVER_BUDGET):
-        _orthogonal_bitmaps(6, 0)
-    assert time.perf_counter() - start < 1.0
+    # n = 6 would build 32 integers of 2**32 bits each, n = 24 two tuples of 2**23 subsets before
+    # them; the kernel is sized from n alone and refuses before either, its count past 64 bits
+    # named by a power of 2
+    listed = _parity_subsets.cache_info().misses
+    for n, refuse in ((6, lambda: _orthogonal_bitmaps(6, 0)), (15, lambda: _orthogonal_bitmaps(15, 1)),
+                      (24, lambda: enumerate_orthogonal(24))):
+        start = time.perf_counter()
+        with pytest.raises(CapabilityError, match=OVER_BUDGET) as info:
+            refuse()
+        assert time.perf_counter() - start < 1.0
+        assert ("at least 2**" in str(info.value)) == (n > 6)
+    assert _parity_subsets.cache_info().misses == listed
+
+
+def test_orthogonal_kernel_budget_counts_both_classes(monkeypatch):
+    # n = 5: 2 classes * 16 sets T * (16 members B * 7 + 15) operations * 1,024 words, which fits
+    monkeypatch.setattr(groundset, "SWEEP_BUDGET", 4_161_535)
+    with pytest.raises(CapabilityError, match=r"would walk 4161536 word operations, over the budget of 4161535$"):
+        _orthogonal_bitmaps.__wrapped__(5, 0)
 
 
 def test_skew_matrices_count_in_code_order():
@@ -229,7 +243,8 @@ def test_census_refusal_creates_no_file(tmp_path):
     # the enumeration is sized before the tables, the support search and --out
     out = tmp_path / "census.jsonl"
     searched, tabled = _achievable_supports.cache_info().misses, _class_tables.cache_info().misses
-    for n, field in ((6, "gf2"), (6, "gf3")):
+    listed = _parity_subsets.cache_info().misses
+    for n, field in ((6, "gf2"), (6, "gf3"), (15, "gf2"), (24, "gf3")):
         start = time.perf_counter()
         with pytest.raises(CapabilityError, match=OVER_BUDGET):
             representability_census(n, field, out_path=str(out))
@@ -237,6 +252,7 @@ def test_census_refusal_creates_no_file(tmp_path):
         assert not out.exists()
     assert _achievable_supports.cache_info().misses == searched
     assert _class_tables.cache_info().misses == tabled
+    assert _parity_subsets.cache_info().misses == listed
 
 
 def test_uniform_two_four_is_not_binary():

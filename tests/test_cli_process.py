@@ -126,6 +126,19 @@ def test_census_out_to_a_device(device, code):
         assert error["message"].startswith(f"cannot use {device} as the census file")
 
 
+@pytest.mark.parametrize("n", ["6", "15", "24"])
+def test_census_past_the_budget_exits_3_at_once(tmp_path, n):
+    # sized from n alone: no subset table is built, and a count of 4,300+ digits is still named
+    out = tmp_path / "c.jsonl"
+    proc, seconds = _bounded("-m", "omatroid.cli", "census", "--n", n, "--out", str(out))
+    assert proc.returncode == 3, proc.stderr
+    assert seconds < 1
+    error = json.loads(proc.stdout)["error"]
+    assert error["type"] == "CapabilityError"
+    assert error["message"].startswith("the orthogonal enumeration would walk ")
+    assert not out.exists()
+
+
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
 def test_census_out_to_a_fifo(tmp_path):
     # with no reader the open is refused at once (ENXIO) instead of waiting for one
