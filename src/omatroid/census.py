@@ -109,8 +109,9 @@ def _orthogonal_bitmaps(n: int, parity: int) -> frozenset[int]:
     once, in operations on 2**k-bit integers: at most n + 2 per (T, B) and
     3n per T for its near, miss and touched lists. Both classes' sweeps, the
     whole enumeration, are sized from n alone in 64-bit words against
-    SWEEP_BUDGET before any subset table is built. The tests hold it to the pair-by-pair exchange search in
-    ``tests/oracles.py`` and to ``matroid.is_orthogonal``.
+    SWEEP_BUDGET before any subset table is built. The tests hold it to the
+    pair-by-pair exchange search in ``tests/oracles.py`` and to
+    ``matroid.is_orthogonal``.
     """
     k = 1 << n >> 1  # the subsets of each parity, for n >= 1; 2**k bits are 2**(k - 6) words
     within_budget(2 * k * (k * (n + 2) + 3 * n) << max(k - 6, 0), "orthogonal enumeration", "word operations")
