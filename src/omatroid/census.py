@@ -38,6 +38,7 @@ from bisect import bisect_left
 from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
 
 from .errors import InputError
@@ -141,7 +142,7 @@ def _orthogonal_bitmaps(n: int, parity: int) -> frozenset[int]:
                     stuck &= miss[x]
             bad |= stuck
     good = everything & ~bad & ~1  # bitmap 0 is the empty family, never a candidate
-    return frozenset(f for f, bit in enumerate(bin(good)[:1:-1]) if bit == "1")
+    return frozenset(f - 1 for f in accumulate(len(zeros) + 1 for zeros in bin(good)[:1:-1].split("1")[:-1]))
 
 
 @lru_cache(maxsize=None)

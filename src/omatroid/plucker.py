@@ -23,20 +23,21 @@ relation for (S, T) is u_S . w_T, an entry of U W^T for rows on 1..n. Only
 a dirty u_S, one not orthogonal to the span of the w_T, has a nonzero
 relation, so the full family vanishes exactly when no row is dirty and
 fails first in the first dirty row, and the short family is swept over
-dirty rows only. The classifiers decide both families from one certificate
-and one echelon basis. A check is refused before it starts when its family
-has more than SWEEP_BUDGET pairs in N_S x N_T, whatever the method.
+dirty rows only, each row's partners read off one product with packed
+columns. The classifiers decide both families from one certificate. A
+check is refused before it starts when its family has more than
+SWEEP_BUDGET pairs in N_S x N_T, whatever the method.
 """
 
 from fractions import Fraction
-from functools import cache, lru_cache, partial
-from itertools import chain, compress, count, tee
-from math import comb, gcd
-from operator import mul
+from functools import cache, lru_cache, partial, reduce
+from itertools import chain, compress, count, repeat
+from math import comb, prod
+from operator import mul, or_
 from typing import Callable, Mapping
 
 from .errors import ClassificationError, InputError, MembershipError, RankError
-from .exactalg import QQ, Matrix, Ring, _integers, _Ratios, _reduce
+from .exactalg import QQ, Matrix, Ring, _integers, _is_prime, _Ratios, _reduce
 from .groundset import GroundSet, SubsetMask, mask_elements, masks_of_size, record, within_budget
 from .matroid import BasisFamily, is_matroid
 from .verdicts import AxiomVerdict, Label
@@ -50,18 +51,19 @@ def _index_of(n: int, r: int) -> dict[int, int]:
 def _canonical_coords(ring: Ring, masks, coords):
     """Validate coordinates listed in the order of ``masks`` and scale them.
 
-    There must be one coordinate per mask. Each value is coerced into the
-    ring. Over a field every nonzero value is a unit, so membership is
-    checked only over the regular partial field: MembershipError names the
-    first subset outside {0, +1, -1}. The vector is then scaled so its first
-    nonzero coordinate is 1, over the regular partial field by that +1 or -1.
-    A _Ratios stays one: numerators times a, denominators times b, where
-    a / b is the first nonzero value's inverse in lowest terms.
+    There must be one coordinate per mask, each coerced into the ring unless one scan finds
+    them all canonical ints (in [0, p) over GF(p)), as kernels and parsers give them. Over a
+    field every nonzero value is a unit, so membership is checked only over the regular partial
+    field: MembershipError names the first subset outside {0, +1, -1}. The vector is then scaled
+    so its first nonzero coordinate is 1, over the regular partial field by that +1 or -1.
+    A _Ratios stays one: numerators times a, denominators times b, where a / b is the first
+    nonzero value's inverse in lowest terms.
     """
     if len(coords) != len(masks):
         raise InputError(f"expected {len(masks)} coordinates, got {len(coords)}")
-    ratios = isinstance(coords, _Ratios)  # QQ values from the integer kernels, kept as integers
-    values = coords.nums if ratios else [ring.coerce(v) for v in coords]
+    ratios, p = isinstance(coords, _Ratios), ring.p  # QQ values from the integer kernels, kept as integers
+    ints = ring != QQ and set(map(type, coords)) == {int} and (not p or 0 <= min(coords) <= max(coords) < p)
+    values = coords.nums if ratios else coords if ints else [ring.coerce(v) for v in coords]
     if not ring.is_field:
         for mask, v in zip(masks, values):
             if not ring.is_element(v):
@@ -77,7 +79,7 @@ def _canonical_coords(ring: Ring, masks, coords):
         a, b = lam.numerator, lam.denominator
         return _Ratios(values if a == 1 else [a * v for v in values],
                        dens if b == 1 else [b * d for d in dens])
-    lam, p = ring.inv(values[i]), ring.p
+    lam = ring.inv(values[i])
     if lam == ring.one:
         return tuple(values)
     return tuple(lam * v % p for v in values) if p else tuple(lam * v for v in values)
@@ -239,90 +241,145 @@ def plucker_from_matrix(a: Matrix) -> PluckerVector:
     return PluckerVector(ground, r, a.ring, coords)
 
 
-def _dirty_test(ring, rows) -> Callable[[list], bool]:
-    """A test for whether a row is dirty: not orthogonal to the span of ``rows``.
+def _moduli(bound: int) -> tuple[int, ...]:
+    """The fewest primes below 2**64 with a product above ``bound``: the least one, or the largest."""
+    primes = [(1 << 64) - 59]  # the largest prime below 2**64
+    if bound < primes[0]:
+        return (next(q for q in count(bound + 1) if _is_prime(q)),)
+    while prod(primes) <= bound:
+        primes.append(next(q for q in range(primes[-1] - 2, 1, -2) if _is_prime(q)))
+    return tuple(primes)
 
-    Rows are equal-length lists of ring values; over QQ each is scaled to
-    integers by _integers, which keeps span and orthogonality, so no
-    Fraction is made. The echelon basis that decides the test is grown from
-    ``rows``, read once, only while a tested row is orthogonal to all of it:
-    a dirty row met early costs a few rows, a clean one completes the basis.
+
+class _Kernel:
+    """Which rows u_a of ``cert`` are dirty mod the prime q: not orthogonal to the w_b's span.
+
+    Slot i of all columns is one integer pw[i] of fields, field b holding w_b[i] mod q (Kronecker
+    substitution), so sum_i u_a[i] * pw[i] holds u_a . w_b for every b: rows are decided in order
+    by these products until one is clean. Then a reduced echelon basis (j, -e), e[j] = 1, is read
+    from the columns while each extends it, past one in its span from the first with a nonzero
+    pw[i] + sum_k pw[j_k] * -e_k[i] at a free slot i, and products with it decide every row.
     """
-    p = ring.p
-    pivots, basis = [], []  # basis[i] is 0 at pivots[:i] and not at pivots[i]
 
-    def grow():  # the basis rows still to come, each appended to ``basis`` when found
-        for row in rows:
-            w = row = row if p else _integers(row, ring)[0]
-            for k, b in zip(pivots, basis):
-                c, f = b[k], w[k]
-                if f:
-                    w = [c * x - f * y for x, y in zip(w, b)]
-            if not p:
-                g = gcd(*w) or 1
-                w = [x // g for x in w]
-            elif w is not row:  # a row met unreduced holds ring values, already taken mod p
-                w = [x % p for x in w]
-            if any(w):
-                pivots.append(next(k for k, x in enumerate(w) if x))
-                basis.append(w)
-                yield w
+    def __init__(self, cert, q: int):
+        self.cert, self.q, self.reduce, self.c = cert, q, not cert.ring.p, -((-1 << cert.f) // q)
+        self.lift, self.products, self.flags = ((1 << cert.f) - self.c) * cert.ones, {}, None
+        t = cert.turn  # the columns are the rows turned by t slots, or packed alike
+        pw = cert.pack(map(cert.u, cert.rows) if t else map(cert.w, cert.cols), q, self.reduce)
+        self.pw = pw[t:] + pw[:t]
 
-    growth = grow()
+    def nonzero(self, x: int) -> int:  # bit F of each field set when the field is not 0 mod q
+        return ((x * self.c & self.cert.low) + self.lift) & self.cert.high
 
-    def dirty(u: list) -> bool:
-        u = u if p else _integers(u, ring)[0]  # residues are integers: no call on the GF(p) hot path
-        spanning = chain(basis, growth)
-        if p:
-            return any(sum(map(mul, u, b)) % p for b in spanning)
-        return any(sum(map(mul, u, b)) for b in spanning)
+    def relations(self, a: int) -> int:
+        """Bit F of field b set when u_a . w_b is not 0 mod q, for every column b."""
+        if a not in self.products:
+            row, q = self.cert.u(self.cert.rows[a]), self.q
+            self.products[a] = self.nonzero(sum(p * (x % q) for p, x in zip(self.pw, row) if x))
+        return self.products[a]
 
-    return dirty
+    def dirty(self, a: int) -> int:
+        if self.flags is None and not self.relations(a):
+            self._decide()
+        return self.flags is None or self.flags[a * self.cert.kb + self.cert.f // 8] & 1 << self.cert.f % 8
+
+    def _decide(self) -> None:
+        q, cert, pw, basis, free, b = self.q, self.cert, self.pw, [], list(range(self.cert.slots)), 0
+        while free and b < len(cert.cols):
+            r = cert.w(cert.cols[b])
+            for j, ne in basis:
+                if f := r[j] % q:
+                    r = [x + f * y for x, y in zip(r, ne)]
+            if any(r := [x % q for x in r]):
+                j = next(i for i, x in enumerate(r) if x)
+                m, b = q - pow(r[j], -1, q), b + 1
+                ne = [x * m % q for x in r]
+                basis = [(p, [(x + f[j] * y) % q for x, y in zip(f, ne)] if f[j] else f) for p, f in basis]
+                basis.append((j, ne))
+                free.remove(j)
+            else:
+                res = (pw[i] + sum(pw[j] * ne[i] for j, ne in basis if ne[i]) for i in free)
+                out = reduce(or_, map(self.nonzero, res))
+                b = ((out & -out).bit_length() - 1) // (8 * cert.kb) if out else len(cert.cols)
+        pu = pw[t:] + pw[:t] if (t := cert.turn) else cert.pack(map(cert.u, cert.rows), q, self.reduce)
+        prods = (sum(pu[i] * ne[i] for i in (j, *free) if ne[i]) for j, ne in basis)
+        flags = reduce(or_, map(self.nonzero, prods), 0)
+        self.flags = flags.to_bytes(len(cert.rows) * cert.kb, "little")
 
 
 class _Certificate:
     """The relations of one vector over N as the entries sign * u_a . w_b of U W^T.
 
-    ``u`` and ``w`` build each row once, the only place the relation's signs
-    live. Row a is dirty when u_a is not orthogonal to the span of the
-    columns, as one lazy _dirty_test decides. Each walk over the rows reads
-    a copy of one tee of the verdicts, so it replays those found so far.
+    ``u`` and ``w`` build each row once, the only place the relation's signs live, from the
+    coordinates as integers (over QQ times their common denominator ``scale``). Row a is dirty
+    when u_a is not orthogonal to the columns' span, as one _Kernel per prime q decides: q = p
+    over GF(p); over ZZ and QQ the q have a product above 2 * L * M**2 >= 2 * |u_a . w_b| (L the
+    row length, M the largest |coordinate|), so a row is dirty exactly when it is so mod some q.
+
+    A field holds f < 2**N, a sum of up to L + 1 products of residues; f = a*q + r is 0 mod q
+    exactly when f*c mod 2**F < c, F = N + bits(q) + 1, c = ceil(2**F / q) = (2**F + t) / q, t < q
+    (Lemire, Kaser and Kurz, "Faster remainder by direct computation", 2019): f*c = a*2**F + a*t
+    + r*c and (a + 1)*t < 2**N + q < c, so f*c mod 2**F is a*t < c at r = 0 and a*t + r*c in
+    [c, 2**F) at 0 < r < q. Fields of N + F + 1 bits never carry.
     """
 
-    def __init__(self, p: _CoordinateVector, rows, cols, u, w, sign: int, verdict):
-        self.ground, self.ring, self.rows, self.cols = p.ground, p.ring, rows, cols
-        self.u, self.w, self.sign, self.verdict = u, w, sign, verdict
-        test = _dirty_test(self.ring, map(w, cols))
-        self.verdicts = tee(map(test, map(u, rows)), 1)[0]
+    def __init__(self, p: _CoordinateVector, rows, cols, u, w, sign: int, verdict, scale: int, turn=0):
+        self.ground, self.ring, self.rows, self.cols, self.turn = p.ground, p.ring, rows, cols, turn
+        self.u, self.w, self.sign, self.verdict, self.scale = u, w, sign, verdict, scale
+        self.top, self.built = 0 if self.ring.p else int(max(map(abs, p.coords)) * scale), None
+
+    def dirty(self, a: int) -> bool:
+        if self.built is None:  # one _Kernel a modulus, built when the first row is decided
+            self.slots = slots = len(self.u(self.rows[0]))
+            moduli = (self.ring.p,) if self.ring.p else _moduli(2 * slots * self.top**2)
+            n = ((slots + 1) * (max(moduli) - 1) ** 2).bit_length()
+            self.f = n + max(moduli).bit_length() + 1
+            self.kb, fields = -(-(n + self.f + 1) // 8), max(len(self.rows), len(self.cols))
+            self.ones = int.from_bytes(b"\1".ljust(self.kb, b"\0") * fields, "little")  # 1 a field
+            self.low, self.high = ((1 << self.f) - 1) * self.ones, self.ones << self.f
+            self.at = {b: i * self.kb + self.f // 8 for i, b in enumerate(self.cols)}
+            self.built = [_Kernel(self, q) for q in moduli]
+        return any(k.dirty(a) for k in self.built)
+
+    def pack(self, rows, q: int, mod: bool) -> list[int]:
+        """Slot i of every row, taken mod q when ``mod``, as one integer of fields, for each i."""
+        flat = map(q.__rmod__, chain.from_iterable(zip(*rows))) if mod else chain.from_iterable(zip(*rows))
+        vb, kb = -(-(q - 1).bit_length() // 8), self.kb
+        raw = bytes(flat) if vb == 1 else b"".join(map(int.to_bytes, flat, repeat(vb), repeat("little")))
+        spread = bytearray(len(raw) // vb * kb)
+        for i in range(vb):
+            spread[i::kb] = raw[i::vb]
+        step = len(spread) // self.slots
+        return [int.from_bytes(spread[s * step : (s + 1) * step], "little") for s in range(self.slots)]
 
     def value(self, a: int, b: int):
-        return self.ring.coerce(self.sign * sum(map(mul, self.u(a), self.w(b))))
+        x = self.sign * sum(map(mul, self.u(a), self.w(b)))
+        return self.ring.coerce(Fraction(x, self.scale**2) if self.scale > 1 else x)
 
     def failure(self, a: int, partners):
-        """The first (a, b), b in ``partners``, with a nonzero relation, as a failing verdict."""
-        for b in partners:
-            if val := self.value(a, b):  # zero is falsy in every ring
-                g = self.ground
-                return self.verdict(False, SubsetMask(g, a), SubsetMask(g, b), val)
+        """The first (rows[a], b), b in ``partners``, with a nonzero relation, as a failing verdict."""
+        z = reduce(or_, (k.relations(a) for k in self.built)).to_bytes(len(self.cols) * self.kb, "little")
+        b = next((b for b in partners if z[self.at[b]] & 1 << self.f % 8), None)
+        if b is not None:
+            g, s = self.ground, self.rows[a]
+            return self.verdict(False, SubsetMask(g, s), SubsetMask(g, b), self.value(s, b))
 
     def full(self, partners: Callable):
         """No dirty row, or the first failing (a, b) of the first dirty a, b in ``partners(a)``."""
-        a = next(compress(self.rows, self.verdicts.__copy__()), None)
-        if a is None:
-            return self.verdict(True)
-        verdict = self.failure(a, partners(a))
+        a = next(filter(self.dirty, range(len(self.rows))), None)
+        verdict = self.verdict(True) if a is None else self.failure(a, partners(self.rows[a]))
         assert verdict is not None, "the certificate's row holds no failing pair"
         return verdict
 
     def short(self, partners: Callable):
         """The first failing (a, b) over the dirty a, b in ``partners(a)``."""
-        dirty = compress(self.rows, self.verdicts.__copy__())
-        failures = (self.failure(a, partners(a)) for a in dirty)
+        dirty = filter(self.dirty, range(len(self.rows)))
+        failures = (self.failure(a, partners(self.rows[a])) for a in dirty)
         return next((v for v in failures if v is not None), self.verdict(True))
 
 
-def _signed_row(ring, coords, idx, n: int, flip: int, mask: int) -> list:
-    """x -> (-1)**|mask above x| * p_{mask delta x} for the x in ``mask ^ flip``, else 0."""
+def _signed_row(p: int, coords, idx, n: int, flip: int, mask: int) -> list:
+    """x -> (-1)**|mask above x| * p_{mask delta x} for the x in ``mask ^ flip``, else 0 (mod p if p)."""
     row = [0] * n
     elems = mask ^ flip
     while elems:
@@ -330,18 +387,19 @@ def _signed_row(ring, coords, idx, n: int, flip: int, mask: int) -> list:
         elems ^= b
         x = b.bit_length()  # element label
         v = coords[idx[mask ^ b]]
-        row[x - 1] = ring.neg(v) if (mask >> x).bit_count() & 1 else v
+        row[x - 1] = (p - v if p else -v) if v and (mask >> x).bit_count() & 1 else v
     return row
 
 
 def _gp_certificate(p: PluckerVector) -> _Certificate:
     """N_S as rows u_S, _signed_row on the x in S, and N_T as columns w_T, on the x not in T."""
     near, n, r = _neighbourhood(p), p.ground.n, p.r
-    row = partial(_signed_row, p.ring, p.coords, _index_of(n, r), n)
+    coords, scale = _integers(p.coords, p.ring)
+    row = partial(_signed_row, p.ring.p, coords, _index_of(n, r), n)
     u, w = cache(partial(row, 0)), cache(partial(row, (1 << n) - 1))
     s_masks = [m for m in near if m.bit_count() == r + 1]
     t_masks = [m for m in near if m.bit_count() == r - 1]
-    return _Certificate(p, s_masks, t_masks, u, w, 1, GPVerdict)
+    return _Certificate(p, s_masks, t_masks, u, w, 1, GPVerdict, scale)
 
 
 def _gp_full(cert: _Certificate) -> GPVerdict:

@@ -21,10 +21,11 @@ of the whole family: verdicts and witnesses are those over all pairs.
 Both families are read off the certificate of plucker.py on 2n slots
 (i, a), a in {0, 1}: the relation for (J1, J2) is minus u_J1 . w_J2, and
 U W^T is symmetric with a zero diagonal, so the first dirty u_J1 fails
-first against a later partner. The full check sweeps that row alone, the
-short check the dirty rows only, and classify_wick decides both from one
-certificate. Either check is refused before it starts when it has more
-than SWEEP_BUDGET pairs from N to cover, whatever the method.
+first against a later partner (w_J is u_J with its halves swapped, so the
+packed rows are the packed columns turned by n). The full check reads that
+row's partners, the short check the dirty rows' only, and classify_wick
+decides both from one certificate. Either check is refused before it
+starts when it has more than SWEEP_BUDGET pairs from N, whatever the method.
 
 A representation is a skew matrix A plus a twist set T; it induces the
 vector p_J = Pf(A restricted to J delta T). Reconstruction inverts this:
@@ -37,7 +38,7 @@ from functools import cache, partial
 from typing import Mapping
 
 from .errors import InputError, MembershipError
-from .exactalg import Ring, SkewMatrix, _Ratios, all_principal_pfaffians
+from .exactalg import Ring, SkewMatrix, _integers, _Ratios, all_principal_pfaffians
 from .groundset import GroundSet, SubsetMask, masks_of_size, record, within_budget
 from .matroid import BasisFamily, is_orthogonal
 from .plucker import (
@@ -150,14 +151,13 @@ def _twisted(coords, tb: int):
     return [coords[m ^ tb] for m in range(len(coords))] if tb else coords
 
 
-def _wick_row(ring, coords, n: int, mask: int) -> list:
-    """i -> (-1)**|mask below i| * p_{mask delta i}, at slot i + n * [i in mask] of 2n."""
+def _wick_row(p: int, coords, n: int, mask: int) -> list:
+    """i -> (-1)**|mask below i| * p_{mask delta i}, at slot i + n * [i in mask] of 2n (mod p if p)."""
     row = [0] * (2 * n)
     for i in range(n):
         b = 1 << i
-        v = coords[mask ^ b]
-        if v:
-            row[i + n * (mask >> i & 1)] = ring.neg(v) if (mask & (b - 1)).bit_count() & 1 else v
+        if v := coords[mask ^ b]:
+            row[i + n * (mask >> i & 1)] = (p - v if p else -v) if (mask & (b - 1)).bit_count() & 1 else v
     return row
 
 
@@ -167,9 +167,10 @@ def _wick_certificate(p: WickVector) -> _Certificate:
     Their slots meet at the i in J1 delta J2, and the signs multiply to minus the relation's.
     """
     near, n = _neighbourhood(p), p.ground.n
-    u = cache(partial(_wick_row, p.ring, p.coords, n))
+    coords, scale = _integers(p.coords, p.ring)
+    u = cache(partial(_wick_row, p.ring.p, coords, n))
     w = cache(lambda j: (row := u(j))[n:] + row[:n])
-    return _Certificate(p, near, near, u, w, -1, WickPairVerdict)
+    return _Certificate(p, near, near, u, w, -1, WickPairVerdict, scale, n)
 
 
 def _wick_full(cert: _Certificate) -> WickPairVerdict:

@@ -30,6 +30,10 @@ for each support.
 it extended each key from the key of a shorter mask: the mask's elements,
 listed and joined one by one.
 
+``dirty_test`` is the rank test the relation certificate ran before it
+packed its columns: an echelon basis of the columns grown one column at a
+time, and each row tested by its dot products with that basis.
+
 ``census_chunk`` is the per-candidate census writer the library ran before
 it wrote records a run at a time: it walks candidates one by one, builds
 each record with ``json.dumps``.
@@ -37,7 +41,9 @@ each record with ``json.dumps``.
 
 import json
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import chain, permutations, product
+from math import gcd, lcm
+from operator import mul
 
 
 def perm_sign(seq) -> int:
@@ -227,6 +233,49 @@ def brute_gp_sweep(p, three_term_only):
             if val:
                 return False, s_mask, t_mask, val
     return True, None, None, None
+
+
+def dirty_test(mod, rows):
+    """A test for whether a row is dirty: not orthogonal to the span of ``rows``.
+
+    Rows are equal-length lists of integers (mod ``mod`` when it is nonzero)
+    or Fractions, each scaled to integers by the lcm of its denominators.
+    The echelon basis is grown from ``rows``, read once, only while a tested
+    row is orthogonal to all of it.
+    """
+    def integers(row):
+        c = lcm(*(v.denominator for v in row))
+        return [v.numerator * (c // v.denominator) for v in row]
+
+    pivots, basis = [], []  # basis[i] is 0 at pivots[:i] and not at pivots[i]
+
+    def grow():  # the basis rows still to come, each appended to ``basis`` when found
+        for row in rows:
+            w = [x % mod for x in row] if mod else integers(row)
+            for k, b in zip(pivots, basis):
+                c, f = b[k], w[k]
+                if f:
+                    w = [c * x - f * y for x, y in zip(w, b)]
+            if mod:
+                w = [x % mod for x in w]
+            else:
+                g = gcd(*w) or 1
+                w = [x // g for x in w]
+            if any(w):
+                pivots.append(next(k for k, x in enumerate(w) if x))
+                basis.append(w)
+                yield w
+
+    growth = grow()
+
+    def dirty(u):
+        u = u if mod else integers(u)
+        spanning = chain(basis, growth)
+        if mod:
+            return any(sum(map(mul, u, b)) % mod for b in spanning)
+        return any(sum(map(mul, u, b)) for b in spanning)
+
+    return dirty
 
 
 def brute_exchange(f, reason, same_size, strong):

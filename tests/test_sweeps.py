@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from omatroid import plucker
+from omatroid import plucker, wick
 from omatroid.cli import main
 from omatroid.errors import CapabilityError, MembershipError, RankError
 from omatroid.exactalg import GF, QQ, ZZ, Matrix, SkewMatrix, all_principal_pfaffians
@@ -43,7 +43,7 @@ from omatroid.wick import (
     wick_from_representation,
 )
 
-from oracles import brute_gp_sweep, brute_wick_4term, brute_wick_full
+from oracles import brute_gp_sweep, brute_wick_4term, brute_wick_full, dirty_test
 
 RINGS = {"gf2": GF(2), "gf3": GF(3), "gf7": GF(7), "qq": QQ, "regular": ZZ}
 
@@ -53,7 +53,10 @@ ENTRIES = {
     "gf7": st.integers(0, 6),
     "qq": st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
     "regular": st.sampled_from([0, 1, -1]),
+    "gf_big": st.integers(0, 2**64 - 60),
+    "qq30": st.builds(Fraction, st.integers(-(10**30) + 1, 10**30 - 1), st.integers(1, 9)),
 }
+KERNEL_RINGS = {**RINGS, "gf_big": GF(2**64 - 59), "qq30": QQ}  # RINGS and two with huge values
 
 SWEEPS = settings(max_examples=40, deadline=None)
 
@@ -81,7 +84,7 @@ def wick_vectors(draw, name):
     """A Wick vector from a block or dense skew matrix and a random twist,
     kept as is, with one coordinate moved, or with one coordinate of the
     other size parity made nonzero."""
-    ring = RINGS[name]
+    ring = KERNEL_RINGS[name]
     n = draw(st.integers(2, 5 if name == "regular" else 7), label="n")
     g = GroundSet(n)
     block = draw(st.none() | st.lists(st.integers(0, 2), min_size=n, max_size=n), label="block")
@@ -109,7 +112,7 @@ def wick_vectors(draw, name):
 def plucker_vectors(draw, name):
     """A Plucker vector of rank 1..n-1 on 3 <= n <= 7 from a block or dense matrix,
     kept as is or with one coordinate moved."""
-    ring = RINGS[name]
+    ring = KERNEL_RINGS[name]
     n = draw(st.integers(3, 7), label="n")
     r = draw(st.integers(1, n - 1), label="r")
     block = draw(st.none() | st.lists(st.integers(0, 2), min_size=n, max_size=n), label="block")
@@ -202,13 +205,16 @@ def _dense_wick(name, seed, n=8):
     """A dense Wick vector: a random skew matrix, or over the regular partial field the
     all-ones one (every principal Pfaffian 1), with random signs; then a random twist."""
     rng = random.Random(seed)
-    ring = RINGS[name]
+    ring = KERNEL_RINGS[name]
     if name == "regular":
         signs = [rng.choice((1, -1)) for _ in range(n)]
         upper = [signs[i] * signs[j] for i in range(n) for j in range(i + 1, n)]
     else:
         entry = {"gf7": lambda: rng.randrange(1, 7),
-                 "qq": lambda: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3))}[name]
+                 "qq": lambda: Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 3)),
+                 "gf2": lambda: 1,
+                 "gf_big": lambda: rng.randrange(1, 2**64 - 59),
+                 "qq30": lambda: Fraction(rng.randrange(-(10**30) + 1, 10**30), rng.randint(1, 3))}[name]
         upper = [entry() for _ in range(n * (n - 1) // 2)]
     twist = SubsetMask(GroundSet(n), rng.randrange(1 << n))
     rep = WickRepresentation(SkewMatrix.from_upper(ring, n, upper), twist)
@@ -218,9 +224,12 @@ def _dense_wick(name, seed, n=8):
 def _dense_plucker(name, seed=3):
     """The maximal minors of a random 3 x 8 matrix."""
     rng = random.Random(seed)
-    ring = RINGS[name]
+    ring = KERNEL_RINGS[name]
     entry = {"gf7": lambda: rng.randrange(7),
-             "qq": lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 3))}[name]
+             "qq": lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+             "gf2": lambda: rng.randrange(2),
+             "gf_big": lambda: rng.randrange(2**64 - 59),
+             "qq30": lambda: Fraction(rng.randrange(-(10**30) + 1, 10**30), rng.randint(1, 3))}[name]
     rows = [[entry() for _ in range(8)] for _ in range(3)]
     return plucker_from_matrix(Matrix.from_rows(ring, rows))
 
@@ -343,10 +352,10 @@ def test_classify_builds_one_certificate(monkeypatch):
 
     def counted(*args):
         built.append(args)
-        return dirty_test(*args)
+        return kernel(*args)
 
-    dirty_test = plucker._dirty_test
-    monkeypatch.setattr(plucker, "_dirty_test", counted)
+    kernel = plucker._Kernel
+    monkeypatch.setattr(plucker, "_Kernel", counted)
     w = _dense_wick("gf7", seed=8)
     p = _dense_plucker("gf7")
     moved_w = WickVector(w.ground, w.ring, tuple(next(_late_moved(w.ring, w.coords, late=1))))
@@ -356,6 +365,54 @@ def test_classify_builds_one_certificate(monkeypatch):
         built.clear()
         classify(vector)
         assert len(built) == 1
+
+
+# ---------------------------------------------------------------------------
+# the certificate's kernel against the lazy rank test it replaced
+
+
+def _certificate(p):
+    return wick._wick_certificate(p) if isinstance(p, WickVector) else plucker._gp_certificate(p)
+
+
+def _assert_flags_match_the_oracle(p):
+    """Every row's dirty flag, and the first dirty row of a fresh certificate, as ``dirty_test``'s."""
+    cert = _certificate(p)
+    test = dirty_test(p.ring.p, map(cert.w, cert.cols))
+    expected = [test(cert.u(a)) for a in cert.rows]
+    first = next(filter(_certificate(p).dirty, range(len(cert.rows))), None)
+    assert first == next((a for a, dirty in enumerate(expected) if dirty), None)
+    assert [bool(cert.dirty(a)) for a in range(len(cert.rows))] == expected
+
+
+@pytest.mark.parametrize("name", ["gf2", "gf7", "gf_big", "qq30", "regular"])
+@SWEEPS
+@given(data=st.data())
+def test_kernel_flags_match_the_oracle(name, data):
+    _assert_flags_match_the_oracle(data.draw(wick_vectors(name)))
+    _assert_flags_match_the_oracle(data.draw(plucker_vectors(name)))
+
+
+@pytest.mark.parametrize("name", ["gf2", "gf7", "gf_big", "qq30", "regular"])
+def test_kernel_flags_match_the_oracle_on_late_moved_vectors(name):
+    vectors = [_dense_wick(name, seed=8)]
+    if name != "regular":
+        vectors.append(_dense_plucker(name))
+    for p in vectors:
+        _assert_flags_match_the_oracle(p)
+        for coords in _late_moved(p.ring, p.coords, late=4):
+            if isinstance(p, WickVector):
+                _assert_flags_match_the_oracle(WickVector(p.ground, p.ring, tuple(coords)))
+            else:
+                _assert_flags_match_the_oracle(PluckerVector(p.ground, p.r, p.ring, tuple(coords)))
+
+
+@pytest.mark.slow
+def test_kernel_flags_match_the_oracle_at_dense_n12():
+    p = WickVector(GroundSet(12), RINGS["gf7"], tuple(_dense_wick_coords(12, seed=12)))
+    _assert_flags_match_the_oracle(p)
+    moved = next(_late_moved(p.ring, p.coords, late=1))
+    _assert_flags_match_the_oracle(WickVector(p.ground, p.ring, tuple(moved)))
 
 
 # ---------------------------------------------------------------------------
