@@ -23,10 +23,10 @@ relation for (S, T) is u_S . w_T, an entry of U W^T for rows on 1..n. Only
 a dirty u_S, one not orthogonal to the span of the w_T, has a nonzero
 relation, so the full family vanishes exactly when no row is dirty and
 fails first in the first dirty row, and the short family is swept over
-dirty rows only, each row's partners read off one product with packed
-columns. The classifiers decide both families from one certificate. A
-check is refused before it starts when its family has more than
-SWEEP_BUDGET pairs in N_S x N_T, whatever the method.
+dirty rows only, a row tested against a basis of the columns grown until
+it meets it and the rest decided on packed columns. The classifiers decide
+both families from one certificate. A check is refused before it starts
+when its family has more than SWEEP_BUDGET pairs in N_S x N_T.
 """
 
 from fractions import Fraction
@@ -51,19 +51,18 @@ def _index_of(n: int, r: int) -> dict[int, int]:
 def _canonical_coords(ring: Ring, masks, coords):
     """Validate coordinates listed in the order of ``masks`` and scale them.
 
-    There must be one coordinate per mask, each coerced into the ring unless one scan finds
-    them all canonical ints (in [0, p) over GF(p)), as kernels and parsers give them. Over a
-    field every nonzero value is a unit, so membership is checked only over the regular partial
-    field: MembershipError names the first subset outside {0, +1, -1}. The vector is then scaled
-    so its first nonzero coordinate is 1, over the regular partial field by that +1 or -1.
-    A _Ratios stays one: numerators times a, denominators times b, where a / b is the first
-    nonzero value's inverse in lowest terms.
+    There must be one coordinate per mask. Each value is coerced into the
+    ring. Over a field every nonzero value is a unit, so membership is
+    checked only over the regular partial field: MembershipError names the
+    first subset outside {0, +1, -1}. The vector is then scaled so its first
+    nonzero coordinate is 1, over the regular partial field by that +1 or -1.
+    A _Ratios stays one: numerators times a, denominators times b, where
+    a / b is the first nonzero value's inverse in lowest terms.
     """
     if len(coords) != len(masks):
         raise InputError(f"expected {len(masks)} coordinates, got {len(coords)}")
-    ratios, p = isinstance(coords, _Ratios), ring.p  # QQ values from the integer kernels, kept as integers
-    ints = ring != QQ and set(map(type, coords)) == {int} and (not p or 0 <= min(coords) <= max(coords) < p)
-    values = coords.nums if ratios else coords if ints else [ring.coerce(v) for v in coords]
+    ratios = isinstance(coords, _Ratios)  # QQ values from the integer kernels, kept as integers
+    values = coords.nums if ratios else [ring.coerce(v) for v in coords]
     if not ring.is_field:
         for mask, v in zip(masks, values):
             if not ring.is_element(v):
@@ -79,7 +78,7 @@ def _canonical_coords(ring: Ring, masks, coords):
         a, b = lam.numerator, lam.denominator
         return _Ratios(values if a == 1 else [a * v for v in values],
                        dens if b == 1 else [b * d for d in dens])
-    lam = ring.inv(values[i])
+    lam, p = ring.inv(values[i]), ring.p
     if lam == ring.one:
         return tuple(values)
     return tuple(lam * v % p for v in values) if p else tuple(lam * v for v in values)
@@ -251,60 +250,96 @@ def _moduli(bound: int) -> tuple[int, ...]:
     return tuple(primes)
 
 
-class _Kernel:
-    """Which rows u_a of ``cert`` are dirty mod the prime q: not orthogonal to the w_b's span.
+def _pack(rows, q: int, mod: bool, slots: int, kb: int) -> list[int]:
+    """Slot i of every row, taken mod q when ``mod``, as one integer of kb-byte fields, for each i."""
+    flat = map(q.__rmod__, chain.from_iterable(zip(*rows))) if mod else chain.from_iterable(zip(*rows))
+    vb = -(-(q - 1).bit_length() // 8)
+    raw = bytes(flat) if vb == 1 else b"".join(map(int.to_bytes, flat, repeat(vb), repeat("little")))
+    spread = bytearray(len(raw) // vb * kb)
+    for i in range(vb):
+        spread[i::kb] = raw[i::vb]
+    step = len(spread) // slots
+    return [int.from_bytes(spread[s * step : (s + 1) * step], "little") for s in range(slots)]
 
-    Slot i of all columns is one integer pw[i] of fields, field b holding w_b[i] mod q (Kronecker
-    substitution), so sum_i u_a[i] * pw[i] holds u_a . w_b for every b: rows are decided in order
-    by these products until one is clean. Then a reduced echelon basis (j, -e), e[j] = 1, is read
-    from the columns while each extends it, past one in its span from the first with a nonzero
-    pw[i] + sum_k pw[j_k] * -e_k[i] at a free slot i, and products with it decide every row.
+
+@cache
+def _fields(slots: int, top: int, fields: int, q: int) -> tuple[int, ...]:
+    """F, bytes a field, the bits below F and at F of every field, and c and 2**F - c a field mod q."""
+    n = ((slots + 1) * (top - 1) ** 2).bit_length()
+    f = n + top.bit_length() + 1
+    kb, c = -(-(n + f + 1) // 8), -((-1 << f) // q)
+    ones = int.from_bytes(b"\1".ljust(kb, b"\0") * fields, "little")
+    return f, kb, ((1 << f) - 1) * ones, ones << f, c, ((1 << f) - c) * ones
+
+
+def _kernel(cert, q: int):
+    """``dirty(a)``: is u_a of ``cert`` not orthogonal to the w_b's span mod the prime q? And
+    ``relations(a)``, once the columns are packed: bit F of field b set when u_a . w_b is not 0.
+
+    An echelon basis of the columns is grown only while the row being decided is orthogonal to
+    all of it, reading them in order until more have lain in its span than extend it. Then it
+    is reduced, e_k[j_k] = -1, and slot i of all columns becomes one integer pw[i] of fields, b
+    holding w_b[i] mod q (Kronecker substitution); the next to read is the first with a nonzero
+    pw[i] + sum_k pw[j_k] * e_k[i] at a free slot i. Once a row is clean, d products of the
+    packed rows with the basis decide every row.
     """
+    u, w, rows, cols, mod, slots = cert.u, cert.w, cert.rows, cert.cols, not cert.ring.p, cert.slots
+    f, kb, low, high, c, lift = _fields(slots, max(cert.moduli), max(len(rows), len(cols)), q)
+    pack, basis, pivots, free, pw, flags = partial(_pack, q=q, mod=mod, slots=slots, kb=kb), [], [], [], [], None
 
-    def __init__(self, cert, q: int):
-        self.cert, self.q, self.reduce, self.c = cert, q, not cert.ring.p, -((-1 << cert.f) // q)
-        self.lift, self.products, self.flags = ((1 << cert.f) - self.c) * cert.ones, {}, None
-        t = cert.turn  # the columns are the rows turned by t slots, or packed alike
-        pw = cert.pack(map(cert.u, cert.rows) if t else map(cert.w, cert.cols), q, self.reduce)
-        self.pw = pw[t:] + pw[:t]
+    def nonzero(x: int) -> int:  # bit F of each field set when the field is not 0 mod q
+        return ((x * c & low) + lift) & high
 
-    def nonzero(self, x: int) -> int:  # bit F of each field set when the field is not 0 mod q
-        return ((x * self.c & self.cert.low) + self.lift) & self.cert.high
+    def extend(v: list) -> list:  # v, 0 at every pivot, joins as -1 at its first nonzero slot
+        j = next(i for i, x in enumerate(v) if x)
+        v = [x * (q - pow(v[j], -1, q)) % q for x in v]
+        basis[:] = [[(x + e[j] * y) % q for x, y in zip(e, v)] if e[j] else e for e in basis]
+        pivots.append(j), basis.append(v), free.remove(j)
+        return v
 
-    def relations(self, a: int) -> int:
-        """Bit F of field b set when u_a . w_b is not 0 mod q, for every column b."""
-        if a not in self.products:
-            row, q = self.cert.u(self.cert.rows[a]), self.q
-            self.products[a] = self.nonzero(sum(p * (x % q) for p, x in zip(self.pw, row) if x))
-        return self.products[a]
+    def grow():  # the basis vectors still to come, each appended to ``basis`` when found
+        spent = 0
+        for v in map(w, cols):
+            col = v
+            for k, e in zip(pivots, basis):
+                if x := v[k]:
+                    y = e[k]
+                    v = [y * a - x * b for a, b in zip(v, e)]
+            if mod or v is not col:  # a GF(p) column met unreduced holds residues already
+                v = [a % q for a in v]
+            if any(v):
+                pivots.append(next(k for k, x in enumerate(v) if x)), basis.append(v)
+                yield v
+            elif (spent := spent + 1) > len(basis):
+                break
+        else:
+            return
+        pw[:], old, free[:] = pack(map(w, cols)), basis[:], range(slots)
+        del basis[:], pivots[:]
+        list(map(extend, old))
+        while free and (out := reduce(or_, (nonzero(pw[i] + sum(pw[j] * e[i] for j, e in zip(pivots, basis) if e[i]))
+                                            for i in free))):
+            v = w(cols[((out & -out).bit_length() - 1) // (8 * kb)])
+            for j, e in zip(pivots, basis):
+                if x := v[j] % q:
+                    v = [a + x * b for a, b in zip(v, e)]
+            yield extend([a % q for a in v])
 
-    def dirty(self, a: int) -> int:
-        if self.flags is None and not self.relations(a):
-            self._decide()
-        return self.flags is None or self.flags[a * self.cert.kb + self.cert.f // 8] & 1 << self.cert.f % 8
+    def dirty(a: int) -> int:
+        nonlocal flags
+        if flags is None:
+            row = u(rows[a])
+            if any(sum(map(mul, row, e)) % q for e in chain(basis, growth)):
+                return True
+            pu = pack(map(u, rows))
+            flags = reduce(or_, (nonzero(sum(map(mul, pu, e))) for e in basis), 0).to_bytes(len(rows) * kb, "little")
+        return flags[a * kb + f // 8] & 1 << f % 8
 
-    def _decide(self) -> None:
-        q, cert, pw, basis, free, b = self.q, self.cert, self.pw, [], list(range(self.cert.slots)), 0
-        while free and b < len(cert.cols):
-            r = cert.w(cert.cols[b])
-            for j, ne in basis:
-                if f := r[j] % q:
-                    r = [x + f * y for x, y in zip(r, ne)]
-            if any(r := [x % q for x in r]):
-                j = next(i for i, x in enumerate(r) if x)
-                m, b = q - pow(r[j], -1, q), b + 1
-                ne = [x * m % q for x in r]
-                basis = [(p, [(x + f[j] * y) % q for x, y in zip(f, ne)] if f[j] else f) for p, f in basis]
-                basis.append((j, ne))
-                free.remove(j)
-            else:
-                res = (pw[i] + sum(pw[j] * ne[i] for j, ne in basis if ne[i]) for i in free)
-                out = reduce(or_, map(self.nonzero, res))
-                b = ((out & -out).bit_length() - 1) // (8 * cert.kb) if out else len(cert.cols)
-        pu = pw[t:] + pw[:t] if (t := cert.turn) else cert.pack(map(cert.u, cert.rows), q, self.reduce)
-        prods = (sum(pu[i] * ne[i] for i in (j, *free) if ne[i]) for j, ne in basis)
-        flags = reduce(or_, map(self.nonzero, prods), 0)
-        self.flags = flags.to_bytes(len(cert.rows) * cert.kb, "little")
+    def relations(a: int) -> int | None:
+        return nonzero(sum(p * (x % q) for p, x in zip(pw, u(rows[a])) if x)) if pw else None
+
+    growth = grow()
+    return dirty, relations
 
 
 class _Certificate:
@@ -312,45 +347,30 @@ class _Certificate:
 
     ``u`` and ``w`` build each row once, the only place the relation's signs live, from the
     coordinates as integers (over QQ times their common denominator ``scale``). Row a is dirty
-    when u_a is not orthogonal to the columns' span, as one _Kernel per prime q decides: q = p
+    when u_a is not orthogonal to the columns' span, as one _kernel per prime q decides: q = p
     over GF(p); over ZZ and QQ the q have a product above 2 * L * M**2 >= 2 * |u_a . w_b| (L the
     row length, M the largest |coordinate|), so a row is dirty exactly when it is so mod some q.
 
-    A field holds f < 2**N, a sum of up to L + 1 products of residues; f = a*q + r is 0 mod q
+    A field holds f < 2**N, a sum of up to L + 1 products of residues, and f = a*q + r is 0 mod q
     exactly when f*c mod 2**F < c, F = N + bits(q) + 1, c = ceil(2**F / q) = (2**F + t) / q, t < q
-    (Lemire, Kaser and Kurz, "Faster remainder by direct computation", 2019): f*c = a*2**F + a*t
-    + r*c and (a + 1)*t < 2**N + q < c, so f*c mod 2**F is a*t < c at r = 0 and a*t + r*c in
-    [c, 2**F) at 0 < r < q. Fields of N + F + 1 bits never carry.
+    (Lemire, Kaser and Kurz, 2019): f*c = a*2**F + a*t + r*c and (a + 1)*t < 2**N + q < c. Fields
+    of N + F + 1 bits never carry.
     """
 
-    def __init__(self, p: _CoordinateVector, rows, cols, u, w, sign: int, verdict, scale: int, turn=0):
-        self.ground, self.ring, self.rows, self.cols, self.turn = p.ground, p.ring, rows, cols, turn
+    def __init__(self, p: _CoordinateVector, rows, cols, u, w, sign: int, verdict, scale: int):
+        self.ground, self.ring, self.rows, self.cols = p.ground, p.ring, rows, cols
         self.u, self.w, self.sign, self.verdict, self.scale = u, w, sign, verdict, scale
-        self.top, self.built = 0 if self.ring.p else int(max(map(abs, p.coords)) * scale), None
+        self.top, self.built, self.at = 0 if self.ring.p else int(max(map(abs, p.coords)) * scale), None, None
 
-    def dirty(self, a: int) -> bool:
-        if self.built is None:  # one _Kernel a modulus, built when the first row is decided
+    def dirty(self):
+        """The indices of the dirty rows, in order, each decided when it is read."""
+        if self.built is None and self.rows:  # one _kernel a modulus, built when the first row is decided
             self.slots = slots = len(self.u(self.rows[0]))
-            moduli = (self.ring.p,) if self.ring.p else _moduli(2 * slots * self.top**2)
-            n = ((slots + 1) * (max(moduli) - 1) ** 2).bit_length()
-            self.f = n + max(moduli).bit_length() + 1
-            self.kb, fields = -(-(n + self.f + 1) // 8), max(len(self.rows), len(self.cols))
-            self.ones = int.from_bytes(b"\1".ljust(self.kb, b"\0") * fields, "little")  # 1 a field
-            self.low, self.high = ((1 << self.f) - 1) * self.ones, self.ones << self.f
-            self.at = {b: i * self.kb + self.f // 8 for i, b in enumerate(self.cols)}
-            self.built = [_Kernel(self, q) for q in moduli]
-        return any(k.dirty(a) for k in self.built)
-
-    def pack(self, rows, q: int, mod: bool) -> list[int]:
-        """Slot i of every row, taken mod q when ``mod``, as one integer of fields, for each i."""
-        flat = map(q.__rmod__, chain.from_iterable(zip(*rows))) if mod else chain.from_iterable(zip(*rows))
-        vb, kb = -(-(q - 1).bit_length() // 8), self.kb
-        raw = bytes(flat) if vb == 1 else b"".join(map(int.to_bytes, flat, repeat(vb), repeat("little")))
-        spread = bytearray(len(raw) // vb * kb)
-        for i in range(vb):
-            spread[i::kb] = raw[i::vb]
-        step = len(spread) // self.slots
-        return [int.from_bytes(spread[s * step : (s + 1) * step], "little") for s in range(self.slots)]
+            self.moduli = moduli = (self.ring.p,) if self.ring.p else _moduli(2 * slots * self.top**2)
+            self.f, self.kb = _fields(slots, max(moduli), max(len(self.rows), len(self.cols)), moduli[0])[:2]
+            self.built = [_kernel(self, q) for q in moduli]
+        tests = [d for d, _ in self.built or ()]
+        return filter(tests[0] if len(tests) == 1 else lambda a: any(d(a) for d in tests), range(len(self.rows)))
 
     def value(self, a: int, b: int):
         x = self.sign * sum(map(mul, self.u(a), self.w(b)))
@@ -358,23 +378,26 @@ class _Certificate:
 
     def failure(self, a: int, partners):
         """The first (rows[a], b), b in ``partners``, with a nonzero relation, as a failing verdict."""
-        z = reduce(or_, (k.relations(a) for k in self.built)).to_bytes(len(self.cols) * self.kb, "little")
-        b = next((b for b in partners if z[self.at[b]] & 1 << self.f % 8), None)
-        if b is not None:
-            g, s = self.ground, self.rows[a]
-            return self.verdict(False, SubsetMask(g, s), SubsetMask(g, b), self.value(s, b))
+        s, products = self.rows[a], [r(a) for _, r in self.built]
+        if None not in products:  # one product a kernel reads which b those are
+            if self.at is None:  # the byte of each column's flag in a packed product
+                self.at = {b: i * self.kb + self.f // 8 for i, b in enumerate(self.cols)}
+            z = reduce(or_, products).to_bytes(len(self.cols) * self.kb, "little")
+            partners = (b for b in partners if z[self.at[b]] & 1 << self.f % 8)
+        for b in partners:
+            if val := self.value(s, b):  # zero is falsy in every ring
+                return self.verdict(False, SubsetMask(self.ground, s), SubsetMask(self.ground, b), val)
 
     def full(self, partners: Callable):
         """No dirty row, or the first failing (a, b) of the first dirty a, b in ``partners(a)``."""
-        a = next(filter(self.dirty, range(len(self.rows))), None)
+        a = next(self.dirty(), None)
         verdict = self.verdict(True) if a is None else self.failure(a, partners(self.rows[a]))
         assert verdict is not None, "the certificate's row holds no failing pair"
         return verdict
 
     def short(self, partners: Callable):
         """The first failing (a, b) over the dirty a, b in ``partners(a)``."""
-        dirty = filter(self.dirty, range(len(self.rows)))
-        failures = (self.failure(a, partners(self.rows[a])) for a in dirty)
+        failures = (self.failure(a, partners(self.rows[a])) for a in self.dirty())
         return next((v for v in failures if v is not None), self.verdict(True))
 
 

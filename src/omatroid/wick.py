@@ -21,11 +21,11 @@ of the whole family: verdicts and witnesses are those over all pairs.
 Both families are read off the certificate of plucker.py on 2n slots
 (i, a), a in {0, 1}: the relation for (J1, J2) is minus u_J1 . w_J2, and
 U W^T is symmetric with a zero diagonal, so the first dirty u_J1 fails
-first against a later partner (w_J is u_J with its halves swapped, so the
-packed rows are the packed columns turned by n). The full check reads that
-row's partners, the short check the dirty rows' only, and classify_wick
-decides both from one certificate. Either check is refused before it
-starts when it has more than SWEEP_BUDGET pairs from N, whatever the method.
+first against a later partner (w_J is u_J with its halves swapped). The
+full check reads that row's partners, the short check the dirty rows' only,
+and classify_wick decides both from one certificate. Either check is
+refused before it starts when it has more than SWEEP_BUDGET pairs from N,
+whatever the method.
 
 A representation is a skew matrix A plus a twist set T; it induces the
 vector p_J = Pf(A restricted to J delta T). Reconstruction inverts this:
@@ -170,7 +170,7 @@ def _wick_certificate(p: WickVector) -> _Certificate:
     coords, scale = _integers(p.coords, p.ring)
     u = cache(partial(_wick_row, p.ring.p, coords, n))
     w = cache(lambda j: (row := u(j))[n:] + row[:n])
-    return _Certificate(p, near, near, u, w, -1, WickPairVerdict, scale, n)
+    return _Certificate(p, near, near, u, w, -1, WickPairVerdict, scale)
 
 
 def _wick_full(cert: _Certificate) -> WickPairVerdict:
