@@ -45,7 +45,6 @@ from .errors import InputError
 from .exactalg import GF, SkewMatrix, ZZ
 from .groundset import GroundSet, SubsetMask, mask_elements, record, within_budget
 from .matroid import BasisFamily
-from .wick import WickRepresentation
 
 #: Candidates per census chunk: one progress line and one file write each.
 CENSUS_CHUNK = 4096
@@ -247,8 +246,9 @@ def _twist_by_least(v: int, keep: tuple[int, ...]) -> int:
     return v
 
 
-def find_regular_representation(f: BasisFamily) -> WickRepresentation | None:
+def find_regular_representation(f: BasisFamily) -> "WickRepresentation | None":
     """A representation of f over the regular partial field twisted by f's least member, or None."""
+    from .wick import WickRepresentation  # here: a census process loads no sweep module
     n = f.ground.n
     index = _achievable_supports(n, "regular").get(_twist_by_least(sum(1 << b for b in f.masks), _keep(n)))
     if index is None:
@@ -291,15 +291,24 @@ def _json_fields(rec, **converted) -> dict:
 _PLAIN = (False, False, False)
 
 
-def _record_endings(field: str) -> dict[tuple[bool, bool, bool], str]:
+def _record_endings(field: str) -> dict[tuple[bool, bool, bool], bytes]:
     word = ("false", "true")
-    out = {_PLAIN: '],"orthogonal":false}\n'}
+    out = {_PLAIN: b'],"orthogonal":false}\n'}
     for m in (False, True):
         for r in (False, True):
             out[True, m, r] = (
                 f'],"matroid":{word[m]},"orthogonal":true,"representable":{{"{field}":{word[r]}}}}}\n'
-            )
+            ).encode()
     return out
+
+
+def _doubled(items: list, empty) -> list:
+    """The sum of the items picked by each bitmask b, in item order, doubling the table once per
+    item: entry b | 2**i, for b < 2**i, is entry b + items[i]."""
+    table = [empty]
+    for x in items:
+        table += [t + x for t in table]
+    return table
 
 
 @lru_cache(maxsize=None)
@@ -308,22 +317,15 @@ def _class_tables(n: int, parity: int) -> tuple:
 
     The record line of F is pre[lo] + high[hi] + ending, pre being ``plain``
     when hi == 0 and otherwise ``joined``, which adds a comma after any low
-    member. F's members, as a bitmap over all 2**n subsets, are
-    full_low[lo] | full_high[hi]. Each table has at most 2**ceil(k/2) entries.
+    member. Each table has at most 2**ceil(k/2) entries.
     """
     subsets = _parity_subsets(n, parity)
     h = len(subsets) // 2
-
-    def half_table(items: list, combine) -> tuple:  # combine(the items picked by b), for every b
-        return tuple(combine(x for i, x in enumerate(items) if b >> i & 1) for b in range(1 << len(items)))
-
-    frags = ["[" + ",".join(map(str, mask_elements(s))) + "]" for s in subsets]
-    low = half_table(frags[:h], ",".join)
-    plain = tuple('{"bases":[' + lo for lo in low)
-    joined = tuple(pre + "," if lo else pre for pre, lo in zip(plain, low))
-    full_low = half_table([1 << s for s in subsets[:h]], sum)
-    full_high = half_table([1 << s for s in subsets[h:]], sum)
-    return h, plain, joined, half_table(frags[h:], ",".join), full_low, full_high
+    frags = [(",[" + ",".join(map(str, mask_elements(s))) + "]").encode() for s in subsets]
+    low, high = ([t[1:] for t in _doubled(half, b"")] for half in (frags[:h], frags[h:]))  # no first comma
+    plain = [b'{"bases":[' + lo for lo in low]
+    joined = [pre + b"," if lo else pre for pre, lo in zip(plain, low)]
+    return h, plain, joined, high
 
 
 @lru_cache(maxsize=None)
@@ -333,29 +335,33 @@ def _orthogonal_flags(n: int, field: str, parity: int) -> tuple[tuple[int, ...],
     Symmetric exchange on a family of one member size is basis exchange, and
     a matroid's bases share one size, so an orthogonal candidate is a matroid
     exactly when its bitmap lies inside the bitmap of its least member's size.
+    For each index i of a least member t, two tables over the halves of the
+    class bitmap give F Δ t over all 2**n subsets, bit s ^ t for each member s.
     """
     bitmaps = tuple(sorted(_orthogonal_bitmaps(n, parity)))  # first: its refusal builds no table
-    h, _, _, _, full_low, full_high = _class_tables(n, parity)
     subsets = _parity_subsets(n, parity)
+    h, supports, flags = len(subsets) // 2, _achievable_supports(n, field), []
     sizes = [sum(1 << i for i, s in enumerate(subsets) if s.bit_count() == k) for k in range(n + 1)]
-    supports, keep = _achievable_supports(n, field), _keep(n)
-    return bitmaps, tuple(
-        (True, not f & ~sizes[subsets[(f & -f).bit_length() - 1].bit_count()],
-         _twist_by_least(full_low[f & (1 << h) - 1] | full_high[f >> h], keep) in supports)
-        for f in bitmaps
-    )
+    halves = subsets[:h], subsets[h:]
+    tables = [(*(_doubled([1 << (s ^ t) for s in half], 0) for half in halves), ~sizes[t.bit_count()])
+              for t in subsets]  # by the index of t: F Δ t from each half, and the members of other sizes
+    for f in bitmaps:
+        low, high, other = tables[(f & -f).bit_length() - 1]
+        flags.append((True, not f & other, low[f & (1 << h) - 1] | high[f >> h] in supports))
+    return bitmaps, tuple(flags)
 
 
-def _census_chunk(n: int, field: str, start: int, stop: int) -> str:
-    """The record lines of candidates start .. stop - 1.
+def _census_chunk(n: int, field: str, start: int, stop: int) -> list[bytes]:
+    """The record lines of candidates start .. stop - 1, as pieces to be written in turn.
 
     Within a parity class the bitmaps sharing a high half form a run, and the
-    lines of the run's non-orthogonal bitmaps differ only in their prefix,
-    so each stretch of them is one str.join over the prefix table. Only the
-    orthogonal bitmaps, found by bisection, get a line of their own.
+    lines of the run's non-orthogonal bitmaps differ only in their prefix, so
+    each run is one bytes.join over the prefix table. The line of an
+    orthogonal bitmap, found by bisection, is joined to the next prefix, so
+    that the next separator ends the line after it.
     """
     endings = _record_endings(field)
-    lines, offset = [], 0
+    pieces, offset = [], 0
     for parity in (0, 1):
         count = _class_total(n, parity)
         first, last = max(start - offset, 0) + 1, min(stop - offset, count) + 1  # bitmaps [first, last)
@@ -363,24 +369,24 @@ def _census_chunk(n: int, field: str, start: int, stop: int) -> str:
         if first >= last:
             continue
         bitmaps, flags = _orthogonal_flags(n, field, parity)
-        i, j = bisect_left(bitmaps, first), bisect_left(bitmaps, last)
-        h, plain, joined, high, _, _ = _class_tables(n, parity)
-
-        def stretch(a: int, b: int) -> None:  # the non-orthogonal bitmaps a .. b - 1
-            while a < b:
-                hi = a >> h
-                base, end = hi << h, min(b, hi + 1 << h)
-                suffix = high[hi] + endings[_PLAIN]
-                lines.append(suffix.join((joined if hi else plain)[a - base : end - base]) + suffix)
-                a = end
-
-        for f, flag in zip(bitmaps[i:j], flags[i:j]):
-            stretch(first, f)
-            hi = f >> h
-            lines.append((joined if hi else plain)[f & (1 << h) - 1] + high[hi] + endings[flag])
-            first = f + 1
-        stretch(first, last)
-    return "".join(lines)
+        h, plain, joined, high = _class_tables(n, parity)
+        i = bisect_left(bitmaps, first)
+        for hi in range(first >> h, (last - 1 >> h) + 1):
+            base = hi << h
+            a, b = max(first, base), min(last, base + (1 << h))
+            j = bisect_left(bitmaps, b, i)
+            suffix = tail = high[hi] + endings[_PLAIN]
+            items = (joined if hi else plain)[a - base : b - base]
+            for k in range(j - 1, i - 1, -1):  # from the last, so the places of the others stay
+                at = bitmaps[k] - a
+                line = items[at] + high[hi] + endings[flags[k]]
+                if at + 1 < len(items):
+                    items[at : at + 2] = [line + items[at + 1]]
+                else:
+                    items[at], tail = line, b""
+            pieces += [suffix.join(items), tail]
+            i = j
+    return pieces
 
 
 def _resume(path: str, n: int, field: str, total: int) -> int:
@@ -395,7 +401,7 @@ def _resume(path: str, n: int, field: str, total: int) -> int:
     done = size = 0
     with open(path, "rb") as fh:
         for done in range(0, total, CENSUS_CHUNK):
-            want = _census_chunk(n, field, done, min(done + CENSUS_CHUNK, total)).encode()
+            want = b"".join(_census_chunk(n, field, done, min(done + CENSUS_CHUNK, total)))
             got = fh.read(len(want))
             if got != want:
                 break
@@ -454,17 +460,15 @@ def representability_census(n: int, field: str = "gf2", out_path: str | None = N
     total = _candidate_total(n)
     with _census_file(out_path):  # only a regular file is read: /dev/full never ends a line
         reused = _resume(out_path, n, field, total) if out_path and os.path.isfile(out_path) else 0
-        opened = open(out_path, "a", encoding="utf-8", opener=_open_unwaited) if out_path else nullcontext()
+        opened = open(out_path, "ab", opener=_open_unwaited) if out_path else nullcontext()
     sweep_start = time.perf_counter()
     with opened as sink:
         for start in range(reused, total, CENSUS_CHUNK):
             done = min(start + CENSUS_CHUNK, total)
             if sink is not None:
-                # text stays alive while the next chunk is built; freed first, its memory went back
-                # to the system to be faulted in again (5,761 page faults against 1,642 at n = 5)
-                text = _census_chunk(n, field, start, done)
+                pieces = _census_chunk(n, field, start, done)
                 with _census_file(out_path):
-                    sink.write(text)
+                    sink.writelines(pieces)
             if progress:
                 rate = (done - reused) / max(time.perf_counter() - sweep_start, 1e-9)
                 progress(

@@ -17,37 +17,11 @@ from . import __version__
 from .errors import CapabilityError, InputError, OmatroidError
 from .exactalg import SkewMatrix, pfaffian
 from .groundset import GroundSet, SubsetMask, parse_int, parse_subset_key
-from .jsonio import (
-    load_json,
-    matrix_to_json,
-    parse_basis_family,
-    parse_matrix_file,
-    parse_plucker_vector,
-    parse_wick_vector,
-    plucker_vector_to_json,
-    representation_to_json,
-    require_partial_field,
-    ring_decl_to_json,
-    wick_vector_to_json,
-)
 from .matroid import is_matroid, is_matroid_strong, is_orthogonal, is_orthogonal_strong
 from .matroid import twist as twist_family
-from .plucker import (
-    check_gp_3term,
-    check_gp_full,
-    plucker_from_matrix,
-    plucker_support,
-    reconstruct_plucker,
-)
-from .wick import (
-    WickRepresentation,
-    check_wick_4term,
-    check_wick_full,
-    reconstruct_wick,
-    twist_wick,
-    wick_from_representation,
-    wick_support,
-)
+
+# jsonio, plucker and wick are imported by the handlers that use them: a census, an
+# exchange check or a Pfaffian loads no sweep module.
 
 EXIT_TRUE = 0
 EXIT_FALSE = 1
@@ -109,6 +83,8 @@ def _verdict_exit(ok: bool) -> int:
 
 def _cmd_check_family(weak, strong, xkey, args):
     """Run the weak or, with --strong, the strong checker of a basis-family verb."""
+    from .jsonio import load_json, parse_basis_family
+
     f = parse_basis_family(load_json(args.input))
     v = strong(f) if args.strong else weak(f)
     data = {"n": f.ground.n, "members": len(f), "strong": args.strong}
@@ -116,12 +92,18 @@ def _cmd_check_family(weak, strong, xkey, args):
 
 
 def _cmd_check_plucker(args):
+    from .jsonio import load_json, parse_plucker_vector
+    from .plucker import check_gp_3term, check_gp_full, plucker_support
+
     p = parse_plucker_vector(load_json(args.input))
     sweeps = (check_gp_full, check_gp_3term, lambda q: is_matroid(plucker_support(q)))
     return _check_vector(args, p, {"n": p.ground.n, "r": p.r}, sweeps, ("s", "t"), "x")
 
 
 def _cmd_check_wick(args):
+    from .jsonio import load_json, parse_wick_vector
+    from .wick import check_wick_4term, check_wick_full, wick_support
+
     p = parse_wick_vector(load_json(args.input))
     sweeps = (check_wick_full, check_wick_4term, lambda q: is_orthogonal(wick_support(q)))
     return _check_vector(args, p, {"n": p.ground.n}, sweeps, ("j1", "j2"), "x1")
@@ -156,6 +138,9 @@ def _check_vector(args, p, data, sweeps, pair, xkey):
 
 
 def _cmd_reconstruct_plucker(args):
+    from .jsonio import load_json, matrix_to_json, parse_plucker_vector
+    from .plucker import reconstruct_plucker
+
     p = parse_plucker_vector(load_json(args.input))
     a = reconstruct_plucker(p)
     data = {"n": p.ground.n, "r": p.r, **matrix_to_json(a)}
@@ -163,6 +148,9 @@ def _cmd_reconstruct_plucker(args):
 
 
 def _cmd_reconstruct_wick(args):
+    from .jsonio import load_json, parse_wick_vector, representation_to_json
+    from .wick import reconstruct_wick
+
     p = parse_wick_vector(load_json(args.input))
     rep = reconstruct_wick(p)
     data = representation_to_json(rep)
@@ -170,6 +158,8 @@ def _cmd_reconstruct_wick(args):
 
 
 def _cmd_pfaffian(args):
+    from .jsonio import load_json, parse_matrix_file, ring_decl_to_json
+
     obj = load_json(args.input)
     m, _twist = parse_matrix_file(obj)
     if m.rows != m.cols:
@@ -183,6 +173,11 @@ def _cmd_pfaffian(args):
 
 
 def _cmd_from_matrix(args):
+    from .jsonio import (load_json, parse_matrix_file, plucker_vector_to_json, require_partial_field,
+                         wick_vector_to_json)
+    from .plucker import plucker_from_matrix
+    from .wick import WickRepresentation, wick_from_representation
+
     obj = load_json(args.input)
     m, twist_bits = parse_matrix_file(obj)
     require_partial_field(obj["ring"])
@@ -209,6 +204,9 @@ def _cmd_from_matrix(args):
 
 
 def _cmd_twist(args):
+    from .jsonio import load_json, parse_basis_family, parse_wick_vector, wick_vector_to_json
+    from .wick import twist_wick
+
     obj = load_json(args.input)
     if isinstance(obj, dict) and "bases" in obj:
         f = parse_basis_family(obj)
@@ -255,8 +253,8 @@ def _cmd_verify_bounds(args):
 
 # verb: (handler, help line, takes an input path, {option: (kind, default)}). A kind is
 # None for a flag, a tuple of choices, int or str; a default of ... makes the option
-# required. Handlers read the checker names when they run, so a wrapper patched over
-# the module-level names (as bench/traced.py does) is the one called.
+# required. Handlers read the checker names, and import the others, when they run, so a
+# wrapper patched over the module-level names (as bench/traced.py does) is the one called.
 _VERBS = {
     "check-matroid": (lambda args: _cmd_check_family(is_matroid, is_matroid_strong, "x", args),
                       "test a basis family against the (strong) exchange axiom",

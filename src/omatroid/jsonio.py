@@ -19,8 +19,9 @@ from .errors import InputError
 from .exactalg import GF, QQ, ZZ, Matrix, Ring, _Ratios, too_many_digits
 from .groundset import GroundSet, _key_bits
 from .matroid import BasisFamily
-from .plucker import PluckerVector
-from .wick import WickRepresentation, WickVector
+
+# The vector classes are imported by the functions that build them, so a process that
+# parses a family or a matrix loads neither sweep module (plucker, wick).
 
 __all__ = [
     "parse_ring_decl",
@@ -210,21 +211,25 @@ def _vector_to_json(p, **rank) -> dict:
     return {"n": n, **rank, "ring": ring_decl_to_json(p.ring), "coords": coords}
 
 
-def parse_plucker_vector(obj: Any) -> PluckerVector:
+def parse_plucker_vector(obj: Any) -> "PluckerVector":
+    from .plucker import PluckerVector
+
     ground, r, ring, mapping = _parse_coords(obj, ranked=True)
     return PluckerVector.from_coords(ground, r, ring, mapping)
 
 
-def plucker_vector_to_json(p: PluckerVector) -> dict:
+def plucker_vector_to_json(p: "PluckerVector") -> dict:
     return _vector_to_json(p, r=p.r)
 
 
-def parse_wick_vector(obj: Any) -> WickVector:
+def parse_wick_vector(obj: Any) -> "WickVector":
+    from .wick import WickVector
+
     ground, _, ring, mapping = _parse_coords(obj, ranked=False)
     return WickVector.from_coords(ground, ring, mapping)
 
 
-def wick_vector_to_json(p: WickVector) -> dict:
+def wick_vector_to_json(p: "WickVector") -> dict:
     return _vector_to_json(p)
 
 
@@ -279,7 +284,7 @@ def matrix_to_json(m: Matrix) -> dict:
     }
 
 
-def representation_to_json(rep: WickRepresentation) -> dict:
+def representation_to_json(rep: "WickRepresentation") -> dict:
     return {
         "n": rep.matrix.size,
         "ring": ring_decl_to_json(rep.matrix.ring),

@@ -163,7 +163,7 @@ def test_census_out_to_a_fifo(tmp_path):
         os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))  # ends a read still waiting for a writer
         os.close(held)
     assert proc.returncode == 0, proc.stderr
-    assert got == [_census_chunk(5, "gf2", 0, _candidate_total(5)).encode()]
+    assert got == [b"".join(_census_chunk(5, "gf2", 0, _candidate_total(5)))]
 
 
 def test_exponents_are_bounded_when_the_digit_limit_is_off(tmp_path):

@@ -155,12 +155,19 @@ def imported(tmp_path, *argv):
 def test_a_cli_process_loads_only_what_its_verb_uses(tmp_path):
     # each of these cost start-up time in every CLI process; none is needed outside a census
     unused = {"argparse", "gettext", "locale", "copy", "omatroid.census"}
+    sweeps = {"omatroid.plucker", "omatroid.wick"}  # needed only by the vector verbs
     bare = imported(tmp_path, "-c", "pass")
-    assert unused & imported(tmp_path, "-c", "import omatroid.cli") - bare == set()
+    assert (unused | sweeps | {"omatroid.jsonio"}) & imported(tmp_path, "-c", "import omatroid.cli") == set()
     vector = tmp_path / "wick.json"
     vector.write_text(json.dumps({"n": 4, "ring": {"kind": "q"},
                                   "coords": {"3": "1", "1,2,3": "-3", "1,3,4": "1", "2,3,4": "6"}}))
     verb = ("-m", "omatroid.cli", "check-wick", str(vector), "--mode", "short")
     assert '"verdict":true' in run_python(tmp_path, *verb).stdout
     assert unused & imported(tmp_path, *verb) - bare == set()
-    assert "omatroid.census" in imported(tmp_path, "-m", "omatroid.cli", "census", "--n", "3")
+    family = tmp_path / "family.json"
+    family.write_text(json.dumps({"n": 4, "bases": [[], [1, 2], [3, 4], [1, 2, 3, 4]]}))
+    verb = ("-m", "omatroid.cli", "check-orthogonal", str(family))
+    assert '"verdict":true' in run_python(tmp_path, *verb).stdout
+    assert (unused | sweeps) & imported(tmp_path, *verb) == set()
+    census = imported(tmp_path, "-m", "omatroid.cli", "census", "--n", "3")
+    assert "omatroid.census" in census and (sweeps | {"omatroid.jsonio"}) & census == set()
