@@ -205,7 +205,6 @@ def _cmd_from_matrix(args):
 
 def _cmd_twist(args):
     from .jsonio import load_json, parse_basis_family, parse_wick_vector, wick_vector_to_json
-    from .wick import twist_wick
 
     obj = load_json(args.input)
     if isinstance(obj, dict) and "bases" in obj:
@@ -214,6 +213,8 @@ def _cmd_twist(args):
         g = twist_family(f, t)
         data = {"kind": "family", "twist": t.to_json(), "result": g.to_json()}
     elif isinstance(obj, dict) and "coords" in obj:
+        from .wick import twist_wick
+
         p = parse_wick_vector(obj)
         t = parse_subset_key(args.by, p.ground)
         q = twist_wick(p, t)

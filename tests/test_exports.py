@@ -166,8 +166,9 @@ def test_a_cli_process_loads_only_what_its_verb_uses(tmp_path):
     assert unused & imported(tmp_path, *verb) - bare == set()
     family = tmp_path / "family.json"
     family.write_text(json.dumps({"n": 4, "bases": [[], [1, 2], [3, 4], [1, 2, 3, 4]]}))
-    verb = ("-m", "omatroid.cli", "check-orthogonal", str(family))
-    assert '"verdict":true' in run_python(tmp_path, *verb).stdout
-    assert (unused | sweeps) & imported(tmp_path, *verb) == set()
+    for verb in (("check-orthogonal", str(family)), ("twist", str(family), "--by", "1,3")):
+        argv = ("-m", "omatroid.cli", *verb)
+        assert '"verdict":true' in run_python(tmp_path, *argv).stdout
+        assert (unused | sweeps) & imported(tmp_path, *argv) == set()
     census = imported(tmp_path, "-m", "omatroid.cli", "census", "--n", "3")
     assert "omatroid.census" in census and (sweeps | {"omatroid.jsonio"}) & census == set()
