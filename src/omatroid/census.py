@@ -36,13 +36,12 @@ import os
 import time
 from bisect import bisect_left
 from contextlib import contextmanager, nullcontext
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import comb
 
 from .errors import InputError
-from .exactalg import GF, SkewMatrix, ZZ
+from .exactalg import GF, QQ, SkewMatrix, ZZ
 from .groundset import GroundSet, SubsetMask, mask_elements, record, within_budget
 from .matroid import BasisFamily
 
@@ -55,9 +54,10 @@ SEARCH_FIELDS = {"gf2": (GF(2), range(2)), "gf3": (GF(3), range(3)), "regular": 
 #: The fields a representability census runs over.
 CENSUS_FIELDS = ("gf2", "gf3")
 
-#: Certified upper bounds: e <= 2.71828183 and log2(e) <= 1.4426951.
-E_UPPER_DEFAULT = Fraction(271828183, 10**8)
-LOG2E_UPPER_DEFAULT = Fraction(14426951, 10**7)
+#: Certified upper bounds, e <= 2.71828183 and log2(e) <= 1.4426951, as QQ literals: the module's
+#: E_UPPER_DEFAULT and LOG2E_UPPER_DEFAULT are read from them on first use (see __getattr__),
+#: so a census makes no rational and loads no fractions module.
+_UPPER_BOUNDS = {"E_UPPER_DEFAULT": "2.71828183", "LOG2E_UPPER_DEFAULT": "1.4426951"}
 
 ASYMPTOTIC_GAP_NOTE = (
     "asymptotic claims are not reproducible at desk scale; this report certifies "
@@ -498,7 +498,7 @@ class BoundCheck:
     N: int
     m: int
     r: int
-    lhs_upper_bound: Fraction
+    lhs_upper_bound: "Fraction"
     verdict: bool
     steps: tuple[tuple[str, bool], ...]
     context: dict
@@ -522,6 +522,7 @@ def verify_nelson_chain(n: int) -> BoundCheck:
     if n < 12:
         raise InputError(f"the certified chain needs n >= 12, got {n}")
 
+    e_upper, log2e_upper = map(QQ.parse, _UPPER_BOUNDS.values())
     c = 1
     d = n - 1
     N = 1 << (n - 1)
@@ -535,14 +536,14 @@ def verify_nelson_chain(n: int) -> BoundCheck:
     binom_mid = comb(mid_top, n * n)
     steps.append(("binomial_monotone", binom_hyp <= binom_mid))
     # C(a, b) <= (e*a/b)**b, evaluated with the rational upper bound for e
-    stirling = (E_UPPER_DEFAULT * mid_top / (n * n)) ** (n * n)
+    stirling = (e_upper * mid_top / (n * n)) ** (n * n)
     steps.append(("binomial_vs_power", binom_mid <= stirling))
-    clean_power = Fraction(1 << (n + 1), n) ** (n * n)
+    clean_power = (QQ.coerce(1 << (n + 1)) / n) ** (n * n)
     steps.append(("power_simplifies", stirling < clean_power))
     # log2(3r) + N*log2(c*(e*N)**d)
     #   = log2(3) + n**3 + (n-1)*2**(n-1)*(log2(e) + n - 1)
     # log2(3) <= bitlength(3) = 2, log2(e) <= the certified bound <= 2
-    log_bits = 2 + n**3 + (n - 1) * N * (LOG2E_UPPER_DEFAULT + (n - 1))
+    log_bits = 2 + n**3 + (n - 1) * N * (log2e_upper + (n - 1))
     log_bits_int = 2 + n**3 + (n - 1) * N * (n + 1)
     steps.append(("log_term_integer_bound", log_bits <= log_bits_int))
     log_cap = n * n << (n - 1)
@@ -557,12 +558,17 @@ def verify_nelson_chain(n: int) -> BoundCheck:
     # 2**n * r over all twists, and interval bounds for the doubly
     # logarithmic growth exponent n - (3/2)*log2(n) via bit lengths.
     bl = n.bit_length()
-    knuth_lo = Fraction(n) - Fraction(3, 2) * bl
-    knuth_hi = Fraction(n) - Fraction(3, 2) * (bl - 1)
+    knuth_lo, knuth_hi = (QQ.coerce(2 * n - 3 * b) / 2 for b in (bl, bl - 1))
     context = {
         "total_patterns_bound": str((1 << n) * r),
         "knuth_exponent_bounds": [str(knuth_lo), str(knuth_hi)],
-        "e_upper": str(E_UPPER_DEFAULT),
-        "log2e_upper": str(LOG2E_UPPER_DEFAULT),
+        "e_upper": str(e_upper),
+        "log2e_upper": str(log2e_upper),
     }
     return BoundCheck(n, c, d, N, m, r, lhs, verdict, tuple(steps), context)
+
+
+def __getattr__(name: str):
+    if name not in _UPPER_BOUNDS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return QQ.parse(_UPPER_BOUNDS[name])

@@ -20,7 +20,6 @@ time, O(2**n * n).
 """
 
 import sys
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
 from typing import Sequence
@@ -31,6 +30,15 @@ from .groundset import SubsetMask, mask_elements, parse_int, record, within_budg
 
 # ---------------------------------------------------------------------------
 # rings
+
+
+def Fraction(*args):
+    """fractions.Fraction(*args), loading ``fractions`` (with ``decimal``) for the first rational
+    made: the call binds the class in its place, so each later one goes straight to it, and a
+    process that makes none, over GF(p), ZZ or a census field, never loads the module."""
+    global Fraction
+    from fractions import Fraction
+    return Fraction(*args)
 
 
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -99,9 +107,11 @@ class Ring:
         if type(v) is not int:  # the kernels' ints skip every test below; a bool is no int here
             if isinstance(v, str):
                 return self.parse(v)
-            if isinstance(v, Fraction) and self.kind == "q":
+            # no value is a Fraction before some module loads fractions; () matches nothing
+            rational = isinstance(v, getattr(sys.modules.get("fractions"), "Fraction", ()))
+            if rational and self.kind == "q":
                 return v
-            if isinstance(v, bool) or not isinstance(v, (int, Fraction)) or v != int(v):
+            if isinstance(v, bool) or not (rational or isinstance(v, int)) or v != int(v):
                 raise InputError(f"cannot coerce {v!r} into {self!r}")
             v = int(v)
         return v % self.p if self.p else Fraction(v) if self.is_field else v
@@ -144,13 +154,13 @@ class RationalField(Ring):
     kind = "q"
     is_field = True
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = cached_property(lambda self: Fraction(0))
+    one = cached_property(lambda self: Fraction(1))
 
     def inv(self, a):
         if a == 0:
             raise InputError("division by zero")
-        return 1 / a
+        return Fraction(1, a)
 
     def parse(self, s: str):
         """An integer as ``parse_int`` reads it, a/b of two such with b > 0 ("2/5"), or a

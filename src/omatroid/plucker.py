@@ -29,7 +29,6 @@ both families from one certificate. A check is refused before it starts
 when its family has more than SWEEP_BUDGET pairs in N_S x N_T.
 """
 
-from fractions import Fraction
 from functools import cache, lru_cache, partial, reduce
 from itertools import chain, compress, count, repeat
 from math import comb, prod
@@ -74,7 +73,7 @@ def _canonical_coords(ring: Ring, masks, coords):
     if i is None:
         raise InputError("all coordinates are zero")
     if ratios:
-        lam, dens = Fraction(coords.dens[i], values[i]), coords.dens
+        lam, dens = QQ.coerce(coords.dens[i]) / values[i], coords.dens
         a, b = lam.numerator, lam.denominator
         return _Ratios(values if a == 1 else [a * v for v in values],
                        dens if b == 1 else [b * d for d in dens])
@@ -374,7 +373,8 @@ class _Certificate:
 
     def value(self, a: int, b: int):
         x = self.sign * sum(map(mul, self.u(a), self.w(b)))
-        return self.ring.coerce(Fraction(x, self.scale**2) if self.scale > 1 else x)
+        v = self.ring.coerce(x)  # a Fraction over QQ, where alone the scale can pass 1
+        return v / self.scale**2 if self.scale > 1 else v
 
     def failure(self, a: int, partners):
         """The first (rows[a], b), b in ``partners``, with a nonzero relation, as a failing verdict."""

@@ -273,6 +273,14 @@ def test_rational_coerce_keeps_a_fraction():
     assert type(QQ.coerce(3)) is Fraction and QQ.coerce(3) == 3
 
 
+def test_rational_inverse_is_exact():
+    # 1 / 2 is the float 0.5: an inverse over QQ is a Fraction for an int input too
+    for a, inverse in ((2, Fraction(1, 2)), (-3, Fraction(-1, 3)), (Fraction(-2, 3), Fraction(-3, 2))):
+        assert type(QQ.inv(a)) is Fraction and QQ.inv(a) == inverse
+    with pytest.raises(InputError):
+        QQ.inv(0)
+
+
 def test_principal_pfaffian_table_budget():
     # 2**n * n expansion steps: n = 17 fits SWEEP_BUDGET and n = 18 does not
     assert 17 << 17 <= SWEEP_BUDGET < 18 << 18

@@ -146,29 +146,83 @@ def test_importing_the_package_loads_each_module_on_first_use(tmp_path):
 
 
 def imported(tmp_path, *argv):
-    """The modules a Python process run with ``argv`` imports, as -X importtime lists them."""
+    """The modules a Python process run with ``argv`` imports, as -X importtime lists them,
+    and the process."""
     proc = run_python(tmp_path, "-X", "importtime", *argv)
     return {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
-            if line.startswith("import time:")}
+            if line.startswith("import time:")}, proc
 
 
 def test_a_cli_process_loads_only_what_its_verb_uses(tmp_path):
     # each of these cost start-up time in every CLI process; none is needed outside a census
     unused = {"argparse", "gettext", "locale", "copy", "omatroid.census"}
     sweeps = {"omatroid.plucker", "omatroid.wick"}  # needed only by the vector verbs
-    bare = imported(tmp_path, "-c", "pass")
-    assert (unused | sweeps | {"omatroid.jsonio"}) & imported(tmp_path, "-c", "import omatroid.cli") == set()
-    vector = tmp_path / "wick.json"
-    vector.write_text(json.dumps({"n": 4, "ring": {"kind": "q"},
-                                  "coords": {"3": "1", "1,2,3": "-3", "1,3,4": "1", "2,3,4": "6"}}))
-    verb = ("-m", "omatroid.cli", "check-wick", str(vector), "--mode", "short")
-    assert '"verdict":true' in run_python(tmp_path, *verb).stdout
-    assert unused & imported(tmp_path, *verb) - bare == set()
-    family = tmp_path / "family.json"
-    family.write_text(json.dumps({"n": 4, "bases": [[], [1, 2], [3, 4], [1, 2, 3, 4]]}))
-    for verb in (("check-orthogonal", str(family)), ("twist", str(family), "--by", "1,3")):
-        argv = ("-m", "omatroid.cli", *verb)
-        assert '"verdict":true' in run_python(tmp_path, *argv).stdout
-        assert (unused | sweeps) & imported(tmp_path, *argv) == set()
-    census = imported(tmp_path, "-m", "omatroid.cli", "census", "--n", "3")
-    assert "omatroid.census" in census and (sweeps | {"omatroid.jsonio"}) & census == set()
+    rational = {"fractions", "decimal", "numbers"}  # needed only where a rational is made
+    bare = imported(tmp_path, "-c", "pass")[0]
+    cli_only = imported(tmp_path, "-c", "import omatroid.cli")[0]
+    assert (unused | sweeps | rational | {"omatroid.jsonio"}) & cli_only == set()
+    skew = [["0", "1", "2", "3"], ["-1", "0", "4", "5"], ["-2", "-4", "0", "6"], ["-3", "-5", "-6", "0"]]
+    wick = {"3": "1", "1,2,3": "-3", "1,3,4": "1", "2,3,4": "6"}
+    inputs = {
+        "wick-q": {"n": 4, "ring": {"kind": "q"}, "coords": wick},
+        "wick": {"n": 4, "ring": {"kind": "gfp", "p": 7}, "coords": wick},
+        "plucker": {"n": 4, "r": 2, "ring": {"kind": "gfp", "p": 7},
+                    "coords": {"1,2": "1", "1,3": "1", "2,3": "-1", "1,4": "2", "2,4": "-1", "3,4": "1"}},
+        "family": {"n": 4, "bases": [[], [1, 2], [3, 4], [1, 2, 3, 4]]},
+        **{f"skew-{kind}": {"ring": ring, "matrix": skew}
+           for kind, ring in (("z", {"kind": "z"}), ("gf7", {"kind": "gfp", "p": 7}), ("q", {"kind": "q"}))},
+    }
+    for name, obj in inputs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(obj))
+    verbs = [("check-wick", "wick.json", "--mode", "short"), ("check-plucker", "plucker.json"),
+             ("pfaffian", "skew-z.json"), ("pfaffian", "skew-gf7.json"),
+             ("check-orthogonal", "family.json"), ("twist", "family.json", "--by", "1,3")]
+    for verb in verbs:
+        loaded, proc = imported(tmp_path, "-m", "omatroid.cli", *verb)
+        assert proc.returncode == 0 and '"verdict":true' in proc.stdout, proc.stdout
+        assert rational & loaded == set()
+        if verb[0] in ("check-wick", "check-plucker"):
+            assert unused & loaded - bare == set()
+        else:
+            assert (unused | sweeps) & loaded == set()
+    loaded, proc = imported(tmp_path, "-m", "omatroid.cli", "check-wick", "wick-q.json", "--mode", "short")
+    assert '"verdict":true' in proc.stdout and unused & loaded - bare == set()
+    # the probe sees fractions where a verb makes a rational
+    loaded, proc = imported(tmp_path, "-m", "omatroid.cli", "pfaffian", "skew-q.json")
+    assert '"pfaffian":"8"' in proc.stdout and "fractions" in loaded
+    assert (unused | sweeps) & loaded == set()
+    census = imported(tmp_path, "-m", "omatroid.cli", "census", "--n", "3")[0]
+    assert "omatroid.census" in census and (sweeps | rational | {"omatroid.jsonio"}) & census == set()
+
+
+@pytest.mark.parametrize("first", ["from fractions import Fraction", "QQ.coerce(2)"],
+                         ids=["fractions-loaded-elsewhere", "fractions-loaded-by-QQ"])
+def test_coerce_keeps_its_contract_across_the_lazy_fractions_import(tmp_path, first):
+    # exactalg loads fractions on the first rational it makes, so a Fraction may reach coerce
+    # before exactalg has bound the class, or after: each ring answers the same either way
+    probe = f"""
+import json, sys
+from omatroid.errors import InputError
+from omatroid.exactalg import GF, QQ, ZZ
+
+def refused(ring, v):
+    try:
+        ring.coerce(v)
+    except InputError:
+        return True
+    return False
+
+out = {{"fresh": "fractions" not in sys.modules, "float": refused(GF(7), 1.5), "bool": refused(ZZ, True)}}
+{first}
+from fractions import Fraction
+out.update(zz=ZZ.coerce(Fraction(4)), gf7=GF(7).coerce(Fraction(3)), half=refused(GF(7), Fraction(1, 2)),
+           float_after=refused(GF(7), 1.5), bool_after=refused(ZZ, True),
+           exact=[type(v) is Fraction for v in (QQ.zero, QQ.one, QQ.coerce(2))],
+           values=[QQ.zero == 0, QQ.one == 1, QQ.coerce(2) == Fraction(2)])
+print(json.dumps(out))
+"""
+    proc = run_python(tmp_path, "-c", probe)
+    assert json.loads(proc.stdout) == {
+        "fresh": True, "float": True, "bool": True, "zz": 4, "gf7": 3, "half": True,
+        "float_after": True, "bool_after": True, "exact": [True] * 3, "values": [True] * 3,
+    }, proc.stderr
