@@ -19,7 +19,7 @@ Three kinds of work live here:
   sized in table updates against SWEEP_BUDGET. Census records are JSON lines
   assembled from text fragments a run of candidates at a time, and a resumed
   file is compared with them byte for byte. The report's counts depend on
-  (n, field) alone: sums over the cached flags of the orthogonal candidates;
+  (n, field) alone: the number of orthogonal candidates and sums over their cached flags;
 * an exact verification of the counting-bound chain that caps the number
   of realizable zero patterns of the principal-Pfaffian polynomial family,
   using big integers and certified rational over-approximations only. The
@@ -53,11 +53,6 @@ SEARCH_FIELDS = {"gf2": (GF(2), range(2)), "gf3": (GF(3), range(3)), "regular": 
 
 #: The fields a representability census runs over.
 CENSUS_FIELDS = ("gf2", "gf3")
-
-#: Certified upper bounds, e <= 2.71828183 and log2(e) <= 1.4426951, as QQ literals: the module's
-#: E_UPPER_DEFAULT and LOG2E_UPPER_DEFAULT are read from them on first use (see __getattr__),
-#: so a census makes no rational and loads no fractions module.
-_UPPER_BOUNDS = {"E_UPPER_DEFAULT": "2.71828183", "LOG2E_UPPER_DEFAULT": "1.4426951"}
 
 ASYMPTOTIC_GAP_NOTE = (
     "asymptotic claims are not reproducible at desk scale; this report certifies "
@@ -221,39 +216,22 @@ def _achievable_supports(n: int, field: str) -> dict[int, int]:
     return found
 
 
-@lru_cache(maxsize=None)
-def _keep(n: int) -> tuple[int, ...]:
-    """keep[x]: the bitmap over the 2**n subsets of those that lack x."""
-    return tuple(sum(1 << s for s in range(1 << n) if not s >> x & 1) for x in range(n))
-
-
-def _twist_by_least(v: int, keep: tuple[int, ...]) -> int:
-    """F Δ t for the bitmap v of a family F over all 2**n subsets, t = min F its lowest set bit.
-
-    Twisting by x swaps each block of 2**x bits whose subsets lack x with the block
-    above it. F is representable when F Δ t' is the support of some A; Pf(A_∅) = 1
-    makes t' a member, so u = t Δ t' is in it. The principal pivot A*u is skew with
-    Pf((A*u)_J) = ±Pf(A_(J Δ u)) / Pf(A_u) (Tucker: det (A*u)_J = det A_(J Δ u) / det A_u,
-    and det = Pf**2 on skew matrices; Bouchet 1988, Baker-Jin arXiv:2208.03256), so its
-    support is F Δ t. Over {0, ±1}, Pf(A_u) = ±1 keeps A*u's whole table, its entries
-    among it, in {0, ±1}: the search meets A*u over every field it covers.
-    """
-    t = (v & -v).bit_length() - 1
-    while t > 0:  # t is -1 only for v = 0, the empty family, whose twists are all empty
-        x = (t & -t).bit_length() - 1
-        v = (v >> (1 << x) & keep[x]) | (v & keep[x]) << (1 << x)
-        t &= t - 1
-    return v
-
-
 def find_regular_representation(f: BasisFamily) -> "WickRepresentation | None":
-    """A representation of f over the regular partial field twisted by f's least member, or None."""
+    """A representation of f over the regular partial field twisted by f's least member t, or None.
+
+    f is representable when f Δ t' is the support of some A; Pf(A_∅) = 1 makes t' a member, so
+    u = t Δ t' is in it. The principal pivot A*u is skew with Pf((A*u)_J) = ±Pf(A_(J Δ u)) / Pf(A_u)
+    (Tucker: det (A*u)_J = det A_(J Δ u) / det A_u, and det = Pf**2 on skew matrices; Bouchet 1988,
+    Baker-Jin arXiv:2208.03256), so its support is f Δ t. Over {0, ±1}, Pf(A_u) = ±1 keeps A*u's
+    whole table, its entries among it, in {0, ±1}: the search meets A*u over every field it covers.
+    The census's verdicts in ``_orthogonal_flags`` rest on the same lemma.
+    """
     from .wick import WickRepresentation  # here: a census process loads no sweep module
-    n = f.ground.n
-    index = _achievable_supports(n, "regular").get(_twist_by_least(sum(1 << b for b in f.masks), _keep(n)))
+    n, t = f.ground.n, min(f.masks)
+    index = _achievable_supports(n, "regular").get(sum(1 << (b ^ t) for b in f.masks))
     if index is None:
         return None
-    return WickRepresentation(_search_matrix(n, "regular", index), SubsetMask(f.ground, min(f.masks)))
+    return WickRepresentation(_search_matrix(n, "regular", index), SubsetMask(f.ground, t))
 
 
 # ---------------------------------------------------------------------------
@@ -285,21 +263,18 @@ def _json_fields(rec, **converted) -> dict:
 #   {"bases":[[],[1,2]],"orthogonal":false}
 #   {"bases":[[],[1,2]],"matroid":true,"orthogonal":true,"representable":{"gf2":true}}
 # It is assembled from text fragments: a prefix holding the low members, the
-# high members, then one of five endings, keyed here by the record's
-# (orthogonal, matroid, representable).
+# high members, then the plain ending of a non-orthogonal record or one of
+# four orthogonal endings, keyed here by the record's (matroid, representable).
 
-_PLAIN = (False, False, False)
+_PLAIN = b'],"orthogonal":false}\n'
 
 
-def _record_endings(field: str) -> dict[tuple[bool, bool, bool], bytes]:
+def _record_endings(field: str) -> dict[tuple[bool, bool], bytes]:
     word = ("false", "true")
-    out = {_PLAIN: b'],"orthogonal":false}\n'}
-    for m in (False, True):
-        for r in (False, True):
-            out[True, m, r] = (
-                f'],"matroid":{word[m]},"orthogonal":true,"representable":{{"{field}":{word[r]}}}}}\n'
-            ).encode()
-    return out
+    return {
+        (m, r): f'],"matroid":{word[m]},"orthogonal":true,"representable":{{"{field}":{word[r]}}}}}\n'.encode()
+        for m in (False, True) for r in (False, True)
+    }
 
 
 def _doubled(items: list, empty) -> list:
@@ -347,7 +322,7 @@ def _orthogonal_flags(n: int, field: str, parity: int) -> tuple[tuple[int, ...],
               for t in subsets]  # by the index of t: F Δ t from each half, and the members of other sizes
     for f in bitmaps:
         low, high, other = tables[(f & -f).bit_length() - 1]
-        flags.append((True, not f & other, low[f & (1 << h) - 1] | high[f >> h] in supports))
+        flags.append((not f & other, low[f & (1 << h) - 1] | high[f >> h] in supports))
     return bitmaps, tuple(flags)
 
 
@@ -375,7 +350,7 @@ def _census_chunk(n: int, field: str, start: int, stop: int) -> list[bytes]:
             base = hi << h
             a, b = max(first, base), min(last, base + (1 << h))
             j = bisect_left(bitmaps, b, i)
-            suffix = tail = high[hi] + endings[_PLAIN]
+            suffix = tail = high[hi] + _PLAIN
             items = (joined if hi else plain)[a - base : b - base]
             for k in range(j - 1, i - 1, -1):  # from the last, so the places of the others stay
                 at = bitmaps[k] - a
@@ -479,8 +454,8 @@ def representability_census(n: int, field: str = "gf2", out_path: str | None = N
             with _census_file(out_path):  # the buffered tail is written here, /dev/full refuses it
                 sink.close()
     runtime = time.perf_counter() - t0
-    orthogonal, matroids, representable = (sum(f[k] for f in flags) for k in range(3))
-    return CensusReport(n, field, total, orthogonal, matroids, {field: representable}, round(runtime, 3),
+    matroids, representable = (sum(f[k] for f in flags) for k in range(2))
+    return CensusReport(n, field, total, len(flags), matroids, {field: representable}, round(runtime, 3),
                         (ASYMPTOTIC_GAP_NOTE, LABELED_COUNT_NOTE))
 
 
@@ -522,7 +497,7 @@ def verify_nelson_chain(n: int) -> BoundCheck:
     if n < 12:
         raise InputError(f"the certified chain needs n >= 12, got {n}")
 
-    e_upper, log2e_upper = map(QQ.parse, _UPPER_BOUNDS.values())
+    e_upper, log2e_upper = QQ.parse("2.71828183"), QQ.parse("1.4426951")  # certified: e and log2(e) lie below
     c = 1
     d = n - 1
     N = 1 << (n - 1)
@@ -566,9 +541,3 @@ def verify_nelson_chain(n: int) -> BoundCheck:
         "log2e_upper": str(log2e_upper),
     }
     return BoundCheck(n, c, d, N, m, r, lhs, verdict, tuple(steps), context)
-
-
-def __getattr__(name: str):
-    if name not in _UPPER_BOUNDS:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return QQ.parse(_UPPER_BOUNDS[name])

@@ -20,10 +20,11 @@ MAX_GROUND_SIZE = 24
 #: a relation family in the support's neighbourhood (all counted, though
 #: the rank certificate evaluates only the pairs of dirty rows), the member
 #: pairs of an exchange check, the 2**n * n expansion steps of a
-#: principal-Pfaffian table, or the exchange steps of a table of maximal
-#: minors. Above it the kernel raises CapabilityError (exit 3) before it
-#: starts, so the CLI refuses in well under a second instead of running
-#: for minutes.
+#: principal-Pfaffian table, the exchange steps of a table of maximal
+#: minors, the table updates of the census's support search, or the word
+#: operations of its orthogonal enumeration. Above it the kernel raises
+#: CapabilityError (exit 3) before it starts, so the CLI refuses in well
+#: under a second instead of running for minutes.
 SWEEP_BUDGET = 1 << 22
 
 

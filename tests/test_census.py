@@ -16,13 +16,11 @@ from omatroid.census import (
     _class_tables,
     _class_total,
     _gray_steps,
-    _keep,
     _members,
     _orthogonal_bitmaps,
     _orthogonal_flags,
     _parity_subsets,
     _search_matrix,
-    _twist_by_least,
     enumerate_orthogonal,
     find_regular_representation,
     representability_census,
@@ -31,8 +29,8 @@ from omatroid.census import (
 from omatroid.errors import CapabilityError, InputError
 from omatroid.exactalg import GF, ZZ, all_principal_pfaffians
 from omatroid import groundset
-from omatroid.groundset import GroundSet
-from omatroid.matroid import BasisFamily, is_matroid, is_orthogonal
+from omatroid.groundset import GroundSet, SubsetMask
+from omatroid.matroid import BasisFamily, is_matroid, is_orthogonal, twist
 from omatroid.wick import wick_from_representation
 
 from oracles import achievable_supports, brute_exchange, census_candidates, census_chunk, skew_matrices
@@ -306,12 +304,12 @@ def test_census_matroid_flags_match_is_matroid(tmp_path):
 
 
 def test_supports_hold_the_empty_set():
-    # Pf of the empty matrix is 1, so a support's least member is the empty set and the
-    # twist by it leaves the support as it is: every support is a representable family
+    # Pf of the empty matrix is 1, so a support's least member is the empty set, and the
+    # twist by it is the identity: every support is a representable family
     for field, top in (("gf2", 5), ("gf3", 4)):
         for n in range(top + 1):
             for s in _achievable_supports(n, field):
-                assert s & 1 and _twist_by_least(s, _keep(n)) == s
+                assert s & 1
 
 
 def test_supports_are_closed_under_twists_by_their_members():
@@ -326,29 +324,20 @@ def test_supports_are_closed_under_twists_by_their_members():
                     assert sum(1 << (s ^ t) for s in members) in supports, (field, n, v, t)
 
 
-def test_twist_by_least_matches_the_twist_of_each_member():
-    # the block swaps against the twist of every member moved one by one
-    for n in range(6):
-        keep = _keep(n)
-        for f in enumerate_orthogonal(n):
-            t = min(f.masks)
-            assert _twist_by_least(sum(1 << b for b in f.masks), keep) == sum(1 << (b ^ t) for b in f.masks)
-
-
 @pytest.mark.parametrize("field,top", [("gf2", 5), ("gf3", 4)])
 def test_orthogonal_flags_match_the_per_family_rule(field, top):
     # every orthogonal family, where the chunk oracle reads ranges of at most 1,500 records at n = 5:
     # a matroid when its members share one size, representable when its twist by its least member,
-    # moved block by block, is an achievable support
+    # as matroid.twist makes it, is an achievable support
     for n in range(top + 1):
-        supports, keep = _achievable_supports(n, field), _keep(n)
+        supports, ground = _achievable_supports(n, field), GroundSet(n)
         for parity in (0, 1):
             bitmaps, flags = _orthogonal_flags(n, field, parity)
             assert bitmaps == tuple(sorted(_orthogonal_bitmaps(n, parity)))
             for bits, flag in zip(bitmaps, flags, strict=True):
-                members = _members(n, parity, bits)
-                twisted = _twist_by_least(sum(1 << m for m in members), keep)
-                assert flag == (True, len({m.bit_count() for m in members}) == 1, twisted in supports), (n, bits)
+                f = BasisFamily(ground, frozenset(_members(n, parity, bits)))
+                twisted = sum(1 << m for m in twist(f, SubsetMask(ground, min(f.masks))).masks)
+                assert flag == (len({m.bit_count() for m in f.masks}) == 1, twisted in supports), (n, bits)
 
 
 def test_gf2_supports_are_one_per_skew_matrix():
@@ -562,6 +551,8 @@ def test_find_regular_representation_roundtrip():
     assert frozenset(wick_from_representation(rep5).support_masks()) == f5.masks
     with pytest.raises(CapabilityError):
         find_regular_representation(fam(6, [1, 2]))
+    # a family mixing parities is no support's twist: no Pfaffian support holds sets of both parities
+    assert find_regular_representation(fam(3, [], [1])) is None
 
 
 # sha256 over find_regular_representation of every orthogonal matroid on [n],

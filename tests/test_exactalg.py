@@ -48,6 +48,8 @@ def test_ring_identities():
     assert f7.coerce(-3) == 4
     assert f7.inv(3) == 5
     with pytest.raises(InputError):
+        f7.inv(0)
+    with pytest.raises(InputError):
         f7.parse("1/2")
     with pytest.raises(InputError):
         GF(6)
@@ -291,6 +293,8 @@ def test_principal_pfaffian_table_budget():
 def test_pfaffian_rejects_plain_matrix():
     with pytest.raises(InputError):
         pfaffian(Matrix.from_rows(ZZ, [[0, 1], [-1, 0]]))
+    with pytest.raises(InputError):
+        all_principal_pfaffians(Matrix.from_rows(ZZ, [[0, 1], [-1, 0]]))
 
 
 def test_principal_pfaffian_table():

@@ -100,6 +100,13 @@ def test_removed_aliases_are_gone():
     assert "from_rows" not in exactalg.SkewMatrix.__dict__
     # the census counts come from the cached verdict tables, not from a tally of the records
     assert "write" not in inspect.signature(census._census_chunk).parameters
+    # a census family is twisted one way, member by member where the regular search is read, and
+    # the bound chain parses its certified literals where it uses them: no names nothing read
+    for name in ("_keep", "_twist_by_least", "_UPPER_BOUNDS", "__getattr__"):
+        assert name not in vars(census)
+    for name in ("E_UPPER_DEFAULT", "LOG2E_UPPER_DEFAULT"):
+        with pytest.raises(AttributeError):
+            getattr(census, name)
 
 
 def test_the_package_imports_only_the_standard_library():

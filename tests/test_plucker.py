@@ -90,6 +90,10 @@ def test_from_matrix_golden():
     assert p.r == 2
     assert p.coords == tuple(Fraction(v) for v in EXAMPLE_COORDS)
     assert [s for s in p.support_masks()] == list(masks_of_size(4, 2))
+    # the kernel keeps QQ minors as integers; the vector of their Fractions is the same vector
+    q = PluckerVector.from_coords(G4, 2, QQ, list(p.coords))
+    assert type(p.coords) is not tuple and type(q.coords) is tuple
+    assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
 
 
 # entries per ring: small enough that rank drops and minors outside {0, +1, -1} both occur
