@@ -18,7 +18,7 @@ _EXPORTS = {
     "errors": "CapabilityError ClassificationError InputError MapUndefinedError MembershipError "
     "OmatroidError RankError",
     "exactalg": "GF Homomorphism IntegerRing Matrix PrimeField QQ RationalField Ring SkewMatrix ZZ "
-    "all_principal_pfaffians apply_hom determinant pfaffian rational_residue_hom residue_hom",
+    "all_principal_pfaffians apply_hom determinant pfaffian",
     "groundset": "GroundSet SubsetMask format_subset_key mask_elements mask_of_elements "
     "masks_of_size parse_subset_key",
     "matroid": "BasisFamily is_matroid is_matroid_strong is_orthogonal is_orthogonal_strong twist",

@@ -35,14 +35,14 @@ scale, and reports say so explicitly instead of pretending otherwise.
 import os
 import time
 from bisect import bisect_left
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from functools import lru_cache
 from itertools import accumulate
 from math import comb
 
 from .errors import InputError
 from .exactalg import GF, QQ, SkewMatrix, ZZ
-from .groundset import GroundSet, SubsetMask, mask_elements, record, within_budget
+from .groundset import GroundSet, SubsetMask, _doubled, mask_elements, record, within_budget
 from .matroid import BasisFamily
 
 #: Candidates per census chunk: one progress line and one file write each.
@@ -277,15 +277,6 @@ def _record_endings(field: str) -> dict[tuple[bool, bool], bytes]:
     }
 
 
-def _doubled(items: list, empty) -> list:
-    """The sum of the items picked by each bitmask b, in item order, doubling the table once per
-    item: entry b | 2**i, for b < 2**i, is entry b + items[i]."""
-    table = [empty]
-    for x in items:
-        table += [t + x for t in table]
-    return table
-
-
 @lru_cache(maxsize=None)
 def _class_tables(n: int, parity: int) -> tuple:
     """Tables over the halves lo = F & (2**h - 1) and hi = F >> h of the class bitmaps F.
@@ -423,8 +414,10 @@ def representability_census(n: int, field: str = "gf2", out_path: str | None = N
     An existing regular file resumes after its last complete record: every
     record in it must be exactly the one this census would write there, or
     InputError is raised and the file is left as it is, and a torn last line
-    is cut off and computed again. The sweep runs in chunks of CENSUS_CHUNK
-    candidates, with one progress line after each.
+    is cut off and computed again. The records are written in chunks of
+    CENSUS_CHUNK candidates, with one progress line after each, its rate
+    counted from the start of the census. Without ``out_path`` nothing is
+    written and no progress is reported: the counts come from the flags.
     """
     if field not in CENSUS_FIELDS:
         raise InputError(f"field must be one of {list(CENSUS_FIELDS)}, got {field!r}")
@@ -433,24 +426,22 @@ def representability_census(n: int, field: str = "gf2", out_path: str | None = N
     # before --out is opened, so a refusal of the enumeration or the support search leaves no file
     flags = [f for parity in (0, 1) for f in _orthogonal_flags(n, field, parity)[1]]
     total = _candidate_total(n)
-    with _census_file(out_path):  # only a regular file is read: /dev/full never ends a line
-        reused = _resume(out_path, n, field, total) if out_path and os.path.isfile(out_path) else 0
-        opened = open(out_path, "ab", opener=_open_unwaited) if out_path else nullcontext()
-    sweep_start = time.perf_counter()
-    with opened as sink:
-        for start in range(reused, total, CENSUS_CHUNK):
-            done = min(start + CENSUS_CHUNK, total)
-            if sink is not None:
+    if out_path:
+        with _census_file(out_path):  # only a regular file is read: /dev/full never ends a line
+            reused = _resume(out_path, n, field, total) if os.path.isfile(out_path) else 0
+            sink = open(out_path, "ab", opener=_open_unwaited)
+        with sink:
+            for start in range(reused, total, CENSUS_CHUNK):
+                done = min(start + CENSUS_CHUNK, total)
                 pieces = _census_chunk(n, field, start, done)
                 with _census_file(out_path):
                     sink.writelines(pieces)
-            if progress:
-                rate = (done - reused) / max(time.perf_counter() - sweep_start, 1e-9)
-                progress(
-                    f"census n={n} {field}: {done}/{total} families, {reused} reused, "
-                    f"{rate:.0f} families/s, ETA {(total - done) / rate:.1f}s"
-                )
-        if sink is not None:
+                if progress:
+                    rate = (done - reused) / max(time.perf_counter() - t0, 1e-9)
+                    progress(
+                        f"census n={n} {field}: {done}/{total} families, {reused} reused, "
+                        f"{rate:.0f} families/s, ETA {(total - done) / rate:.1f}s"
+                    )
             with _census_file(out_path):  # the buffered tail is written here, /dev/full refuses it
                 sink.close()
     runtime = time.perf_counter() - t0

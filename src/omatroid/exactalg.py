@@ -82,10 +82,11 @@ class Ring:
     """Common interface of the supported coefficient rings.
 
     The arithmetic here is Python's own operators, as over ZZ and QQ;
-    GF(p) sets its modulus ``p`` and reduces by it.
+    GF(p) sets its modulus ``p`` and reduces by it. Each ring sets its
+    ``kind`` and defines ``inv``.
     """
 
-    kind: str = "?"
+    kind: str
     is_field: bool = False
     p: int = 0  # the modulus; 0 for none
 
@@ -98,9 +99,6 @@ class Ring:
     def is_element(self, v) -> bool:
         """Whether v lies in the partial field: any value over a field, 0 or a unit +1/-1 over ZZ."""
         return self.is_field or v in (0, 1, -1)
-
-    def inv(self, a):
-        raise InputError(f"{self!r} has no general inverses")
 
     def coerce(self, v):
         """v as a value of this ring: an int, a Fraction (a whole one outside QQ) or a literal."""
@@ -514,16 +512,6 @@ class Homomorphism:
         if den == 0:
             raise MapUndefinedError(f"denominator of {v} is divisible by {p}; residue map undefined")
         return v.numerator % p * pow(den, -1, p) % p
-
-
-def residue_hom(p: int) -> Homomorphism:
-    """Reduction mod p, from the integers (the regular partial field) onto GF(p)."""
-    return Homomorphism(ZZ, GF(p))
-
-
-def rational_residue_hom(p: int) -> Homomorphism:
-    """The partial map from the rationals onto GF(p); fails on denominators divisible by p."""
-    return Homomorphism(QQ, GF(p))
 
 
 def apply_hom(h: Homomorphism, m: Matrix) -> Matrix:

@@ -178,6 +178,15 @@ def masks_of_size(n: int, r: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _doubled(items: list, empty) -> list:
+    """The sum of the items picked by each bitmask b, in item order, doubling the table once per
+    item: entry b | 2**i, for b < 2**i, is entry b + items[i]."""
+    table = [empty]
+    for x in items:
+        table += [t + x for t in table]
+    return table
+
+
 @lru_cache(maxsize=1024)  # literals repeat: a GF(p) input spells few distinct values
 def parse_int(s: str) -> int:
     """The integer ``s`` spells exactly as ``str`` writes it: ASCII digits after an optional

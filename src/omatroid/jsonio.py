@@ -17,7 +17,7 @@ from typing import Any
 
 from .errors import InputError
 from .exactalg import GF, QQ, ZZ, Matrix, Ring, _Ratios, too_many_digits
-from .groundset import GroundSet, _key_bits
+from .groundset import GroundSet, _doubled, _key_bits
 from .matroid import BasisFamily
 
 # The vector classes are imported by the functions that build them, so a process that
@@ -32,7 +32,6 @@ __all__ = [
     "plucker_vector_to_json",
     "parse_wick_vector",
     "wick_vector_to_json",
-    "parse_vector_file",
     "parse_matrix_file",
     "matrix_to_json",
     "representation_to_json",
@@ -166,15 +165,6 @@ def _parse_coords(obj: Any, ranked: bool):
     return ground, r, ring, mapping
 
 
-def _half_keys(first: int, stop: int) -> list:
-    """The keys of the subsets of {first, ..., stop - 1} by mask, bit i for first + i;
-    each extends the key of its mask without the top element."""
-    keys = [""]
-    for e in map(str, range(first, stop)):
-        keys += [f"{k},{e}" if k else e for k in keys]
-    return keys
-
-
 def _vector_to_json(p, **rank) -> dict:
     """The shared vector schema, nonzero coordinates only, in key order; ``rank`` adds 'r'.
 
@@ -198,7 +188,8 @@ def _vector_to_json(p, **rank) -> dict:
     # by mask: a full vector lists every mask, a ranked one only its r-subsets
     get = text.__getitem__ if r is None else {m: t for m, t in zip(p.masks(), text) if t}.get
     h = (n + 1) // 2
-    lo, hi = _half_keys(1, h + 1), _half_keys(h + 1, n + 1)
+    elements = [f",{e}" for e in range(1, n + 1)]
+    lo, hi = ([k[1:] for k in _doubled(half, "")] for half in (elements[:h], elements[h:]))  # no first comma
     runs = {}  # size of g if ranked -> lowest bit of g -> (key of g, g << h) in key order
     for g in sorted(range(len(hi)), key=hi.__getitem__):
         size = None if r is None else g.bit_count()
@@ -231,14 +222,6 @@ def parse_wick_vector(obj: Any) -> "WickVector":
 
 def wick_vector_to_json(p: "WickVector") -> dict:
     return _vector_to_json(p)
-
-
-def parse_vector_file(obj: Any):
-    """Either vector schema, told apart by the rank field."""
-    obj = _expect_dict(obj, "coordinate vector")
-    if "r" in obj:
-        return parse_plucker_vector(obj)
-    return parse_wick_vector(obj)
 
 
 # ---------------------------------------------------------------------------

@@ -68,9 +68,6 @@ class BasisFamily:
         """Member masks in colex (numeric) order."""
         return tuple(sorted(self.masks))
 
-    def subsets(self) -> tuple[SubsetMask, ...]:
-        return tuple(SubsetMask(self.ground, m) for m in self.members())
-
     def __contains__(self, s) -> bool:
         bits = s.bits if isinstance(s, SubsetMask) else s
         return bits in self.masks

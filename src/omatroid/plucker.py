@@ -97,9 +97,6 @@ def _dense(ring: Ring, masks, coords, stray: str) -> list:
 class _CoordinateVector:
     """What PluckerVector and WickVector share: ``coords`` listed in the order of ``masks()``."""
 
-    def masks(self):
-        raise NotImplementedError
-
     def support_masks(self) -> tuple[int, ...]:
         return tuple(compress(self.masks(), self.coords))  # zero is falsy in every ring
 

@@ -17,6 +17,7 @@ from omatroid import (
     LABELED_COUNT_NOTE,
     BasisFamily,
     GroundSet,
+    Homomorphism,
     Label,
     Matrix,
     PluckerVector,
@@ -45,12 +46,12 @@ from omatroid import (
     reconstruct_plucker,
     reconstruct_wick,
     representability_census,
-    residue_hom,
     twist,
     twist_wick,
     verify_nelson_chain,
     wick_from_representation,
     wick_support,
+    ZZ,
 )
 from omatroid.census import _achievable_supports
 from omatroid.errors import RankError
@@ -317,7 +318,7 @@ def test_regular_reps_transport_to_primes(capsys):
         table = all_principal_pfaffians(rep.matrix)
         ok = ok and all(v in (-1, 0, 1) for v in table)
         for p in (2, 3):
-            mat_p = apply_hom(residue_hom(p), rep.matrix)
+            mat_p = apply_hom(Homomorphism(ZZ, GF(p)), rep.matrix)
             w = wick_from_representation(WickRepresentation(mat_p, rep.twist))
             ok = ok and wick_support(w).masks == f.masks
             ok = ok and check_wick_full(w).ok

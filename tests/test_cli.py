@@ -15,7 +15,6 @@ from omatroid.jsonio import (
     parse_matrix_file,
     parse_plucker_vector,
     parse_ring_decl,
-    parse_vector_file,
     parse_wick_vector,
     plucker_vector_to_json,
     ring_decl_to_json,
@@ -100,11 +99,10 @@ def test_parse_basis_family_errors():
 
 def test_vector_json_roundtrip():
     p = parse_plucker_vector(PLUCKER_VECTOR)
+    assert p.r == 2
     assert plucker_vector_to_json(p) == PLUCKER_VECTOR
     w = parse_wick_vector(WICK_VECTOR)
     assert wick_vector_to_json(w) == WICK_VECTOR
-    assert parse_vector_file(PLUCKER_VECTOR).r == 2
-    assert parse_vector_file(WICK_VECTOR).coords == w.coords
 
 
 def test_vector_json_validation():

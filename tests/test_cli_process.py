@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 
 from omatroid import cli
-from omatroid.census import _candidate_total, _census_chunk
+from omatroid.census import CENSUS_CHUNK, _candidate_total, _census_chunk
 from omatroid.cli import main
 
 from test_cli_grammar import FILES, RUNTIME
@@ -88,6 +88,25 @@ def test_process_census_file_is_complete_and_resumable(tmp_path):
     by_process.write_bytes(whole[:cut])
     assert _process("census", "--n", "4", "--out", str(by_process), capture_output=True).returncode == 0
     assert by_process.read_bytes() == whole
+
+
+def test_census_reports_progress_only_while_it_writes_records(tmp_path):
+    # without --out no record is written, so no progress line is printed
+    proc = _process("census", "--n", "5", capture_output=True)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    out = tmp_path / "c.jsonl"
+    proc = _process("census", "--n", "5", "--out", str(out), capture_output=True, text=True)
+    lines, chunks = proc.stderr.splitlines(), -(-_candidate_total(5) // CENSUS_CHUNK)
+    assert proc.returncode == 0 and len(lines) == chunks == 32
+    assert all(RATE.search(line) and ", 0 reused, " in line for line in lines)
+    whole = out.read_bytes()
+    half = whole[:len(whole) // 2]  # cut inside a record: its complete lines are reused
+    out.write_bytes(half)
+    proc = _process("census", "--n", "5", "--out", str(out), capture_output=True, text=True)
+    lines, reused = proc.stderr.splitlines(), half.count(b"\n")
+    assert proc.returncode == 0 and 0 < len(lines) < chunks
+    assert all(RATE.search(line) and f", {reused} reused, " in line for line in lines)
+    assert out.read_bytes() == whole
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

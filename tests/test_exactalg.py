@@ -16,8 +16,6 @@ from omatroid.exactalg import (
     apply_hom,
     determinant,
     pfaffian,
-    rational_residue_hom,
-    residue_hom,
 )
 from omatroid.groundset import SWEEP_BUDGET, GroundSet
 
@@ -364,7 +362,7 @@ def test_principal_pfaffian_table_gfp():
 
 
 def test_residue_hom_on_matrices():
-    h = residue_hom(3)
+    h = Homomorphism(ZZ, GF(3))
     m = SkewMatrix.from_upper(ZZ, 3, [1, -1, 0])
     img = apply_hom(h, m)
     assert isinstance(img, SkewMatrix)
@@ -375,14 +373,14 @@ def test_residue_hom_on_matrices():
 def test_apply_hom_refuses_a_matrix_over_another_ring():
     m = SkewMatrix.from_upper(QQ, 3, [Fraction(1, 2), Fraction(-1), Fraction(0)])
     with pytest.raises(InputError):
-        apply_hom(residue_hom(3), m)  # residue_hom reads integers, not rationals
-    img = apply_hom(rational_residue_hom(3), m)
+        apply_hom(Homomorphism(ZZ, GF(3)), m)  # reduction from ZZ reads integers, not rationals
+    img = apply_hom(Homomorphism(QQ, GF(3)), m)
     assert img.ring == GF(3)
     assert img.row_lists() == [[0, 2, 2], [1, 0, 0], [1, 0, 0]]  # 1/2 = 2 mod 3
 
 
 def test_rational_residue_hom_partiality():
-    h = rational_residue_hom(5)
+    h = Homomorphism(QQ, GF(5))
     assert h.apply(Fraction(1, 3)) == 2  # 3*2 = 6 = 1 mod 5
     with pytest.raises(MapUndefinedError):
         h.apply(Fraction(1, 5))
@@ -402,7 +400,7 @@ def test_homomorphism_refuses_a_triple_it_cannot_apply(source, target):
 
 def test_hom_commutes_with_pfaffian():
     rng = random.Random(8)
-    h = residue_hom(7)
+    h = Homomorphism(ZZ, GF(7))
     for _ in range(20):
         rows = random_skew_int(rng, 6)
         m = SkewMatrix.from_rows(ZZ, rows)

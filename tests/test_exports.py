@@ -107,6 +107,18 @@ def test_removed_aliases_are_gone():
     for name in ("E_UPPER_DEFAULT", "LOG2E_UPPER_DEFAULT"):
         with pytest.raises(AttributeError):
             getattr(census, name)
+    # only tests called these: Homomorphism(ZZ, GF(p)) and Homomorphism(QQ, GF(p)) are the
+    # residue maps, and each vector schema has its own parser
+    for name in ("residue_hom", "rational_residue_hom"):
+        assert not hasattr(exactalg, name)
+        assert name not in omatroid.__all__
+    assert not hasattr(jsonio, "parse_vector_file") and "parse_vector_file" not in jsonio.__all__
+    assert not hasattr(matroid.BasisFamily, "subsets")
+    # one doubling-table builder, in groundset, serves the census records and the vector keys
+    assert not hasattr(jsonio, "_half_keys") and jsonio._doubled is groundset._doubled
+    # every ring sets its kind and its inverse, and every vector its masks: no base stands in
+    assert not {"inv", "kind"} & set(vars(exactalg.Ring))
+    assert "masks" not in vars(plucker._CoordinateVector)
 
 
 def test_the_package_imports_only_the_standard_library():

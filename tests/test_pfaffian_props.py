@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from omatroid.exactalg import (
     GF,
+    Homomorphism,
     QQ,
     SkewMatrix,
     ZZ,
@@ -27,8 +28,6 @@ from omatroid.exactalg import (
     apply_hom,
     determinant,
     pfaffian,
-    rational_residue_hom,
-    residue_hom,
 )
 
 from oracles import matching_pfaffian
@@ -82,11 +81,11 @@ def test_residue_maps_commute_with_pfaffians(name, data):
     p = data.draw(st.sampled_from([2, 3, 5, 7]), label="p")
     n = data.draw(st.integers(0, 10), label="n")
     if name == "zz":
-        h, entries = residue_hom(p), ENTRIES["zz"]
+        h, entries = Homomorphism(ZZ, GF(p)), ENTRIES["zz"]
     else:
         # denominators prime to p: the cases where the residue map is defined
         dens = st.sampled_from([d for d in range(1, 7) if d % p])
-        h, entries = rational_residue_hom(p), st.builds(Fraction, st.integers(-9, 9), dens)
+        h, entries = Homomorphism(QQ, GF(p)), st.builds(Fraction, st.integers(-9, 9), dens)
     m = _skew(data, RINGS[name], n, entries)
     assert pfaffian(apply_hom(h, m)) == h.apply(pfaffian(m))
 

@@ -19,7 +19,12 @@ from omatroid import groundset, jsonio, plucker, wick
 from omatroid.cli import main
 from omatroid.exactalg import GF, QQ, ZZ, _Ratios
 from omatroid.groundset import GroundSet, masks_of_size
-from omatroid.jsonio import parse_vector_file, plucker_vector_to_json, wick_vector_to_json
+from omatroid.jsonio import (
+    parse_plucker_vector,
+    parse_wick_vector,
+    plucker_vector_to_json,
+    wick_vector_to_json,
+)
 from omatroid.plucker import PluckerVector
 from omatroid.wick import WickVector
 
@@ -69,7 +74,8 @@ def test_emitted_coords_are_the_oracle_keys_and_parse_back(name, data):
         (m, v % ring.p if ring.p else v) for m, v in zip(sorted(raw), scaled)
     ]
     assert list(obj["coords"].items()) == _expected_coords(p)
-    assert parse_vector_file(json.loads(json.dumps(obj))) == p
+    parse = parse_wick_vector if r is None else parse_plucker_vector
+    assert parse(json.loads(json.dumps(obj))) == p
 
 
 @pytest.mark.parametrize("parities", [(0,), (0, 1)], ids=["even-subsets", "all-subsets"])
@@ -95,14 +101,14 @@ def test_emitting_builds_no_key_from_a_mask_s_elements(monkeypatch, parities):
 
 def test_emitting_a_vector_on_20_elements_builds_two_half_tables_of_keys(monkeypatch):
     # the writer once built 352,716 keys for the 184,756 coordinates of this vector
-    built, real = [], jsonio._half_keys
+    built, real = [], jsonio._doubled
 
-    def counted(first, stop):
-        keys = real(first, stop)
+    def counted(items, empty):
+        keys = real(items, empty)
         built.append(len(keys))
         return keys
 
-    monkeypatch.setattr(jsonio, "_half_keys", counted)
+    monkeypatch.setattr(jsonio, "_doubled", counted)
     masks = masks_of_size(20, 10)
     p = PluckerVector(GroundSet(20), 10, GF(7), [1 + m % 6 for m in masks])
     coords = plucker_vector_to_json(p)["coords"]
